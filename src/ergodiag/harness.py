@@ -308,8 +308,9 @@ def _squared_deviation_variance(family: Family, n: int, var_an: float) -> float:
 def _growth_grid(n_grid: tuple[int, ...]) -> tuple[int, ...] | None:
     """Refine a grid to >= 4 points for growth classification.
 
-    Exact ``V_n`` is cheap, so geometric midpoints are inserted until the
-    grid is classifiable.  Returns None when the configured grid spans less
+    Exact ``V_n`` costs O(n) for every built-in family (lag or diagonal
+    route), so geometric midpoints are inserted until the grid is
+    classifiable.  Returns None when the configured grid spans less
     than a decade, where no slope fit is meaningful.
     """
     if len(n_grid) < 1 or n_grid[-1] < 10 * n_grid[0]:

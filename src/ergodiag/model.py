@@ -12,6 +12,17 @@ indices.  From the spec alone (no sampling) this module computes
 * a growth classification of ``V_n`` (sub-quadratic vs. quadratic in ``n``),
   which decides whether the time average converges to ``m_n``.
 
+``V_n`` has three routes, picked by ``covariance_sum(method="auto")`` from
+the structure the spec declares:
+
+* lag sum    -- a stationary spec (``spec.stationary``) gives
+  ``V_n = n*gamma(0) + 2*sum_h (n-h)*gamma(h)``, O(n);
+* diagonal   -- a spec declared ``diagonal`` (``Cov(X_t, X_s) = 0`` for
+  ``t != s``, e.g. independent terms) gives ``V_n = sum_t Var(X_t)``, O(n),
+  bit-identical to the double sum;
+* double sum -- any other spec is summed over all ``n x n`` pairs, O(n^2).
+  ``method="double"`` forces it, as the cross-check for the other two.
+
 Mean and covariance callables are expected to broadcast over numpy integer
 arrays; plain scalar callables are accepted and evaluated elementwise as a
 fallback.
@@ -44,9 +55,12 @@ __all__ = [
 ]
 
 # Consecutive small tail increments required before the lag sum is declared
-# converged, and the element budget per evaluation block of the double sum.
+# converged, the element budget per evaluation block of the double sum, and
+# the first lag chunk of correlation_time (each later chunk doubles, up to
+# _BLOCK_ELEMENTS lags).
 _TAIL_RUN = 10
 _BLOCK_ELEMENTS = 1 << 22
+_FIRST_LAG_CHUNK = 1024
 
 
 class DegenerateSeriesError(ValueError):
@@ -99,12 +113,18 @@ class ProcessSpec:
     its arguments with non-negative diagonal.  When the sequence is weakly
     stationary, ``stationary`` carries the lag form of the covariance and
     must agree with ``cov_fn(t, s) == stationary.gamma(|t - s|)``.
+
+    ``diagonal=True`` declares that ``cov_fn(t, s) == 0`` for every
+    ``t != s`` (uncorrelated terms).  :func:`covariance_sum` then sums only
+    ``cov_fn(t, t)``, in O(n) instead of O(n^2); the declaration is trusted,
+    not checked, and a wrong one gives a wrong ``V_n``.
     """
 
     mean_fn: Callable[..., object]
     cov_fn: Callable[..., object]
     stationary: StationaryCov | None = None
     label: str = ""
+    diagonal: bool = False
 
 
 class GrowthClass(str, Enum):
@@ -216,16 +236,23 @@ def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
         Number of leading terms included.
     method:
         ``"double"`` evaluates the full ``n x n`` double sum (ascending rows,
-        pairwise summation within each row).  ``"lags"`` uses the stationary
-        lag decomposition ``n*gamma(0) + 2*sum_h (n-h)*gamma(h)`` and
-        requires ``spec.stationary``.  ``"auto"`` picks ``"lags"`` when a
-        stationary tag is present.  The two routes agree to ~1e-9 relative
-        for any valid stationary spec.
+        pairwise summation within each row, then pairwise over the row
+        sums), O(n^2).  ``"lags"`` uses the stationary lag decomposition
+        ``n*gamma(0) + 2*sum_h (n-h)*gamma(h)`` and requires
+        ``spec.stationary``; it agrees with ``"double"`` to ~1e-9 relative
+        for any valid stationary spec.  ``"auto"`` picks ``"lags"`` for a
+        stationary spec; else, for a spec declared ``diagonal``, it sums
+        ``cov_fn(t, t)`` over ``t = 1..n``, O(n) -- each row sum of
+        ``"double"`` is then its diagonal term plus exact zeros, so the two
+        return the same float; else it runs ``"double"``.
     """
     n = _check_n(n)
     if method not in ("auto", "double", "lags"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
+        if spec.stationary is None and spec.diagonal:
+            t = np.arange(1, n + 1, dtype=np.int64)
+            return float(np.sum(_eval_elementwise(spec.cov_fn, t, t)))
         method = "lags" if spec.stationary is not None else "double"
     if method == "lags":
         if spec.stationary is None:
@@ -278,17 +305,25 @@ def correlation_time(
     if g0 <= 0:
         raise DegenerateSeriesError(f"gamma(0) must be > 0, got {g0}")
 
+    # Lags are evaluated in chunks of 1024, 2048, ... (at most _BLOCK_ELEMENTS
+    # lags each); np.cumsum adds in order, so each partial sum is the one a
+    # lag-by-lag loop would reach.
     acc = g0
-    consecutive = 0
-    for h in range(1, max_terms + 1):
-        gh = float(_eval_elementwise(cov.gamma, np.asarray([h]))[0])
-        acc += 2.0 * gh
-        if abs(2.0 * gh) < abs_tol:
-            consecutive += 1
-            if consecutive >= _TAIL_RUN:
-                return acc / g0
-        else:
-            consecutive = 0
+    run = 0  # small increments in a row, carried across chunks
+    lo, size = 1, _FIRST_LAG_CHUNK
+    while lo <= max_terms:
+        h = np.arange(lo, min(lo + size, max_terms + 1), dtype=np.int64)
+        terms = 2.0 * _eval_elementwise(cov.gamma, h)
+        partial = np.cumsum(np.concatenate(([acc], terms)))[1:]
+        small = np.abs(terms) < abs_tol
+        i = np.arange(h.size)
+        last_break = np.maximum.accumulate(np.where(small, -1, i))
+        runs = np.where(last_break < 0, run + i + 1, i - last_break)
+        done = np.flatnonzero(runs >= _TAIL_RUN)
+        if done.size:
+            return float(partial[done[0]]) / g0
+        acc, run = float(partial[-1]), int(runs[-1])
+        lo, size = lo + h.size, min(2 * size, _BLOCK_ELEMENTS)
     return NON_SUMMABLE
 
 

@@ -289,7 +289,12 @@ def build_spec(config: ProcessConfig) -> ProcessSpec:
         stationary = None
 
     return ProcessSpec(
-        mean_fn=mean_fn, cov_fn=cov_fn, stationary=stationary, label=config.label
+        mean_fn=mean_fn,
+        cov_fn=cov_fn,
+        stationary=stationary,
+        label=config.label,
+        # Independent terms: V_n is the sum of the variances.
+        diagonal=family in (Family.SPARSE_SPIKES, Family.DRIFTING_MEAN),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,31 @@ from ergodiag import (
 )
 
 from conftest import white_noise_spec
+
+
+DIAGONAL_CONFIGS = {
+    "spikes": ProcessConfig(Family.SPARSE_SPIKES),
+    "drift_linear": ProcessConfig(
+        Family.DRIFTING_MEAN,
+        {"trend": {"kind": "LINEAR", "a": 1.0, "b": 0.5}, "noise_sd": 0.3},
+    ),
+    "drift_sinusoid": ProcessConfig(
+        Family.DRIFTING_MEAN,
+        {"trend": {"kind": "SINUSOID", "amplitude": 2.0, "period": 7.0}, "noise_sd": 1.7},
+    ),
+}
+
+
+def counting_cov(spec: ProcessSpec) -> tuple[ProcessSpec, list[int]]:
+    """``spec`` with each covariance evaluation's element count recorded."""
+    sizes: list[int] = []
+
+    def cov_fn(t, s):
+        out = spec.cov_fn(t, s)
+        sizes.append(int(np.size(out)))
+        return out
+
+    return dataclasses.replace(spec, cov_fn=cov_fn), sizes
 
 
 def constant_mean_spec(c: float) -> ProcessSpec:
@@ -104,6 +130,31 @@ class TestCovarianceSum:
         with pytest.raises(ValueError, match="stationary"):
             covariance_sum(spec, 4, method="lags")
 
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_CONFIGS))
+    @pytest.mark.parametrize("n", [1, 2, 17, 2048, 2049, 5000])
+    def test_diagonal_route_equals_double_sum(self, name, n):
+        # above 2048 the double sum spans several _BLOCK_ELEMENTS blocks
+        spec = build_spec(DIAGONAL_CONFIGS[name])
+        assert spec.diagonal
+        assert covariance_sum(spec, n) == covariance_sum(spec, n, method="double")
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_CONFIGS))
+    def test_auto_picks_diagonal_route(self, name):
+        spec, sizes = counting_cov(build_spec(DIAGONAL_CONFIGS[name]))
+        value = covariance_sum(spec, 300)
+        assert sizes == [300]
+        assert value == covariance_sum(spec, 300, method="double")
+
+    def test_diagonal_routes_at_one_million(self):
+        n = 10**6
+        spikes = build_spec(ProcessConfig(Family.SPARSE_SPIKES))
+        # every partial sum is an integer below 2**53, so exact
+        assert covariance_sum(spikes, n) == n * (n + 1) / 2
+        config = DIAGONAL_CONFIGS["drift_sinusoid"]
+        drift = build_spec(config)
+        expected = n * config.params["noise_sd"] ** 2
+        assert covariance_sum(drift, n) == pytest.approx(expected, rel=1e-12)
+
     def test_nonnegative_for_every_family(
         self, ar1_config, spike_config, shock_config, drift_config
     ):
@@ -139,6 +190,35 @@ class TestTimeAverageVariance:
             assert time_average_variance(spec, n) == covariance_sum(spec, n) / n**2
 
 
+def reference_correlation_time(gamma, abs_tol=1e-10, max_terms=100_000):
+    """``correlation_time`` computed one lag at a time, the plain way."""
+    g0 = float(np.ravel(gamma(np.asarray([0])))[0])
+    acc = g0
+    run = 0
+    for h in range(1, max_terms + 1):
+        gh = float(np.ravel(gamma(np.asarray([h])))[0])
+        acc += 2.0 * gh
+        if abs(2.0 * gh) < abs_tol:
+            run += 1
+            if run >= 10:
+                return acc / g0
+        else:
+            run = 0
+    return NON_SUMMABLE
+
+
+def step_gamma(small_from: int, breaks: tuple[int, ...] = ()):
+    """``gamma`` of 1 at lag 0, ~1e-3 before ``small_from`` and at each lag
+    in ``breaks``, and a tiny 1e-13 everywhere else."""
+
+    def gamma(h):
+        h = np.asarray(h)
+        large = (h < small_from) | np.isin(h, breaks)
+        return np.where(h == 0, 1.0, np.where(large, 1e-3 / (1 + h % 7), 1e-13))
+
+    return gamma
+
+
 class TestCorrelationTime:
     def test_uncorrelated_is_one(self):
         cov = StationaryCov(gamma=lambda h: np.where(np.equal(h, 0), 1.0, 0.0))
@@ -162,6 +242,59 @@ class TestCorrelationTime:
         cov = StationaryCov(gamma=lambda h: phi ** np.abs(h))
         tau = correlation_time(cov, abs_tol=abs_tol, max_terms=100_000)
         assert abs(tau - (1 + phi) / (1 - phi)) < abs_tol * 10
+
+    @pytest.mark.parametrize("phi", [-0.7, 0.1, 0.5, 0.9, 0.99])
+    def test_ar1_equals_lag_by_lag_loop(self, phi):
+        spec = build_spec(ProcessConfig(Family.AR1, {"phi": phi, "gamma0": 1.5}))
+        expected = reference_correlation_time(spec.stationary.gamma)
+        assert correlation_time(spec.stationary) == expected
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [
+            # the run of 10 small lags straddles lag 1024, the first chunk end
+            step_gamma(small_from=1020),
+            # a run broken at length 9
+            step_gamma(small_from=101, breaks=(110,)),
+            # a run of 9 ending at lag 1024, broken by the next chunk's first lag
+            step_gamma(small_from=1016, breaks=(1025,)),
+            # two runs broken at length 9, the second straddling lag 1024
+            step_gamma(small_from=1011, breaks=(1020, 1030)),
+            # scalar-only (fails on a 1024-lag array): the elementwise fallback
+            lambda h: 1.0 if h == 0 else (1e-3 if h < 1020 else 0.0),
+        ],
+    )
+    def test_tail_run_across_chunks_equals_lag_by_lag_loop(self, gamma):
+        expected = reference_correlation_time(gamma)
+        assert expected is not NON_SUMMABLE
+        assert correlation_time(StationaryCov(gamma=gamma)) == expected
+
+    @pytest.mark.parametrize(
+        ("gamma", "max_terms"),
+        [(lambda h: 0.5 ** np.abs(h), 1)]
+        # converged exactly at lag 500 / 1500
+        + [
+            (step_gamma(small_from=small_from), max_terms)
+            for small_from in (491, 1491)
+            for max_terms in (1, 500, 1500)
+        ],
+    )
+    def test_max_terms_equals_lag_by_lag_loop(self, gamma, max_terms):
+        cov = StationaryCov(gamma=gamma)
+        expected = reference_correlation_time(gamma, max_terms=max_terms)
+        assert correlation_time(cov, max_terms=max_terms) == expected
+
+    def test_common_shock_default_max_terms(self, shock_config):
+        stationary = build_spec(shock_config).stationary
+        calls = []
+
+        def gamma(h):
+            calls.append(np.size(h))
+            return stationary.gamma(h)
+
+        assert correlation_time(StationaryCov(gamma=gamma)) is NON_SUMMABLE
+        assert sum(calls) == 1 + 100_000
+        assert len(calls) < 20
 
     def test_degenerate_variance_rejected(self):
         cov = StationaryCov(gamma=lambda h: np.zeros_like(np.asarray(h, dtype=float)))
