@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
 
@@ -35,20 +34,21 @@ import numpy as np
 
 from .bounds import chebyshev_bound
 from .estimators import SamplePath, estimate_tau, sample_autocovariance
-from .harness import Check, ExperimentConfig, run_experiment, worker_count
+from .harness import Check, ExperimentConfig, run_experiment
 from .model import DegenerateSeriesError, effective_sample_size
-from .processes import ProcessConfig, RngSeed, sample_path
+from .processes import ProcessConfig, sample_blocks, sample_path
+
+# ``simulate`` no longer calls ``sample_path``; it stays importable from this
+# module because bench/spans.py wraps it by name.
 
 __all__ = ["main", "ConfigError"]
 
 _ANALYZE_EPSILONS = (0.1, 0.05, 0.01)
 _MIN_ANALYZE_OBSERVATIONS = 10
-_SIMULATE_BLOCK = 1024
 
-_TOP_LEVEL_KEYS = {"process", "experiment", "analyze"}
+_TOP_LEVEL_KEYS = {"process", "experiment"}
 _PROCESS_KEYS = {"family", "params"}
 _EXPERIMENT_KEYS = {"n_grid", "replicates", "base_seed", "epsilons", "checks"}
-_ANALYZE_KEYS = {"max_lag", "window_c", "target_mean"}
 
 
 class ConfigError(ValueError):
@@ -70,11 +70,7 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must contain a JSON object at top level")
     _reject_unknown_keys(doc, _TOP_LEVEL_KEYS, "config file")
-    for key, allowed in (
-        ("process", _PROCESS_KEYS),
-        ("experiment", _EXPERIMENT_KEYS),
-        ("analyze", _ANALYZE_KEYS),
-    ):
+    for key, allowed in (("process", _PROCESS_KEYS), ("experiment", _EXPERIMENT_KEYS)):
         if key in doc:
             if not isinstance(doc[key], dict):
                 raise ConfigError(f"config section {key!r} must be an object")
@@ -154,26 +150,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"n must be >= 1, got {args.n}")
     if args.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {args.replicates}")
-    workers = worker_count()
 
     def body(fh) -> None:
         fh.write("t,replicate,x\n")
 
-        def one(r: int) -> np.ndarray:
-            return sample_path(process, args.n, RngSeed(args.seed, r)).values
+        def write(first: int, block) -> None:
+            for r, values in enumerate(block, start=first):
+                fh.writelines(f"{t},{r},{x:.17g}\n" for t, x in enumerate(values, start=1))
 
-        pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-        try:
-            for lo in range(0, args.replicates, _SIMULATE_BLOCK):
-                block = range(lo, min(lo + _SIMULATE_BLOCK, args.replicates))
-                rows = list(pool.map(one, block)) if pool else [one(r) for r in block]
-                for r, values in zip(block, rows):
-                    fh.writelines(
-                        f"{t},{r},{x:.17g}\n" for t, x in enumerate(values, start=1)
-                    )
-        finally:
-            if pool:
-                pool.shutdown()
+        # One worker: blocks arrive in replicate order, as the rows are written.
+        sample_blocks(process, args.n, args.seed, args.replicates, write)
 
     _atomic_write(Path(args.out), body)
     return 0

@@ -41,20 +41,24 @@ All sampling derives from ``base_seed`` through the stream derivation of
 :mod:`ergodiag.processes`: grid point ``n`` uses the per-length base
 ``derive_stream(base_seed, n)``, replicate ``r`` of that ensemble uses
 stream index ``r``, and coordinate ``j`` of the vector check uses the
-per-length base at index ``2**32 + j``.  Replicates are processed in
-fixed-size blocks with results written by index, so reports are identical
-for any worker count.  ``ERGODIAG_THREADS`` caps the worker count (absent
-means 1).
+per-length base at index ``2**32 + j``.  Replicates are sampled by
+:func:`~ergodiag.processes.sample_blocks` in blocks sized by element count
+(at most 8192 values), in work units of 1024 replicates spread over the
+workers, and each block is reduced to its rows' time averages, written by
+replicate index.  No result depends on the block size or the worker count,
+so reports are identical for any worker count.  ``ERGODIAG_THREADS`` caps
+the worker count (absent means 1).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -72,13 +76,16 @@ from .model import (
 from .processes import (
     Family,
     ProcessConfig,
-    RngSeed,
     build_spec,
     derive_stream,
     enumerate_squared_average_variance,
+    sample_blocks,
     sample_path,
     sparse_spike_squared_average_variance,
 )
+
+# Sampling no longer calls ``sample_path`` or ``time_average``; both stay
+# importable from this module because bench/spans.py wraps them by name.
 
 __all__ = [
     "Check",
@@ -101,7 +108,6 @@ DEFAULT_N_GRID = (100, 1000, 10_000)
 DEFAULT_EPSILONS = (0.1, 0.05, 0.01)
 DEFAULT_REPLICATES = 10_000
 
-_BLOCK = 1024
 _Z_DEFAULT = 4.0
 _VECTOR_DIM = 3
 _VECTOR_STREAM_OFFSET = 1 << 32
@@ -272,20 +278,18 @@ def _ensemble_averages(
     replicates: int,
     max_workers: int,
 ) -> np.ndarray:
-    """Per-replicate time averages, written by replicate index."""
+    """Per-replicate time averages, written by replicate index.
+
+    Each row is summed sequentially in ascending index order, as
+    :func:`~ergodiag.estimators.time_average` sums a path, so the averages
+    are bit for bit the same.
+    """
     out = np.empty(replicates, dtype=float)
 
-    def fill(lo: int) -> None:
-        for r in range(lo, min(lo + _BLOCK, replicates)):
-            out[r] = time_average(sample_path(process, n, RngSeed(ensemble_base, r)))
+    def reduce(first: int, block: np.ndarray) -> None:
+        out[first : first + len(block)] = np.cumsum(block, axis=1)[:, -1] / n
 
-    starts = range(0, replicates, _BLOCK)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
+    sample_blocks(process, n, ensemble_base, replicates, reduce, max_workers=max_workers)
     return out
 
 
@@ -573,6 +577,35 @@ def _check_vector(data: _RunData, max_workers: int) -> Verdict:
     )
 
 
+# Every check but VECTOR; VECTOR samples again and takes the worker count.
+_CHECKS: dict[Check, Callable[[_RunData], Verdict]] = {
+    Check.VARIANCE_IDENTITY: _check_variance_identity,
+    Check.L2_CONVERGENCE: _check_l2_convergence,
+    Check.WLLN: _check_wlln,
+    Check.NONCONVERGENCE: _check_nonconvergence,
+    Check.BOUNDS: _check_bounds,
+    Check.FOURTH_MOMENT: _check_fourth_moment,
+}
+
+
+def _sample_point(
+    config: ExperimentConfig, spec: ProcessSpec, n: int, workers: int
+) -> tuple[np.ndarray, float, float, float, float]:
+    """Sampled and exact statistics at one grid length.
+
+    Returns the per-replicate averages, ``m_n``, the empirical MSE of the
+    averages around ``m_n``, its plug-in Monte Carlo standard error, and
+    the exact ``Var(A_n)`` from ``spec``.
+    """
+    base_n = derive_stream(config.base_seed, n)
+    averages = _ensemble_averages(config.process, n, base_n, config.replicates, workers)
+    m_n = mean_average(spec, n)
+    dev_sq = (averages - m_n) ** 2
+    mse = float(np.mean(dev_sq))
+    se = float(np.std(dev_sq, ddof=1)) / math.sqrt(config.replicates)
+    return averages, m_n, mse, se, time_average_variance(spec, n)
+
+
 def run_experiment(
     config: ExperimentConfig, max_workers: int | None = None
 ) -> ConvergenceReport:
@@ -588,15 +621,7 @@ def run_experiment(
     data = _RunData(config=config, spec=spec)
 
     for n in config.n_grid:
-        base_n = derive_stream(config.base_seed, n)
-        averages = _ensemble_averages(
-            config.process, n, base_n, config.replicates, workers
-        )
-        m_n = mean_average(spec, n)
-        dev_sq = (averages - m_n) ** 2
-        mse = float(np.mean(dev_sq))
-        se = float(np.std(dev_sq, ddof=1)) / math.sqrt(config.replicates)
-        exact_var = time_average_variance(spec, n)
+        averages, m_n, mse, se, exact_var = _sample_point(config, spec, n, workers)
         var_sq = _squared_deviation_variance(config.process.family, n, exact_var)
 
         tails: dict[float, float] = {}
@@ -630,22 +655,9 @@ def run_experiment(
 
     data.growth = _growth_for(spec, config.n_grid)
 
-    verdicts: dict[Check, Verdict] = {}
-    for check in config.ordered_checks():
-        if check is Check.VARIANCE_IDENTITY:
-            verdicts[check] = _check_variance_identity(data)
-        elif check is Check.L2_CONVERGENCE:
-            verdicts[check] = _check_l2_convergence(data)
-        elif check is Check.WLLN:
-            verdicts[check] = _check_wlln(data)
-        elif check is Check.NONCONVERGENCE:
-            verdicts[check] = _check_nonconvergence(data)
-        elif check is Check.BOUNDS:
-            verdicts[check] = _check_bounds(data)
-        elif check is Check.FOURTH_MOMENT:
-            verdicts[check] = _check_fourth_moment(data)
-        else:
-            verdicts[check] = _check_vector(data, workers)
+    vector = functools.partial(_check_vector, max_workers=workers)
+    checks = {**_CHECKS, Check.VECTOR: vector}
+    verdicts = {check: checks[check](data) for check in config.ordered_checks()}
 
     return ConvergenceReport(
         process=config.process,
@@ -679,15 +691,7 @@ def verify_variance_identity(
         )
     if spec is None:
         spec = build_spec(config.process)
-    base_n = derive_stream(config.base_seed, n)
-    averages = _ensemble_averages(
-        config.process, n, base_n, config.replicates, worker_count()
-    )
-    m_n = mean_average(spec, n)
-    dev_sq = (averages - m_n) ** 2
-    mse = float(np.mean(dev_sq))
-    se = float(np.std(dev_sq, ddof=1)) / math.sqrt(config.replicates)
-    exact = time_average_variance(spec, n)
+    _, _, mse, se, exact = _sample_point(config, spec, n, worker_count())
     gap = abs(mse - exact)
     if se == 0.0:
         status = "PASS" if gap == 0.0 else "FAIL"

@@ -42,6 +42,23 @@ innovations in ascending time order; SPARSE_SPIKES draws one uniform per
 step ascending, partitioned ``[0, p/2) -> +``, ``[p/2, p) -> -``,
 ``[p, 1) -> 0`` with ``p = t**-2``; COMMON_SHOCK draws the shared shock then
 the per-step noise; DRIFTING_MEAN draws the per-step noise.
+
+Every sampler goes through one block engine.  A block is a ``(rows, n)``
+array: row ``i`` is drawn from its own replicate's stream, in the order
+above, straight into the row (``standard_normal(out=row)`` or
+``random(out=row)``); the family transform (AR1 filter, spike table, shock
+offset, trend) then runs once over the whole block.  :func:`sample_path` is
+the one-row case fed by :meth:`RngSeed.generator`.  :func:`sample_blocks`
+derives the streams of up to 1024 replicates at once with the same
+arithmetic NumPy uses: ``derive_stream``'s finalizer on ``uint64`` arrays,
+``SeedSequence``'s pool hash (pool size 4, ``generate_state(4, uint64)``)
+on ``uint32`` arrays, and PCG64's ``set_seed`` (two 128-bit LCG steps) in
+Python integers.  Each resulting state is loaded into one reused generator
+through ``bit_generator.state``, which leaves it exactly as
+``RngSeed(base_seed, r).generator()`` would be, so every row is bit for bit
+the path :func:`sample_path` returns for that replicate.  NEP 19 fixes both
+the ``SeedSequence`` and the PCG64 streams, and the tests compare the
+derived states against ``np.random.PCG64`` itself.
 """
 
 from __future__ import annotations
@@ -53,7 +70,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 from scipy.signal import lfilter
@@ -68,6 +85,7 @@ __all__ = [
     "derive_stream",
     "build_spec",
     "sample_path",
+    "sample_blocks",
     "sample_ensemble",
     "SparseSpikeMoments",
     "sparse_spike_moments",
@@ -80,9 +98,22 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Replicates per work unit when filling an ensemble; fixed so results do not
-# depend on the worker count.
-_ENSEMBLE_BLOCK = 1024
+# Replicates per work unit: one generator and one vectorized stream
+# derivation each.  Results do not depend on it, nor on the worker count.
+_WORK_UNIT = 1024
+# Values per block.  64 KiB blocks and their temporaries stay below glibc's
+# mmap threshold, so they are reused from the heap instead of being mapped
+# and faulted in afresh; paths longer than this take one row per block.
+_BLOCK_ELEMENTS = 8192
+
+# NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SS_POOL = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def derive_stream(base_seed: int, index: int) -> int:
@@ -114,6 +145,93 @@ class RngSeed:
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.stream_seed()))
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> list[np.uint32]:
+    """The ``hash_const`` sequence of ``steps`` SeedSequence hash steps."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    return [np.uint32(c) for c in consts]
+
+
+# Filling the pool hashes each word once, mixing hashes every ordered pair of
+# distinct words; generate_state(4, uint64) hashes out eight uint32 words.
+_HASH_A = _hash_constants(_SS_INIT_A, _SS_MULT_A, _SS_POOL * _SS_POOL)
+_HASH_B = _hash_constants(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL)
+
+
+def _hashmix(value: np.ndarray, consts: list[np.uint32], step: int) -> np.ndarray:
+    value = (value ^ consts[step]) * consts[step + 1]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _SS_MIX_L * x - _SS_MIX_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _stream_states(base_seed: int, start: int, count: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``RngSeed(base_seed, r).generator()``.
+
+    One pair per replicate ``r`` in ``[start, start + count)``, computed for
+    all of them at once (see the module docstring).
+    """
+    if not 0 <= base_seed < 1 << 64:
+        raise ValueError(f"base_seed must be an unsigned 64-bit integer, got {base_seed}")
+    if not (0 <= start and count >= 0 and start + count <= 1 << 64):
+        raise ValueError(f"replicate indices must be unsigned 64-bit integers, got "
+                         f"[{start}, {start + count})")
+    u64 = np.uint64
+    z = u64(base_seed) + (u64(start) + np.arange(count, dtype=u64) + u64(1)) * u64(_GOLDEN)
+    z = (z ^ (z >> u64(30))) * u64(_MIX1)
+    z = (z ^ (z >> u64(27))) * u64(_MIX2)
+    z ^= z >> u64(31)
+
+    # SeedSequence(z): the entropy is z's two little-endian uint32 words
+    # (a word of 0 hashes the same as a missing word), zero-padded to the pool.
+    zero = np.zeros(count, dtype=np.uint32)
+    low, high = (z & u64(_MASK32)).astype(np.uint32), (z >> u64(32)).astype(np.uint32)
+    pool = [low, high, zero, zero]
+    step = 0
+    for i in range(_SS_POOL):
+        pool[i] = _hashmix(pool[i], _HASH_A, step)
+        step += 1
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, step))
+                step += 1
+    words = [
+        _hashmix(pool[i % _SS_POOL], _HASH_B, i).astype(u64) for i in range(2 * _SS_POOL)
+    ]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (words[2 * j] | (words[2 * j + 1] << u64(32))).tolist() for j in range(4)
+    )
+
+    # PCG64 set_seed: state = 0, inc = 2 * initseq + 1, step, add the
+    # initial state, step.
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _reseeded(
+    rng: np.random.Generator, states: Iterable[tuple[int, int]]
+) -> Iterator[np.random.Generator]:
+    """Yield ``rng`` once per state, loaded with that PCG64 state."""
+    bit_generator = rng.bit_generator
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 class Family(str, Enum):
@@ -305,37 +423,134 @@ def _spike_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * prob, prob, t**1.5
 
 
-def sample_path(config: ProcessConfig, n: int, seed: RngSeed) -> SamplePath:
-    """Sample one trajectory of length ``n``, deterministically from ``seed``."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
-    rng = seed.generator()
-    family = config.family
-    p = config.params
+def _block_sampler(
+    config: ProcessConfig, n: int
+) -> Callable[[Iterable[np.random.Generator], np.ndarray], None]:
+    """The family's sampler for blocks of paths of length ``n``.
 
+    ``sample(rngs, block)`` draws row ``i`` of ``block`` from the ``i``-th
+    generator of ``rngs``, in the documented order, then applies the family
+    transform to the whole block in place.  The tables it needs are built
+    here, once.
+    """
+    p = config.params
+    family = config.family
     if family is Family.AR1:
         phi, gamma0 = p["phi"], p["gamma0"]
-        x1 = math.sqrt(gamma0) * rng.standard_normal()
-        if n == 1:
-            values = np.asarray([x1])
-        else:
-            innov = math.sqrt(gamma0 * (1.0 - phi * phi)) * rng.standard_normal(n - 1)
-            rest, _ = lfilter([1.0], [1.0, -phi], innov, zi=np.asarray([phi * x1]))
-            values = np.concatenate(([x1], rest))
+        x1_scale = math.sqrt(gamma0)
+        innov_scale = math.sqrt(gamma0 * (1.0 - phi * phi))
+
+        def draw(rngs, block):
+            for row, rng in zip(block, rngs):
+                rng.standard_normal(out=row)
+            x1 = x1_scale * block[:, 0]
+            if n > 1:
+                block[:, 1:], _ = lfilter(
+                    [1.0], [1.0, -phi], innov_scale * block[:, 1:], axis=1,
+                    zi=(phi * x1)[:, None],
+                )
+            block[:, 0] = x1
+
     elif family is Family.SPARSE_SPIKES:
         half_prob, prob, magnitude = _spike_tables(n)
-        u = rng.random(n)
-        values = np.where(u < half_prob, magnitude, np.where(u < prob, -magnitude, 0.0))
-    elif family is Family.COMMON_SHOCK:
-        shock = p["sigma_z"] * rng.standard_normal()
-        values = shock + p["sigma_eps"] * rng.standard_normal(n)
-    else:  # DRIFTING_MEAN
-        t = np.arange(1, n + 1, dtype=np.int64)
-        values = _trend_values(p["trend"], t) + p["noise_sd"] * rng.standard_normal(n)
 
+        def draw(rngs, block):
+            for row, rng in zip(block, rngs):
+                rng.random(out=row)
+            block[:] = np.where(
+                block < half_prob, magnitude, np.where(block < prob, -magnitude, 0.0)
+            )
+
+    elif family is Family.COMMON_SHOCK:
+        sigma_z, sigma_eps = p["sigma_z"], p["sigma_eps"]
+
+        def draw(rngs, block):
+            shock = np.empty(block.shape[0])
+            for i, (row, rng) in enumerate(zip(block, rngs)):
+                shock[i] = rng.standard_normal()
+                rng.standard_normal(out=row)
+            block *= sigma_eps
+            block += (sigma_z * shock)[:, None]
+
+    else:  # DRIFTING_MEAN
+        trend = _trend_values(p["trend"], np.arange(1, n + 1, dtype=np.int64))
+        noise_sd = p["noise_sd"]
+
+        def draw(rngs, block):
+            for row, rng in zip(block, rngs):
+                rng.standard_normal(out=row)
+            block *= noise_sd
+            block += trend
+
+    def sample(rngs, block):
+        draw(rngs, block)
+        if not np.isfinite(block).all():
+            raise ValueError("path values must be finite (no NaN or inf)")
+
+    return sample
+
+
+def _check_length(n: int) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
+def sample_path(config: ProcessConfig, n: int, seed: RngSeed) -> SamplePath:
+    """Sample one trajectory of length ``n``, deterministically from ``seed``."""
+    n = _check_length(n)
+    values = np.empty((1, n), dtype=float)
+    _block_sampler(config, n)([seed.generator()], values)
     origin = PathOrigin(config.label, seed.base_seed, seed.replicate)
-    return SamplePath(values=values, origin=origin)
+    return SamplePath(values=values[0], origin=origin)
+
+
+def sample_blocks(
+    config: ProcessConfig,
+    n: int,
+    base_seed: int,
+    replicates: int,
+    consume: Callable[[int, np.ndarray], None],
+    *,
+    max_workers: int = 1,
+) -> None:
+    """Sample replicates ``0 .. replicates - 1`` block by block.
+
+    Calls ``consume(first, block)`` once per block: row ``i`` of ``block``
+    is the path of ``RngSeed(base_seed, first + i)``, bit for bit what
+    :func:`sample_path` returns for it.  A block holds at most 8192 values
+    (one row when ``n`` is longer) and is reused once ``consume`` returns,
+    so ``consume`` must copy or reduce it.  Replicates are split into work
+    units of 1024 indices, each with its own generator, run on up to
+    ``max_workers`` threads; ``consume`` then runs on those threads, for
+    disjoint replicate ranges.  With one worker, blocks arrive in replicate
+    order.  No result depends on the block size, the work unit or the
+    worker count.
+    """
+    n = _check_length(n)
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    sample = _block_sampler(config, n)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+
+    def unit(lo: int) -> None:
+        states = _stream_states(base_seed, lo, min(lo + _WORK_UNIT, replicates) - lo)
+        rng = np.random.Generator(np.random.PCG64(0))  # re-seeded for every row
+        buffer = np.empty((min(rows, len(states)), n), dtype=float)
+        for offset in range(0, len(states), rows):
+            chunk = states[offset : offset + rows]
+            block = buffer[: len(chunk)]
+            sample(_reseeded(rng, chunk), block)
+            consume(lo + offset, block)
+
+    # Work unit k holds replicates [1024 k, 1024 (k + 1)), clipped to the range.
+    units = range(0, replicates, _WORK_UNIT)
+    if max_workers > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            list(pool.map(unit, units))
+    else:
+        for lo in units:
+            unit(lo)
 
 
 def sample_ensemble(
@@ -347,25 +562,19 @@ def sample_ensemble(
 ) -> Ensemble:
     """Sample ``replicates`` independent paths into one ensemble.
 
-    Replicate ``r`` uses the stream of ``RngSeed(base_seed, r)``; rows are
-    filled by replicate index in fixed-size blocks, so the result is
-    identical for any ``max_workers``.
+    Row ``r`` is the path of ``RngSeed(base_seed, r)``, filled through
+    :func:`sample_blocks`, so the result is identical for any
+    ``max_workers``.
     """
+    n = _check_length(n)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     out = np.empty((replicates, n), dtype=float)
 
-    def fill(lo: int) -> None:
-        for r in range(lo, min(lo + _ENSEMBLE_BLOCK, replicates)):
-            out[r] = sample_path(config, n, RngSeed(base_seed, r)).values
+    def store(first: int, block: np.ndarray) -> None:
+        out[first : first + len(block)] = block
 
-    starts = range(0, replicates, _ENSEMBLE_BLOCK)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
+    sample_blocks(config, n, base_seed, replicates, store, max_workers=max_workers)
     return Ensemble(values=out, spec_label=config.label, base_seed=base_seed)
 
 

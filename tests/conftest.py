@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from ergodiag import Family, ProcessConfig, ProcessSpec, StationaryCov
+from ergodiag import Family, ProcessConfig, ProcessSpec, RngSeed, StationaryCov
 
 
 @pytest.fixture
@@ -38,3 +41,47 @@ def white_noise_spec(variance: float = 1.0) -> ProcessSpec:
         ),
         label="white",
     )
+
+
+def reference_path(config: ProcessConfig, n: int, seed: RngSeed) -> np.ndarray:
+    """One path drawn on its own: a fresh ``seed.generator()``, scalar draws
+    for the AR1 start and the common shock, and a 1-d ``lfilter`` for AR1.
+    The block engine's rows must equal it bit for bit.
+    """
+    rng = seed.generator()
+    p = config.params
+    if config.family is Family.AR1:
+        phi, gamma0 = p["phi"], p["gamma0"]
+        x1 = math.sqrt(gamma0) * rng.standard_normal()
+        if n == 1:
+            return np.asarray([x1])
+        innov = math.sqrt(gamma0 * (1.0 - phi * phi)) * rng.standard_normal(n - 1)
+        rest, _ = lfilter([1.0], [1.0, -phi], innov, zi=np.asarray([phi * x1]))
+        return np.concatenate(([x1], rest))
+    t = np.arange(1, n + 1, dtype=float)
+    if config.family is Family.SPARSE_SPIKES:
+        prob, magnitude = t**-2.0, t**1.5
+        u = rng.random(n)
+        return np.where(u < 0.5 * prob, magnitude, np.where(u < prob, -magnitude, 0.0))
+    if config.family is Family.COMMON_SHOCK:
+        shock = p["sigma_z"] * rng.standard_normal()
+        return shock + p["sigma_eps"] * rng.standard_normal(n)
+    trend = p["trend"]
+    if trend["kind"] == "LINEAR":
+        mean = trend["a"] + trend["b"] * t
+    else:
+        mean = trend["amplitude"] * np.sin(2.0 * np.pi * t / trend["period"])
+    return mean + p["noise_sd"] * rng.standard_normal(n)
+
+
+# One configuration per family, including the edge parameters the block
+# transforms must handle: a negative AR1 coefficient and a noiseless shock.
+ENGINE_CONFIGS = {
+    "AR1": ProcessConfig(Family.AR1, {"phi": -0.7, "gamma0": 2.0}),
+    "SPARSE_SPIKES": ProcessConfig(Family.SPARSE_SPIKES),
+    "COMMON_SHOCK": ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.3, "sigma_eps": 0.0}),
+    "DRIFTING_MEAN": ProcessConfig(
+        Family.DRIFTING_MEAN,
+        {"trend": {"kind": "SINUSOID", "amplitude": 2.0, "period": 7.0}, "noise_sd": 0.5},
+    ),
+}

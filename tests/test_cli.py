@@ -84,6 +84,13 @@ class TestSimulate:
         assert code == 2
         assert "simulate" in capsys.readouterr().err
 
+    def test_analyze_section_exits_2_naming_it(self, tmp_path, capsys):
+        # analyze takes no --config, so a config file has no analyze section
+        doc = {**SPIKE_DOC, "analyze": {"max_lag": 10}}
+        code, _ = self.run_simulate(tmp_path, doc)
+        assert code == 2
+        assert "analyze" in capsys.readouterr().err
+
     def test_missing_config_file_exits_3(self, tmp_path):
         code = main(
             [
@@ -283,6 +290,12 @@ class TestExperiment:
         code, _ = self.run_experiment_cmd(tmp_path, doc)
         assert code == 2
         assert "grid" in capsys.readouterr().err
+
+    def test_analyze_section_exits_2_naming_it(self, tmp_path, capsys):
+        doc = {**SPIKE_DOC, "experiment": {"base_seed": 1}, "analyze": {}}
+        code, _ = self.run_experiment_cmd(tmp_path, doc)
+        assert code == 2
+        assert "analyze" in capsys.readouterr().err
 
     def test_unknown_check_name_exits_2(self, tmp_path, capsys):
         doc = {

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import ENGINE_CONFIGS, reference_path
 from ergodiag import (
     Check,
     ExperimentConfig,
+    RngSeed,
+    SamplePath,
+    Verdict,
     Family,
     GrowthClass,
     ProcessConfig,
@@ -11,12 +15,14 @@ from ergodiag import (
     build_spec,
     default_checks,
     run_experiment,
+    time_average,
     time_average_variance,
     verify_fourth_moment,
     verify_nonconvergence,
     verify_variance_identity,
     worker_count,
 )
+from ergodiag.harness import _ensemble_averages
 
 NO_CHECKS: frozenset = frozenset()
 
@@ -411,3 +417,51 @@ class TestDeterminism:
         report = run_experiment(self.base_config(ar1_config))
         assert set(report.verdicts) == {Check.VARIANCE_IDENTITY, Check.WLLN, Check.VECTOR}
         assert report.checks == (Check.VARIANCE_IDENTITY, Check.WLLN, Check.VECTOR)
+
+
+class TestEnsembleAverages:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8191, 8192, 8193])
+    @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
+    def test_equal_per_path_time_average_of_reference(self, family, n, workers):
+        # the block reduction must give time_average's float for every path;
+        # the short paths span two work units
+        config = ENGINE_CONFIGS[family]
+        replicates = 1030 if n <= 3 else 5
+        averages = _ensemble_averages(config, n, 91, replicates, workers)
+        expected = [
+            time_average(SamplePath(reference_path(config, n, RngSeed(91, r))))
+            for r in range(replicates)
+        ]
+        assert np.array_equal(averages, expected)
+
+
+class TestCheckDispatch:
+    def test_every_check_verdicted_in_canonical_order(self, ar1_config):
+        config = ExperimentConfig(
+            process=ar1_config,
+            base_seed=41,
+            n_grid=(10, 100),
+            replicates=400,
+            epsilons=(0.2,),
+            checks=frozenset(Check),
+        )
+        serial = run_experiment(config, max_workers=1)
+        assert tuple(serial.verdicts) == tuple(Check) == serial.checks
+        assert serial.to_dict() == run_experiment(config, max_workers=2).to_dict()
+
+    def test_variance_identity_uses_the_experiment_statistics(self, shock_config):
+        config = ExperimentConfig(
+            process=shock_config, base_seed=43, n_grid=(50,), replicates=1000,
+            epsilons=(0.2,), checks=NO_CHECKS,
+        )
+        stats = run_experiment(config).per_n[0]
+        mse, exact = stats.empirical_mse, stats.exact_var_an
+        gap = abs(mse - exact) / stats.mc_standard_error
+        # a zero threshold makes the verdict FAIL and print MSE and exact
+        verdict = verify_variance_identity(config, n=50, z_threshold=0.0)
+        assert verdict == Verdict(
+            "FAIL",
+            f"n=50: |MSE - exact| = {gap:.2f} MC standard errors "
+            f"(exact {exact:.6g}, MSE {mse:.6g})",
+        )

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import ENGINE_CONFIGS, reference_path
 from ergodiag import (
     Family,
     ProcessConfig,
@@ -18,6 +20,7 @@ from ergodiag import (
     sparse_spike_squared_average_variance,
     time_average_variance,
 )
+from ergodiag.processes import _stream_states, sample_blocks
 
 
 class TestProcessConfigValidation:
@@ -221,6 +224,94 @@ class TestSampleEnsemble:
         a = ens.averages()
         r = np.corrcoef(a[:-1], a[1:])[0, 1]
         assert abs(r) < 0.01
+
+
+def numpy_state(base_seed: int, replicate: int) -> tuple[int, int]:
+    state = np.random.PCG64(derive_stream(base_seed, replicate)).state["state"]
+    return state["state"], state["inc"]
+
+
+class TestStreamStates:
+    """The vectorized seeding must reproduce NumPy's own PCG64 seeding."""
+
+    def test_random_pairs_match_numpy(self):
+        # 100 random base seeds x 100 consecutive replicates from a random
+        # start: 10 000 (base, r) pairs
+        rng = random.Random(20260101)
+        for _ in range(100):
+            base, start = rng.getrandbits(64), rng.getrandbits(rng.choice((10, 33, 63)))
+            got = _stream_states(base, start, 100)
+            assert got == [numpy_state(base, start + i) for i in range(100)], (base, start)
+
+    @pytest.mark.parametrize("base_seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("replicate", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_edges_match_numpy(self, base_seed, replicate):
+        assert _stream_states(base_seed, replicate, 1) == [numpy_state(base_seed, replicate)]
+
+    def test_range_across_word_boundary_matches_numpy(self):
+        got = _stream_states(2**64 - 1, 2**32 - 2, 4)
+        assert got == [numpy_state(2**64 - 1, r) for r in range(2**32 - 2, 2**32 + 2)]
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            _stream_states(2**64, 0, 1)
+        with pytest.raises(ValueError):
+            _stream_states(0, 2**64 - 1, 2)
+
+
+ENGINE_LENGTHS = [1, 2, 3, 100, 8191, 8192, 8193]
+
+
+class TestSampleBlocks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", ENGINE_LENGTHS)
+    @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
+    def test_blocks_equal_reference_sampler(self, family, n, workers):
+        # 1030 replicates cross from work unit 0 (replicates 0..1023) into
+        # unit 1, whose seeds and rows are indexed by the absolute replicate;
+        # the short paths fill several blocks per unit and a partial last one
+        config = ENGINE_CONFIGS[family]
+        replicates, rows = 1030, max(1, 8192 // n)
+        covered = []
+
+        def check(first, block):
+            assert block.shape[1] == n and 1 <= len(block) <= rows
+            covered.extend(range(first, first + len(block)))
+            for i, values in enumerate(block):
+                assert np.array_equal(values, reference_path(config, n, RngSeed(77, first + i)))
+
+        sample_blocks(config, n, 77, replicates, check, max_workers=workers)
+        assert sorted(covered) == list(range(replicates))
+
+    def test_one_worker_hands_out_blocks_in_replicate_order(self, ar1_config):
+        firsts = []
+        sample_blocks(ar1_config, 100, 5, 2500, lambda first, block: firsts.append(first))
+        assert firsts == sorted(firsts) and firsts[0] == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_values_raise(self):
+        config = ProcessConfig(
+            Family.DRIFTING_MEAN,
+            {"trend": {"kind": "LINEAR", "a": 0.0, "b": 1e308}, "noise_sd": 1.0},
+        )
+        with pytest.raises(ValueError, match="finite"):
+            sample_blocks(config, 3, 1, 10, lambda first, block: None)
+        with pytest.raises(ValueError, match="finite"):
+            sample_path(config, 3, RngSeed(1, 0))
+
+    def test_rejects_bad_length_and_count(self, ar1_config):
+        with pytest.raises(ValueError, match="n must be"):
+            sample_blocks(ar1_config, 0, 1, 10, lambda first, block: None)
+        with pytest.raises(ValueError, match="replicates"):
+            sample_blocks(ar1_config, 5, 1, 0, lambda first, block: None)
+
+    @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
+    def test_sample_path_equals_reference(self, family):
+        config = ENGINE_CONFIGS[family]
+        for n in (1, 2, 50):
+            seed = RngSeed(2**64 - 1, 2**32)
+            assert np.array_equal(sample_path(config, n, seed).values,
+                                  reference_path(config, n, seed))
 
 
 class TestSparseSpikeMoments:
