@@ -99,16 +99,13 @@ def _experiment_from_config(doc: dict, process: ProcessConfig) -> ExperimentConf
     if "base_seed" not in section:
         raise ConfigError("experiment.base_seed is required (seeds are never implicit)")
     kwargs: dict = {"process": process, "base_seed": section["base_seed"]}
-    if "n_grid" in section:
-        kwargs["n_grid"] = tuple(section["n_grid"])
-    if "replicates" in section:
-        kwargs["replicates"] = section["replicates"]
-    if "epsilons" in section:
-        kwargs["epsilons"] = tuple(section["epsilons"])
+    for key in ("n_grid", "replicates", "epsilons"):
+        if key in section:
+            kwargs[key] = section[key]
     if "checks" in section:
         try:
             kwargs["checks"] = frozenset(Check(c) for c in section["checks"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             valid = [c.value for c in Check]
             raise ConfigError(f"experiment.checks: {exc}; valid checks: {valid}") from exc
     try:
@@ -122,6 +119,10 @@ def _atomic_write(path: Path, write_body: Callable) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             write_body(fh)
         os.replace(tmp_name, path)

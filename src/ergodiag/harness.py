@@ -7,6 +7,9 @@ tabulates tail frequencies against Chebyshev upper and Paley-Zygmund lower
 bounds, classifies the exact growth of ``V_n``, and issues a PASS / FAIL /
 SKIPPED verdict per requested check.  Pass thresholds are expressed in Monte
 Carlo standard errors (default 4), so they scale with the replicate budget.
+The two things it takes from a family, the exact ``Var((A_n - m_n)^2)``
+behind the Paley-Zygmund bounds and the default checks, come from the
+family's definition in :mod:`ergodiag.processes`.
 
 Checks
 ------
@@ -55,6 +58,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,6 +78,7 @@ from .model import (
     time_average_variance,
 )
 from .processes import (
+    _FAMILIES,
     Family,
     ProcessConfig,
     build_spec,
@@ -142,15 +147,7 @@ class Verdict:
 
 def default_checks(family: Family) -> frozenset[Check]:
     """Checks that are meaningful for a family (those it should pass)."""
-    if family is Family.COMMON_SHOCK:
-        return frozenset({Check.VARIANCE_IDENTITY, Check.NONCONVERGENCE, Check.BOUNDS})
-    if family is Family.SPARSE_SPIKES:
-        return frozenset(
-            {Check.VARIANCE_IDENTITY, Check.WLLN, Check.BOUNDS, Check.FOURTH_MOMENT}
-        )
-    return frozenset(
-        {Check.VARIANCE_IDENTITY, Check.L2_CONVERGENCE, Check.WLLN, Check.BOUNDS}
-    )
+    return frozenset(Check(name) for name in _FAMILIES[family].checks)
 
 
 def worker_count() -> int:
@@ -169,6 +166,26 @@ def worker_count() -> int:
     return value
 
 
+def _sequence(values: object, name: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list, got {values!r}") from None
+
+
+def _integer(value: object, name: str) -> int:
+    # bool is an int subclass, but true is not a count or a seed.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value: object, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment run."""
@@ -183,19 +200,25 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.process, ProcessConfig):
             raise ValueError("process must be a ProcessConfig")
-        if not 0 <= self.base_seed < 1 << 64:
+        base_seed = _integer(self.base_seed, "base_seed")
+        if not 0 <= base_seed < 1 << 64:
             raise ValueError(
                 f"base_seed must be an unsigned 64-bit integer, got {self.base_seed}"
             )
-        grid = tuple(int(n) for n in self.n_grid)
+        object.__setattr__(self, "base_seed", base_seed)
+        grid = tuple(
+            _integer(n, "n_grid entry") for n in _sequence(self.n_grid, "n_grid")
+        )
         if not grid:
             raise ValueError("n_grid must be nonempty")
         if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"n_grid must be strictly increasing and >= 1, got {grid}")
         object.__setattr__(self, "n_grid", grid)
-        eps = tuple(float(e) for e in self.epsilons)
-        if not eps or any(e <= 0 for e in eps):
-            raise ValueError(f"epsilons must be positive, got {self.epsilons}")
+        eps = tuple(
+            _number(e, "epsilons entry") for e in _sequence(self.epsilons, "epsilons")
+        )
+        if not eps or any(not (0 < e < math.inf) for e in eps):
+            raise ValueError(f"epsilons must be positive and finite, got {self.epsilons}")
         if len(set(eps)) != len(eps):
             raise ValueError(f"epsilons must be distinct, got {eps}")
         object.__setattr__(self, "epsilons", eps)
@@ -204,7 +227,7 @@ class ExperimentConfig:
         else:
             checks = frozenset(Check(c) for c in self.checks)
         object.__setattr__(self, "checks", checks)
-        replicates = int(self.replicates)
+        replicates = _integer(self.replicates, "replicates")
         minimum = 100 if checks else 2
         if replicates < minimum:
             raise ValueError(
@@ -295,18 +318,6 @@ def _ensemble_averages(
 
 def _binom_se(p: float, replicates: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / replicates)
-
-
-def _squared_deviation_variance(family: Family, n: int, var_an: float) -> float:
-    """Exact ``Var((A_n - m_n)^2)`` for each family.
-
-    ``A_n - m_n`` is Gaussian with mean 0 for the three noise-driven
-    families, so the square has variance ``2 * var_an**2``; the sparse-spike
-    family has its own exact formula.
-    """
-    if family is Family.SPARSE_SPIKES:
-        return sparse_spike_squared_average_variance(n)
-    return 2.0 * var_an * var_an
 
 
 def _growth_grid(n_grid: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -618,11 +629,12 @@ def run_experiment(
     if workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {workers}")
     spec = build_spec(config.process)
+    definition = _FAMILIES[config.process.family]
     data = _RunData(config=config, spec=spec)
 
     for n in config.n_grid:
         averages, m_n, mse, se, exact_var = _sample_point(config, spec, n, workers)
-        var_sq = _squared_deviation_variance(config.process.family, n, exact_var)
+        var_sq = definition.squared_deviation_variance(n, exact_var)
 
         tails: dict[float, float] = {}
         chebs: dict[float, float] = {}

@@ -24,8 +24,9 @@ the structure the spec declares:
   ``method="double"`` forces it, as the cross-check for the other two.
 
 Mean and covariance callables are expected to broadcast over numpy integer
-arrays; plain scalar callables are accepted and evaluated elementwise as a
-fallback.
+arrays and return the broadcast shape; a wrong shape raises ``ValueError``.
+Plain scalar callables, which raise ``TypeError`` or ``ValueError`` on
+arrays, are accepted and evaluated one element at a time.
 """
 
 from __future__ import annotations
@@ -184,14 +185,26 @@ def _check_n(n: int) -> int:
 
 
 def _eval_elementwise(fn: Callable, *index_arrays: np.ndarray) -> np.ndarray:
-    """Evaluate ``fn`` on broadcast index arrays, scalar fallback included."""
+    """Evaluate ``fn`` on broadcast index arrays, scalar fallback included.
+
+    ``fn`` is called once on the arrays.  Only a ``TypeError`` or
+    ``ValueError`` from that call, which is what a scalar-only callable
+    raises on arrays, sends it to one call per element.  A result of the
+    wrong shape raises ``ValueError``, except a single value for a single
+    index, which is what a scalar callable returns there.
+    """
     shape = np.broadcast_shapes(*(a.shape for a in index_arrays))
     try:
-        out = np.asarray(fn(*index_arrays), dtype=float)
-        if out.shape == shape:
-            return out
-    except Exception:
+        result = fn(*index_arrays)
+    except (TypeError, ValueError):
         pass
+    else:
+        out = np.asarray(result, dtype=float)
+        if out.shape == shape or (out.size == 1 and math.prod(shape) == 1):
+            return out.reshape(shape)
+        raise ValueError(
+            f"callable returned shape {out.shape} for index arrays of shape {shape}"
+        )
     broadcast = np.broadcast_arrays(*index_arrays)
     flat = [
         float(fn(*(int(a.flat[i]) for a in broadcast)))

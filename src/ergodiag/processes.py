@@ -27,6 +27,24 @@ families: only first and second moments are constrained by the model, and
 Gaussianity gives the common-shock family the exact fourth-moment relation
 ``Var(A_n^2) = 2 * Var(A_n)^2`` used by the non-convergence diagnostics.
 
+Definitions
+-----------
+Each family is one definition, a ``_Definition`` subclass found through the
+one ``Family -> definition`` table ``_FAMILIES``.  A definition holds
+
+* ``validate(params)``: the checked parameters ``p``, or a ``ValueError``
+  naming the parameter at fault;
+* the exact moments ``mean(p, t)`` plus either ``gamma(p, h)`` (stationary
+  families) or ``variance(p, t)`` (independent terms), from which
+  :func:`build_spec` derives ``cov_fn`` and the ``diagonal`` flag;
+* ``draw(p, n)``: the block draw and transform described below;
+* ``checks``: the names of the default checks;
+* ``squared_deviation_variance(n, var_an)``: the exact
+  ``Var((A_n - m_n)^2)`` behind the Paley-Zygmund bounds.
+
+The base class supplies no parameters, a zero mean, the checks of a
+convergent family and the Gaussian ``2 * Var(A_n)^2``.
+
 Reproducibility
 ---------------
 Each (base seed, replicate) pair maps to its own generator stream through a
@@ -69,7 +87,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -243,9 +261,6 @@ class Family(str, Enum):
     DRIFTING_MEAN = "DRIFTING_MEAN"
 
 
-_TREND_KINDS = ("LINEAR", "SINUSOID")
-
-
 def _require_number(params: Mapping, key: str, prefix: str = "") -> float:
     name = prefix + key
     if key not in params:
@@ -263,6 +278,125 @@ def _reject_unknown(params: Mapping, allowed: set[str], prefix: str = "") -> Non
     unknown = sorted(set(params) - allowed)
     if unknown:
         raise ValueError(f"unknown parameter(s): {', '.join(prefix + k for k in unknown)}")
+
+
+class _Definition:
+    """One process family; see "Definitions" in the module docstring."""
+
+    checks = ("VARIANCE_IDENTITY", "L2_CONVERGENCE", "WLLN", "BOUNDS")
+    gamma: Callable | None = None
+    variance: Callable | None = None
+
+    def validate(self, params: Mapping) -> dict:
+        _reject_unknown(params, set())
+        return {}
+
+    def mean(self, p: dict, t) -> np.ndarray:
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    def cov(self, p: dict, t, s) -> np.ndarray:
+        t, s = np.asarray(t), np.asarray(s)
+        if self.gamma is not None:
+            return self.gamma(p, np.abs(t - s))
+        return np.where(np.equal(t, s), self.variance(p, t), 0.0)
+
+    def squared_deviation_variance(self, n: int, var_an: float) -> float:
+        # A_n - m_n is Gaussian with mean 0, so its square has variance 2 Var(A_n)^2.
+        return 2.0 * var_an * var_an
+
+
+class _AR1(_Definition):
+    def validate(self, params: Mapping) -> dict:
+        _reject_unknown(params, {"phi", "gamma0"})
+        phi = _require_number(params, "phi")
+        gamma0 = _require_number(params, "gamma0")
+        if not -1.0 < phi < 1.0:
+            raise ValueError(f"phi must be in (-1, 1), got {phi}")
+        if gamma0 <= 0:
+            raise ValueError(f"gamma0 must be > 0, got {gamma0}")
+        return {"phi": phi, "gamma0": gamma0}
+
+    def gamma(self, p: dict, h) -> np.ndarray:
+        return p["gamma0"] * p["phi"] ** np.abs(np.asarray(h))
+
+    def draw(self, p: dict, n: int) -> Callable:
+        phi, gamma0 = p["phi"], p["gamma0"]
+        x1_scale = math.sqrt(gamma0)
+        innov_scale = math.sqrt(gamma0 * (1.0 - phi * phi))
+
+        def draw(rngs, block):
+            for row, rng in zip(block, rngs):
+                rng.standard_normal(out=row)
+            x1 = x1_scale * block[:, 0]
+            if n > 1:
+                block[:, 1:], _ = lfilter(
+                    [1.0], [1.0, -phi], innov_scale * block[:, 1:], axis=1,
+                    zi=(phi * x1)[:, None],
+                )
+            block[:, 0] = x1
+
+        return draw
+
+
+@lru_cache(maxsize=8)
+def _spike_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    t = np.arange(1, n + 1, dtype=float)
+    prob = t**-2.0
+    return 0.5 * prob, prob, t**1.5
+
+
+class _SparseSpikes(_Definition):
+    checks = ("VARIANCE_IDENTITY", "WLLN", "BOUNDS", "FOURTH_MOMENT")
+
+    def variance(self, p: dict, t) -> np.ndarray:
+        return np.asarray(t, dtype=float)
+
+    def draw(self, p: dict, n: int) -> Callable:
+        half_prob, prob, magnitude = _spike_tables(n)
+
+        def draw(rngs, block):
+            for row, rng in zip(block, rngs):
+                rng.random(out=row)
+            block[:] = np.where(
+                block < half_prob, magnitude, np.where(block < prob, -magnitude, 0.0)
+            )
+
+        return draw
+
+    def squared_deviation_variance(self, n: int, var_an: float) -> float:
+        return sparse_spike_squared_average_variance(n)
+
+
+class _CommonShock(_Definition):
+    checks = ("VARIANCE_IDENTITY", "NONCONVERGENCE", "BOUNDS")
+
+    def validate(self, params: Mapping) -> dict:
+        _reject_unknown(params, {"sigma_z", "sigma_eps"})
+        sigma_z = _require_number(params, "sigma_z")
+        sigma_eps = _require_number(params, "sigma_eps")
+        if sigma_z <= 0:
+            raise ValueError(f"sigma_z must be > 0, got {sigma_z}")
+        if sigma_eps < 0:
+            raise ValueError(f"sigma_eps must be >= 0, got {sigma_eps}")
+        return {"sigma_z": sigma_z, "sigma_eps": sigma_eps}
+
+    def gamma(self, p: dict, h) -> np.ndarray:
+        z2 = p["sigma_z"] ** 2
+        return np.where(np.equal(np.asarray(h), 0), z2 + p["sigma_eps"] ** 2, z2)
+
+    def draw(self, p: dict, n: int) -> Callable:
+        def draw(rngs, block):
+            shock = np.empty(block.shape[0])
+            for i, (row, rng) in enumerate(zip(block, rngs)):
+                shock[i] = rng.standard_normal()
+                rng.standard_normal(out=row)
+            block *= p["sigma_eps"]
+            block += (p["sigma_z"] * shock)[:, None]
+
+        return draw
+
+
+_TREND_KINDS = ("LINEAR", "SINUSOID")
 
 
 def _validate_trend(trend: object) -> dict:
@@ -289,36 +423,43 @@ def _validate_trend(trend: object) -> dict:
     }
 
 
-def _validate_params(family: Family, params: Mapping) -> dict:
-    if family is Family.AR1:
-        _reject_unknown(params, {"phi", "gamma0"})
-        phi = _require_number(params, "phi")
-        gamma0 = _require_number(params, "gamma0")
-        if not -1.0 < phi < 1.0:
-            raise ValueError(f"phi must be in (-1, 1), got {phi}")
-        if gamma0 <= 0:
-            raise ValueError(f"gamma0 must be > 0, got {gamma0}")
-        return {"phi": phi, "gamma0": gamma0}
-    if family is Family.SPARSE_SPIKES:
-        _reject_unknown(params, set())
-        return {}
-    if family is Family.COMMON_SHOCK:
-        _reject_unknown(params, {"sigma_z", "sigma_eps"})
-        sigma_z = _require_number(params, "sigma_z")
-        sigma_eps = _require_number(params, "sigma_eps")
-        if sigma_z <= 0:
-            raise ValueError(f"sigma_z must be > 0, got {sigma_z}")
-        if sigma_eps < 0:
-            raise ValueError(f"sigma_eps must be >= 0, got {sigma_eps}")
-        return {"sigma_z": sigma_z, "sigma_eps": sigma_eps}
-    # DRIFTING_MEAN
-    _reject_unknown(params, {"trend", "noise_sd"})
-    if "trend" not in params:
-        raise ValueError("missing required parameter 'trend'")
-    noise_sd = _require_number(params, "noise_sd")
-    if noise_sd <= 0:
-        raise ValueError(f"noise_sd must be > 0, got {noise_sd}")
-    return {"trend": _validate_trend(params["trend"]), "noise_sd": noise_sd}
+class _DriftingMean(_Definition):
+    def validate(self, params: Mapping) -> dict:
+        _reject_unknown(params, {"trend", "noise_sd"})
+        if "trend" not in params:
+            raise ValueError("missing required parameter 'trend'")
+        noise_sd = _require_number(params, "noise_sd")
+        if noise_sd <= 0:
+            raise ValueError(f"noise_sd must be > 0, got {noise_sd}")
+        return {"trend": _validate_trend(params["trend"]), "noise_sd": noise_sd}
+
+    def mean(self, p: dict, t) -> np.ndarray:
+        trend, t = p["trend"], np.asarray(t, dtype=float)
+        if trend["kind"] == "LINEAR":
+            return trend["a"] + trend["b"] * t
+        return trend["amplitude"] * np.sin(2.0 * np.pi * t / trend["period"])
+
+    def variance(self, p: dict, t) -> float:
+        return p["noise_sd"] ** 2
+
+    def draw(self, p: dict, n: int) -> Callable:
+        trend = self.mean(p, np.arange(1, n + 1, dtype=np.int64))
+
+        def draw(rngs, block):
+            for row, rng in zip(block, rngs):
+                rng.standard_normal(out=row)
+            block *= p["noise_sd"]
+            block += trend
+
+        return draw
+
+
+_FAMILIES: dict[Family, _Definition] = {
+    Family.AR1: _AR1(),
+    Family.SPARSE_SPIKES: _SparseSpikes(),
+    Family.COMMON_SHOCK: _CommonShock(),
+    Family.DRIFTING_MEAN: _DriftingMean(),
+}
 
 
 @dataclass(frozen=True)
@@ -336,7 +477,7 @@ class ProcessConfig:
                 f"family must be one of {[f.value for f in Family]}, got {self.family!r}"
             ) from None
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", _validate_params(family, self.params))
+        object.__setattr__(self, "params", _FAMILIES[family].validate(self.params))
 
     @property
     def label(self) -> str:
@@ -346,81 +487,18 @@ class ProcessConfig:
         return {"family": self.family.value, "params": dict(self.params)}
 
 
-def _trend_values(trend: Mapping, t: np.ndarray) -> np.ndarray:
-    if trend["kind"] == "LINEAR":
-        return trend["a"] + trend["b"] * np.asarray(t, dtype=float)
-    return trend["amplitude"] * np.sin(
-        2.0 * np.pi * np.asarray(t, dtype=float) / trend["period"]
-    )
-
-
 def build_spec(config: ProcessConfig) -> ProcessSpec:
     """Exact mean and covariance functions for a configured family."""
-    family = config.family
-    p = config.params
-    if family is Family.AR1:
-        phi, gamma0 = p["phi"], p["gamma0"]
-
-        def mean_fn(t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-        def cov_fn(t, s):
-            return gamma0 * phi ** np.abs(np.asarray(t) - np.asarray(s))
-
-        def gamma(h):
-            return gamma0 * phi ** np.abs(np.asarray(h))
-
-        stationary = StationaryCov(gamma=gamma)
-    elif family is Family.SPARSE_SPIKES:
-
-        def mean_fn(t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-        def cov_fn(t, s):
-            t = np.asarray(t)
-            return np.where(np.equal(t, np.asarray(s)), t, 0).astype(float)
-
-        stationary = None
-    elif family is Family.COMMON_SHOCK:
-        z2, e2 = p["sigma_z"] ** 2, p["sigma_eps"] ** 2
-
-        def mean_fn(t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-        def cov_fn(t, s):
-            return np.where(np.equal(np.asarray(t), np.asarray(s)), z2 + e2, z2)
-
-        def gamma(h):
-            return np.where(np.equal(np.asarray(h), 0), z2 + e2, z2)
-
-        stationary = StationaryCov(gamma=gamma)
-    else:  # DRIFTING_MEAN
-        trend, noise_sd = p["trend"], p["noise_sd"]
-        nv = noise_sd**2
-
-        def mean_fn(t):
-            return _trend_values(trend, np.asarray(t))
-
-        def cov_fn(t, s):
-            return np.where(np.equal(np.asarray(t), np.asarray(s)), nv, 0.0)
-
-        stationary = None
-
+    definition, p = _FAMILIES[config.family], config.params
+    gamma = definition.gamma
     return ProcessSpec(
-        mean_fn=mean_fn,
-        cov_fn=cov_fn,
-        stationary=stationary,
+        mean_fn=partial(definition.mean, p),
+        cov_fn=partial(definition.cov, p),
+        stationary=None if gamma is None else StationaryCov(gamma=partial(gamma, p)),
         label=config.label,
         # Independent terms: V_n is the sum of the variances.
-        diagonal=family in (Family.SPARSE_SPIKES, Family.DRIFTING_MEAN),
+        diagonal=gamma is None,
     )
-
-
-@lru_cache(maxsize=8)
-def _spike_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = np.arange(1, n + 1, dtype=float)
-    prob = t**-2.0
-    return 0.5 * prob, prob, t**1.5
 
 
 def _block_sampler(
@@ -433,54 +511,7 @@ def _block_sampler(
     transform to the whole block in place.  The tables it needs are built
     here, once.
     """
-    p = config.params
-    family = config.family
-    if family is Family.AR1:
-        phi, gamma0 = p["phi"], p["gamma0"]
-        x1_scale = math.sqrt(gamma0)
-        innov_scale = math.sqrt(gamma0 * (1.0 - phi * phi))
-
-        def draw(rngs, block):
-            for row, rng in zip(block, rngs):
-                rng.standard_normal(out=row)
-            x1 = x1_scale * block[:, 0]
-            if n > 1:
-                block[:, 1:], _ = lfilter(
-                    [1.0], [1.0, -phi], innov_scale * block[:, 1:], axis=1,
-                    zi=(phi * x1)[:, None],
-                )
-            block[:, 0] = x1
-
-    elif family is Family.SPARSE_SPIKES:
-        half_prob, prob, magnitude = _spike_tables(n)
-
-        def draw(rngs, block):
-            for row, rng in zip(block, rngs):
-                rng.random(out=row)
-            block[:] = np.where(
-                block < half_prob, magnitude, np.where(block < prob, -magnitude, 0.0)
-            )
-
-    elif family is Family.COMMON_SHOCK:
-        sigma_z, sigma_eps = p["sigma_z"], p["sigma_eps"]
-
-        def draw(rngs, block):
-            shock = np.empty(block.shape[0])
-            for i, (row, rng) in enumerate(zip(block, rngs)):
-                shock[i] = rng.standard_normal()
-                rng.standard_normal(out=row)
-            block *= sigma_eps
-            block += (sigma_z * shock)[:, None]
-
-    else:  # DRIFTING_MEAN
-        trend = _trend_values(p["trend"], np.arange(1, n + 1, dtype=np.int64))
-        noise_sd = p["noise_sd"]
-
-        def draw(rngs, block):
-            for row, rng in zip(block, rngs):
-                rng.standard_normal(out=row)
-            block *= noise_sd
-            block += trend
+    draw = _FAMILIES[config.family].draw(config.params, n)
 
     def sample(rngs, block):
         draw(rngs, block)

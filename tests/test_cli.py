@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from importlib import resources
 
 import jsonschema
@@ -305,6 +307,49 @@ class TestExperiment:
         code, _ = self.run_experiment_cmd(tmp_path, doc)
         assert code == 2
         assert "STATIONARITY" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("experiment", "field"),
+        [
+            ('{"base_seed": 1.7}', "base_seed"),
+            ('{"base_seed": true}', "base_seed"),
+            ('{"base_seed": 1, "replicates": 100.9}', "replicates"),
+            ('{"base_seed": 1, "n_grid": [10.5, 100.2]}', "n_grid"),
+            ('{"base_seed": 1, "epsilons": [1e400]}', "epsilons"),
+        ],
+    )
+    def test_non_integer_or_infinite_value_exits_2_naming_it(
+        self, tmp_path, capsys, experiment, field
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"process": {"family": "SPARSE_SPIKES"}, "experiment": ' + experiment + "}",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code = main(["experiment", "--config", str(config), "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_outputs_get_normal_permissions(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            code, out_dir = self.run_experiment_cmd(tmp_path, EXPERIMENT_DOC)
+            sim = tmp_path / "paths.csv"
+            sim_code = main(
+                [
+                    "simulate", "--config", write_config(tmp_path, SPIKE_DOC),
+                    "--out", str(sim), "--seed", "1", "--n", "3", "--replicates", "1",
+                ]
+            )
+        finally:
+            os.umask(old)
+        assert (code, sim_code) == (0, 0)
+        for path in (out_dir / "report.json", out_dir / "curves.csv", sim):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
         doc = {

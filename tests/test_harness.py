@@ -70,7 +70,7 @@ class TestExperimentConfig:
             ExperimentConfig(process=ar1_config, base_seed=0, checks={"BOGUS"})
 
     def test_default_checks_depend_on_family(
-        self, ar1_config, spike_config, shock_config
+        self, ar1_config, spike_config, shock_config, drift_config
     ):
         assert Check.L2_CONVERGENCE in default_checks(ar1_config.family)
         assert Check.FOURTH_MOMENT in default_checks(spike_config.family)
@@ -78,6 +78,17 @@ class TestExperimentConfig:
         assert Check.L2_CONVERGENCE not in default_checks(shock_config.family)
         config = ExperimentConfig(process=spike_config, base_seed=0)
         assert config.checks == default_checks(spike_config.family)
+        convergent = {
+            Check.VARIANCE_IDENTITY, Check.L2_CONVERGENCE, Check.WLLN, Check.BOUNDS
+        }
+        assert default_checks(ar1_config.family) == convergent
+        assert default_checks(drift_config.family) == convergent
+        assert default_checks(spike_config.family) == {
+            Check.VARIANCE_IDENTITY, Check.WLLN, Check.BOUNDS, Check.FOURTH_MOMENT
+        }
+        assert default_checks(shock_config.family) == {
+            Check.VARIANCE_IDENTITY, Check.NONCONVERGENCE, Check.BOUNDS
+        }
 
 
 class TestWorkerCount:

@@ -105,6 +105,26 @@ class TestCovarianceSum:
         )
         assert covariance_sum(spec, 5) == 5.0
 
+    def test_wrong_shape_raises_after_one_call(self):
+        calls = []
+
+        def cov_fn(t, s):
+            calls.append(1)
+            return np.ones(np.shape(s))  # shape bug: drops the t axis
+
+        spec = ProcessSpec(mean_fn=lambda t: np.zeros(np.shape(t)), cov_fn=cov_fn)
+        with pytest.raises(ValueError, match=r"\(1, 1000\).*\(1000, 1000\)"):
+            covariance_sum(spec, 1000)
+        assert len(calls) == 1
+
+    def test_other_exceptions_propagate(self):
+        def cov_fn(t, s):
+            raise ZeroDivisionError("inside cov_fn")
+
+        spec = ProcessSpec(mean_fn=lambda t: np.zeros(np.shape(t)), cov_fn=cov_fn)
+        with pytest.raises(ZeroDivisionError, match="inside cov_fn"):
+            covariance_sum(spec, 4)
+
     @pytest.mark.parametrize(
         "params",
         [{"phi": 0.9, "gamma0": 2.0}, {"phi": -0.5, "gamma0": 1.0}],
