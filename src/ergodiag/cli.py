@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -160,7 +161,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 fh.writelines(f"{t},{r},{x:.17g}\n" for t, x in enumerate(values, start=1))
 
         # One worker: blocks arrive in replicate order, as the rows are written.
-        sample_blocks(process, args.n, args.seed, args.replicates, write)
+        sample_blocks(process, args.n, args.seed, args.replicates, write, max_workers=1)
 
     _atomic_write(Path(args.out), body)
     return 0
@@ -208,8 +209,10 @@ def _read_single_path(path: str) -> np.ndarray:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.max_lag < 1:
         raise ConfigError(f"--max-lag must be >= 1, got {args.max_lag}")
-    if args.window_c <= 0:
-        raise ConfigError(f"--window-c must be > 0, got {args.window_c}")
+    if not 0 < args.window_c < math.inf:
+        raise ConfigError(f"--window-c must be > 0 and finite, got {args.window_c}")
+    if args.target_mean is not None and not math.isfinite(args.target_mean):
+        raise ConfigError(f"--target-mean must be finite, got {args.target_mean}")
     values = _read_single_path(args.input)
     n = values.size
     if n < _MIN_ANALYZE_OBSERVATIONS:
@@ -239,7 +242,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     if args.target_mean is not None:
         result["gap"] = abs(acov.mean_used - args.target_mean)
-    print(json.dumps(result, indent=2))
+    print(json.dumps(result, indent=2, allow_nan=False))
     return 0
 
 
@@ -248,12 +251,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     process = _process_from_config(doc)
     config = _experiment_from_config(doc, process)
     report = run_experiment(config)
+    # Strict JSON, serialized before anything is written.
+    report_json = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
 
     out_dir = Path(args.out_dir)
-    _atomic_write(
-        out_dir / "report.json",
-        lambda fh: fh.write(json.dumps(report.to_dict(), indent=2) + "\n"),
-    )
+    _atomic_write(out_dir / "report.json", lambda fh: fh.write(report_json))
 
     def curves(fh) -> None:
         fh.write("n,exact_var_an,empirical_mse,mc_se,eps,empirical_tail,chebyshev_bound\n")
@@ -317,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,18 +48,17 @@ per-length base at index ``2**32 + j``.  Replicates are sampled by
 :func:`~ergodiag.processes.sample_blocks` in blocks sized by element count
 (at most 8192 values), in work units of 1024 replicates spread over the
 workers, and each block is reduced to its rows' time averages, written by
-replicate index.  No result depends on the block size or the worker count,
-so reports are identical for any worker count.  ``ERGODIAG_THREADS`` caps
-the worker count (absent means 1).
+replicate index.  The engine picks the worker count from the usable CPUs
+and the path length (``max_workers`` overrides it).  No result depends on
+the block size or the worker count, so reports are identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -87,6 +86,7 @@ from .processes import (
     sample_blocks,
     sample_path,
     sparse_spike_squared_average_variance,
+    worker_count,
 )
 
 # Sampling no longer calls ``sample_path`` or ``time_average``; both stay
@@ -150,22 +150,6 @@ def default_checks(family: Family) -> frozenset[Check]:
     return frozenset(Check(name) for name in _FAMILIES[family].checks)
 
 
-def worker_count() -> int:
-    """Worker cap from ERGODIAG_THREADS; 1 when unset."""
-    raw = os.environ.get("ERGODIAG_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"ERGODIAG_THREADS must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
 def _sequence(values: object, name: str) -> tuple:
     try:
         return tuple(values)
@@ -213,6 +197,12 @@ class ExperimentConfig:
             raise ValueError("n_grid must be nonempty")
         if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"n_grid must be strictly increasing and >= 1, got {grid}")
+        max_n = _FAMILIES[self.process.family].max_n
+        if max_n is not None and grid[-1] > max_n:
+            raise ValueError(
+                f"n_grid entries must be <= {max_n} for {self.process.family.value}, "
+                f"got {grid[-1]}"
+            )
         object.__setattr__(self, "n_grid", grid)
         eps = tuple(
             _number(e, "epsilons entry") for e in _sequence(self.epsilons, "epsilons")
@@ -299,7 +289,7 @@ def _ensemble_averages(
     n: int,
     ensemble_base: int,
     replicates: int,
-    max_workers: int,
+    max_workers: int | None,
 ) -> np.ndarray:
     """Per-replicate time averages, written by replicate index.
 
@@ -340,11 +330,23 @@ def _growth_grid(n_grid: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(pts)
 
 
+def _require_finite(n: int, values: dict[str, float]) -> None:
+    """Raise OverflowError naming each value at ``n`` outside the float range."""
+    bad = [f"{k} = {v!r}" for k, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise OverflowError(
+            f"n={n}: outside the float range: {', '.join(bad)}; scale the process down"
+        )
+
+
 def _growth_for(spec: ProcessSpec, n_grid: tuple[int, ...]) -> GrowthReport | None:
     grid = _growth_grid(n_grid)
     if grid is None:
         return None
-    return classify_growth(list(grid), [covariance_sum(spec, n) for n in grid])
+    vn_values = [covariance_sum(spec, n) for n in grid]
+    for n, vn in zip(grid, vn_values):
+        _require_finite(n, {"V_n": vn})
+    return classify_growth(list(grid), vn_values)
 
 
 @dataclass
@@ -353,6 +355,7 @@ class _RunData:
 
     config: ExperimentConfig
     spec: ProcessSpec
+    max_workers: int | None = None
     per_n: list[PerNStats] = field(default_factory=list)
     averages: list[np.ndarray] = field(default_factory=list)
     means: list[float] = field(default_factory=list)
@@ -556,7 +559,7 @@ def _check_fourth_moment(data: _RunData) -> Verdict:
     )
 
 
-def _check_vector(data: _RunData, max_workers: int) -> Verdict:
+def _check_vector(data: _RunData) -> Verdict:
     config = data.config
     n = config.n_grid[-1]
     base_n = derive_stream(config.base_seed, n)
@@ -567,7 +570,7 @@ def _check_vector(data: _RunData, max_workers: int) -> Verdict:
     for j in range(_VECTOR_DIM):
         coord_base = derive_stream(base_n, _VECTOR_STREAM_OFFSET + j)
         a = _ensemble_averages(
-            config.process, n, coord_base, config.replicates, max_workers
+            config.process, n, coord_base, config.replicates, data.max_workers
         )
         gap_sq += (a - m_n) ** 2
 
@@ -588,7 +591,6 @@ def _check_vector(data: _RunData, max_workers: int) -> Verdict:
     )
 
 
-# Every check but VECTOR; VECTOR samples again and takes the worker count.
 _CHECKS: dict[Check, Callable[[_RunData], Verdict]] = {
     Check.VARIANCE_IDENTITY: _check_variance_identity,
     Check.L2_CONVERGENCE: _check_l2_convergence,
@@ -596,11 +598,12 @@ _CHECKS: dict[Check, Callable[[_RunData], Verdict]] = {
     Check.NONCONVERGENCE: _check_nonconvergence,
     Check.BOUNDS: _check_bounds,
     Check.FOURTH_MOMENT: _check_fourth_moment,
+    Check.VECTOR: _check_vector,
 }
 
 
 def _sample_point(
-    config: ExperimentConfig, spec: ProcessSpec, n: int, workers: int
+    config: ExperimentConfig, spec: ProcessSpec, n: int, workers: int | None
 ) -> tuple[np.ndarray, float, float, float, float]:
     """Sampled and exact statistics at one grid length.
 
@@ -623,18 +626,18 @@ def run_experiment(
     """Run the configured experiment and verdict every requested check.
 
     Deterministic given ``(config, base_seed)`` and independent of the
-    worker count.
+    worker count, which ``max_workers`` caps (default: the engine's choice).
     """
-    workers = worker_count() if max_workers is None else max_workers
-    if workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {workers}")
     spec = build_spec(config.process)
     definition = _FAMILIES[config.process.family]
-    data = _RunData(config=config, spec=spec)
+    data = _RunData(config=config, spec=spec, max_workers=max_workers)
 
     for n in config.n_grid:
-        averages, m_n, mse, se, exact_var = _sample_point(config, spec, n, workers)
+        averages, m_n, mse, se, exact_var = _sample_point(config, spec, n, max_workers)
         var_sq = definition.squared_deviation_variance(n, exact_var)
+        moments = {"m_n": m_n, "Var(A_n)": exact_var, "Var((A_n - m_n)^2)": var_sq,
+                   "empirical MSE": mse, "MC standard error": se}
+        _require_finite(n, moments)
 
         tails: dict[float, float] = {}
         chebs: dict[float, float] = {}
@@ -667,9 +670,7 @@ def run_experiment(
 
     data.growth = _growth_for(spec, config.n_grid)
 
-    vector = functools.partial(_check_vector, max_workers=workers)
-    checks = {**_CHECKS, Check.VECTOR: vector}
-    verdicts = {check: checks[check](data) for check in config.ordered_checks()}
+    verdicts = {check: _CHECKS[check](data) for check in config.ordered_checks()}
 
     return ConvergenceReport(
         process=config.process,
@@ -703,7 +704,7 @@ def verify_variance_identity(
         )
     if spec is None:
         spec = build_spec(config.process)
-    _, _, mse, se, exact = _sample_point(config, spec, n, worker_count())
+    _, _, mse, se, exact = _sample_point(config, spec, n, None)
     gap = abs(mse - exact)
     if se == 0.0:
         status = "PASS" if gap == 0.0 else "FAIL"

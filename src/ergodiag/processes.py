@@ -40,7 +40,9 @@ one ``Family -> definition`` table ``_FAMILIES``.  A definition holds
 * ``draw(p, n)``: the block draw and transform described below;
 * ``checks``: the names of the default checks;
 * ``squared_deviation_variance(n, var_an)``: the exact
-  ``Var((A_n - m_n)^2)`` behind the Paley-Zygmund bounds.
+  ``Var((A_n - m_n)^2)`` behind the Paley-Zygmund bounds, and ``max_n``,
+  the longest ``n`` it holds for (``None``: any), which
+  :class:`~ergodiag.harness.ExperimentConfig` checks ``n_grid`` against.
 
 The base class supplies no parameters, a zero mean, the checks of a
 convergent family and the Gaussian ``2 * Var(A_n)^2``.
@@ -74,7 +76,8 @@ on ``uint32`` arrays, and PCG64's ``set_seed`` (two 128-bit LCG steps) in
 Python integers.  Each resulting state is loaded into one reused generator
 through ``bit_generator.state``, which leaves it exactly as
 ``RngSeed(base_seed, r).generator()`` would be, so every row is bit for bit
-the path :func:`sample_path` returns for that replicate.  NEP 19 fixes both
+the path :func:`sample_path` returns for that replicate, whichever thread
+draws it (:func:`sample_blocks` picks the worker count).  NEP 19 fixes both
 the ``SeedSequence`` and the PCG64 streams, and the tests compare the
 derived states against ``np.random.PCG64`` itself.
 """
@@ -83,6 +86,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -105,6 +109,7 @@ __all__ = [
     "sample_path",
     "sample_blocks",
     "sample_ensemble",
+    "worker_count",
     "SparseSpikeMoments",
     "sparse_spike_moments",
     "sparse_spike_squared_average_variance",
@@ -286,6 +291,8 @@ class _Definition:
     checks = ("VARIANCE_IDENTITY", "L2_CONVERGENCE", "WLLN", "BOUNDS")
     gamma: Callable | None = None
     variance: Callable | None = None
+    # Longest series for which squared_deviation_variance holds; None: any.
+    max_n: int | None = None
 
     def validate(self, params: Mapping) -> dict:
         _reject_unknown(params, set())
@@ -347,6 +354,7 @@ def _spike_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class _SparseSpikes(_Definition):
     checks = ("VARIANCE_IDENTITY", "WLLN", "BOUNDS", "FOURTH_MOMENT")
+    max_n = 10**6
 
     def variance(self, p: dict, t) -> np.ndarray:
         return np.asarray(t, dtype=float)
@@ -536,6 +544,13 @@ def sample_path(config: ProcessConfig, n: int, seed: RngSeed) -> SamplePath:
     return SamplePath(values=values[0], origin=origin)
 
 
+def worker_count() -> int:
+    """Usable CPUs: the size of the CPU affinity mask, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample_blocks(
     config: ProcessConfig,
     n: int,
@@ -543,7 +558,7 @@ def sample_blocks(
     replicates: int,
     consume: Callable[[int, np.ndarray], None],
     *,
-    max_workers: int = 1,
+    max_workers: int | None = None,
 ) -> None:
     """Sample replicates ``0 .. replicates - 1`` block by block.
 
@@ -552,15 +567,23 @@ def sample_blocks(
     :func:`sample_path` returns for it.  A block holds at most 8192 values
     (one row when ``n`` is longer) and is reused once ``consume`` returns,
     so ``consume`` must copy or reduce it.  Replicates are split into work
-    units of 1024 indices, each with its own generator, run on up to
-    ``max_workers`` threads; ``consume`` then runs on those threads, for
-    disjoint replicate ranges.  With one worker, blocks arrive in replicate
-    order.  No result depends on the block size, the work unit or the
-    worker count.
+    units of 1024 indices, each with its own generator, run on
+    ``min(max_workers, work units)`` threads.  By default ``max_workers`` is
+    :func:`worker_count` when a row fills its own block (``n >= 8192``) and
+    1 for shorter rows.  With more than one thread ``consume`` runs on them,
+    for disjoint replicate ranges; with one, the units run inline and blocks
+    arrive in replicate order.  No result depends on the block size, the
+    work unit or the worker count.
     """
     n = _check_length(n)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if max_workers is None:
+        # Short rows spend their time in per-row Python that holds the GIL;
+        # threads contending for it ran slower than one thread.
+        max_workers = worker_count() if n >= _BLOCK_ELEMENTS else 1
+    elif max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     sample = _block_sampler(config, n)
     rows = max(1, _BLOCK_ELEMENTS // n)
 
@@ -576,8 +599,9 @@ def sample_blocks(
 
     # Work unit k holds replicates [1024 k, 1024 (k + 1)), clipped to the range.
     units = range(0, replicates, _WORK_UNIT)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    workers = min(max_workers, len(units))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(unit, units))
     else:
         for lo in units:
@@ -589,7 +613,7 @@ def sample_ensemble(
     n: int,
     replicates: int,
     base_seed: int,
-    max_workers: int = 1,
+    max_workers: int | None = None,
 ) -> Ensemble:
     """Sample ``replicates`` independent paths into one ensemble.
 
@@ -653,8 +677,8 @@ def sparse_spike_squared_average_variance(n: int) -> float:
     ``n / 5``, while ``Var(A_n)^2`` stays bounded: the fluctuations of the
     squared average blow up even though the average itself settles down.
     """
-    if not 1 <= n <= 10**6:
-        raise ValueError(f"n must be in [1, 10**6], got {n}")
+    if not 1 <= n <= _SparseSpikes.max_n:
+        raise ValueError(f"n must be in [1, {_SparseSpikes.max_n}], got {n}")
     n = int(n)
     sum_t = n * (n + 1) // 2
     sum_t2 = n * (n + 1) * (2 * n + 1) // 6

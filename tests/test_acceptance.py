@@ -36,6 +36,7 @@ from ergodiag import (
     vector_norm_gap,
     verify_variance_identity,
 )
+from ergodiag import processes
 from ergodiag.cli import main
 
 SPIKES = ProcessConfig(Family.SPARSE_SPIKES)
@@ -221,8 +222,8 @@ def test_c09_reproducibility(tmp_path, monkeypatch):
                 "process": {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1.0}},
                 "experiment": {
                     "base_seed": 90,
-                    "n_grid": [10, 100],
-                    "replicates": 500,
+                    "n_grid": [10, 8192],
+                    "replicates": 1100,
                     "epsilons": [0.2],
                     "checks": ["VARIANCE_IDENTITY"],
                 },
@@ -232,8 +233,10 @@ def test_c09_reproducibility(tmp_path, monkeypatch):
 
     sim_outputs = []
     exp_outputs = []
-    for name, threads in [("a1", "1"), ("b1", "1"), ("a4", "4"), ("b4", "4")]:
-        monkeypatch.setenv("ERGODIAG_THREADS", threads)
+    # The engine's derived worker count is set to 1 and to 4 usable CPUs; at
+    # n = 8192 the 1100 replicates are two work units, so two threads run.
+    for name, cpus in [("a1", 1), ("b1", 1), ("a4", 4), ("b4", 4)]:
+        monkeypatch.setattr(processes, "worker_count", lambda: cpus)
         sim_out = tmp_path / f"sim_{name}.csv"
         assert (
             main(
@@ -255,4 +258,4 @@ def test_c09_reproducibility(tmp_path, monkeypatch):
     assert len(set(sim_outputs)) == 1
     assert len(set(exp_outputs)) == 1
     print("\n[criterion 9] PASS: simulate and experiment byte-identical across "
-          "reruns and ERGODIAG_THREADS in {1, 4}")
+          "reruns and worker counts 1 and 4")

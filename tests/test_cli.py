@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import stat
 from importlib import resources
@@ -7,7 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ergodiag import Family, ProcessConfig, RngSeed, sample_path
+from ergodiag import Family, ProcessConfig, RngSeed, processes, sample_path
+from ergodiag import cli, harness
 from ergodiag.cli import main
 
 
@@ -195,6 +198,22 @@ class TestAnalyze:
         ).values
         assert result["mean"] == pytest.approx(expected.mean(), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        [
+            ("--target-mean", "nan"),
+            ("--target-mean", "inf"),
+            ("--window-c", "nan"),
+            ("--window-c", "inf"),
+        ],
+    )
+    def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        input_path = write_path_csv(tmp_path, np.linspace(0.0, 1.0, 20))
+        code, captured = run_analyze(capsys, input_path, flag, value)
+        assert code == 2
+        assert flag in captured.err
+        assert captured.out == ""
+
     def test_rejects_simulate_output_with_many_replicates(self, tmp_path, capsys):
         config_path = write_config(tmp_path, AR1_DOC)
         out = tmp_path / "sim.csv"
@@ -334,6 +353,60 @@ class TestExperiment:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "process",
+        [
+            {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1e300}},
+            {"family": "COMMON_SHOCK", "params": {"sigma_z": 1e200, "sigma_eps": 1.0}},
+            {"family": "AR1", "params": {"phi": 0.99, "gamma0": 1.7e308}},
+        ],
+    )
+    def test_overflowing_moments_exit_2_naming_the_overflow(
+        self, tmp_path, capsys, process
+    ):
+        doc = {
+            "process": process,
+            "experiment": {"base_seed": 1, "n_grid": [10, 100], "replicates": 200},
+        }
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: numeric overflow" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_non_finite_report_is_never_written(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_experiment
+
+        def with_nan(config):
+            report = real(config)
+            first = dataclasses.replace(report.per_n[0], empirical_mse=math.nan)
+            return dataclasses.replace(report, per_n=(first, *report.per_n[1:]))
+
+        monkeypatch.setattr(cli, "run_experiment", with_nan)
+        code, out_dir = self.run_experiment_cmd(tmp_path, EXPERIMENT_DOC)
+        assert code == 2
+        assert "JSON" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_spike_grid_above_bound_exits_2_before_sampling(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the grid was checked")
+
+        monkeypatch.setattr(harness, "sample_blocks", no_sampling)
+        doc = {
+            **SPIKE_DOC,
+            "experiment": {"base_seed": 1, "n_grid": [10, 1_000_001], "checks": []},
+        }
+        code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "n_grid" in err and "SPARSE_SPIKES" in err
+        assert not out_dir.exists()
+
     def test_outputs_get_normal_permissions(self, tmp_path):
         old = os.umask(0o022)
         try:
@@ -352,19 +425,20 @@ class TestExperiment:
             assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
+        # two work units of rows that fill a block: two threads at n = 8192
         doc = {
             **AR1_DOC,
             "experiment": {
                 "base_seed": 55,
-                "n_grid": [10, 100],
-                "replicates": 500,
+                "n_grid": [10, 8192],
+                "replicates": 1100,
                 "epsilons": [0.2],
                 "checks": ["VARIANCE_IDENTITY"],
             },
         }
         outputs = []
-        for name, threads in [("r1", "1"), ("r2", "1"), ("r4", "4")]:
-            monkeypatch.setenv("ERGODIAG_THREADS", threads)
+        for name, cpus in [("r1", 1), ("r2", 1), ("r4", 4)]:
+            monkeypatch.setattr(processes, "worker_count", lambda: cpus)
             code, out_dir = self.run_experiment_cmd(tmp_path, doc, out_name=name)
             assert code == 0
             outputs.append(
@@ -374,9 +448,3 @@ class TestExperiment:
                 )
             )
         assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_invalid_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ERGODIAG_THREADS", "many")
-        code, _ = self.run_experiment_cmd(tmp_path, EXPERIMENT_DOC, out_name="bad")
-        assert code == 2
-        assert "ERGODIAG_THREADS" in capsys.readouterr().err

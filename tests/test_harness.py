@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from ergodiag import (
     verify_variance_identity,
     worker_count,
 )
+from ergodiag import processes
 from ergodiag.harness import _ensemble_averages
 
 NO_CHECKS: frozenset = frozenset()
@@ -65,6 +69,18 @@ class TestExperimentConfig:
         )
         assert config.replicates == 2
 
+    def test_rejects_spike_grid_above_the_family_bound(self, spike_config):
+        with pytest.raises(ValueError, match="n_grid.*SPARSE_SPIKES"):
+            ExperimentConfig(
+                process=spike_config, base_seed=1, n_grid=(10, 1_000_001),
+                replicates=2, checks=NO_CHECKS,
+            )
+        config = ExperimentConfig(
+            process=spike_config, base_seed=1, n_grid=(10, 10**6), replicates=2,
+            checks=NO_CHECKS,
+        )
+        assert config.n_grid[-1] == 10**6
+
     def test_rejects_unknown_check_name(self, ar1_config):
         with pytest.raises(ValueError):
             ExperimentConfig(process=ar1_config, base_seed=0, checks={"BOGUS"})
@@ -92,19 +108,19 @@ class TestExperimentConfig:
 
 
 class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("ERGODIAG_THREADS", raising=False)
-        assert worker_count() == 1
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call")
+    def test_equals_affinity_count(self, monkeypatch):
+        assert worker_count() == len(os.sched_getaffinity(0))
+        # a narrowed mask (as taskset sets it) caps the count below the CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert worker_count() == 3
 
-    def test_env_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("ERGODIAG_THREADS", "4")
-        assert worker_count() == 4
-
-    @pytest.mark.parametrize("bad", ["abc", "0", "-2", "1.5"])
-    def test_invalid_env_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("ERGODIAG_THREADS", bad)
-        with pytest.raises(ValueError):
-            worker_count()
+    @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity_call(self, monkeypatch, cpus, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert worker_count() == expected
 
 
 class TestExactColumns:
@@ -412,16 +428,25 @@ class TestDeterminism:
         second = run_experiment(self.base_config(ar1_config))
         assert first.to_dict() == second.to_dict()
 
-    def test_worker_count_does_not_change_report(self, spike_config):
-        serial = run_experiment(self.base_config(spike_config), max_workers=1)
-        threaded = run_experiment(self.base_config(spike_config), max_workers=4)
-        assert serial.to_dict() == threaded.to_dict()
+    def pooled_config(self, process) -> ExperimentConfig:
+        # two work units of rows that fill a block, so the engine's own
+        # worker count applies at n = 8192
+        return dataclasses.replace(
+            self.base_config(process), n_grid=(10, 8192), replicates=1100
+        )
 
-    def test_env_thread_cap_does_not_change_report(self, shock_config, monkeypatch):
-        monkeypatch.setenv("ERGODIAG_THREADS", "1")
-        one = run_experiment(self.base_config(shock_config))
-        monkeypatch.setenv("ERGODIAG_THREADS", "4")
-        four = run_experiment(self.base_config(shock_config))
+    def test_worker_count_does_not_change_report(self, spike_config):
+        config = self.pooled_config(spike_config)
+        serial = run_experiment(config, max_workers=1).to_dict()
+        for workers in (2, 4, None):
+            assert run_experiment(config, max_workers=workers).to_dict() == serial
+
+    def test_derived_worker_count_does_not_change_report(self, shock_config, monkeypatch):
+        config = self.pooled_config(shock_config)
+        monkeypatch.setattr(processes, "worker_count", lambda: 1)
+        one = run_experiment(config)
+        monkeypatch.setattr(processes, "worker_count", lambda: 4)
+        four = run_experiment(config)
         assert one.to_dict() == four.to_dict()
 
     def test_verdict_for_every_requested_check(self, ar1_config):
@@ -453,7 +478,7 @@ class TestCheckDispatch:
             process=ar1_config,
             base_seed=41,
             n_grid=(10, 100),
-            replicates=400,
+            replicates=1100,
             epsilons=(0.2,),
             checks=frozenset(Check),
         )

@@ -20,6 +20,7 @@ from ergodiag import (
     sparse_spike_squared_average_variance,
     time_average_variance,
 )
+from ergodiag import processes
 from ergodiag.processes import _stream_states, sample_blocks
 
 
@@ -212,11 +213,15 @@ class TestSampleEnsemble:
             assert np.array_equal(ens.values[r], expected)
 
     def test_worker_count_does_not_change_values(self, ar1_config):
-        serial = sample_ensemble(ar1_config, n=32, replicates=50, base_seed=6)
-        threaded = sample_ensemble(
-            ar1_config, n=32, replicates=50, base_seed=6, max_workers=4
+        # 2100 replicates are three work units, so 2 and 4 workers run threads
+        serial = sample_ensemble(
+            ar1_config, n=32, replicates=2100, base_seed=6, max_workers=1
         )
-        assert np.array_equal(serial.values, threaded.values)
+        for workers in (2, 4, None):
+            threaded = sample_ensemble(
+                ar1_config, n=32, replicates=2100, base_seed=6, max_workers=workers
+            )
+            assert np.array_equal(serial.values, threaded.values)
 
     def test_replicate_streams_uncorrelated(self, shock_config):
         # lag-1 correlation across the replicate index; |r| stays ~1/sqrt(R)
@@ -285,8 +290,51 @@ class TestSampleBlocks:
 
     def test_one_worker_hands_out_blocks_in_replicate_order(self, ar1_config):
         firsts = []
-        sample_blocks(ar1_config, 100, 5, 2500, lambda first, block: firsts.append(first))
+        sample_blocks(
+            ar1_config, 100, 5, 2500, lambda first, block: firsts.append(first),
+            max_workers=1,
+        )
         assert firsts == sorted(firsts) and firsts[0] == 0
+
+    @pytest.mark.parametrize(
+        "n, replicates, max_workers, pool",
+        [(8192, 1024, None, None), (8192, 1025, None, 2), (8192, 2049, None, 3),
+         (8191, 2049, None, None), (3, 1, None, None), (3, 2500, 2, 2),
+         (3, 2500, 8, 3), (3, 2500, 1, None), (3, 1024, 4, None)],
+    )
+    def test_threads_are_capped_by_work_units(
+        self, ar1_config, monkeypatch, n, replicates, max_workers, pool
+    ):
+        # With four usable CPUs, a call of one work unit runs inline and a
+        # larger one gets one thread per unit, up to max_workers; by default
+        # up to the CPUs when a row fills a block (n >= 8192), else one.
+        built = []
+
+        class Spy(processes.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(processes, "worker_count", lambda: 4)
+        monkeypatch.setattr(processes, "ThreadPoolExecutor", Spy)
+        covered = []
+        sample_blocks(
+            ar1_config, n, 5, replicates,
+            lambda first, block: covered.extend(range(first, first + len(block))),
+            max_workers=max_workers,
+        )
+        assert sorted(covered) == list(range(replicates))
+        assert built == ([] if pool is None else [pool])
+
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_max_workers_below_one_raises(self, ar1_config, max_workers):
+        blocks = []
+        with pytest.raises(ValueError, match="max_workers"):
+            sample_blocks(
+                ar1_config, 3, 5, 10, lambda first, block: blocks.append(first),
+                max_workers=max_workers,
+            )
+        assert blocks == []
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_values_raise(self):
