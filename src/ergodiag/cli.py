@@ -28,6 +28,8 @@ import math
 import os
 import sys
 import tempfile
+import warnings
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -45,6 +47,9 @@ from .processes import ProcessConfig, sample_blocks, sample_path
 __all__ = ["main", "ConfigError"]
 
 _ANALYZE_EPSILONS = (0.1, 0.05, 0.01)
+# Values per formatted chunk of a simulate row, the sampling engine's block
+# size: about 200 KB of text, so a long row never becomes one huge string.
+_WRITE_CHUNK = 8192
 _MIN_ANALYZE_OBSERVATIONS = 10
 
 _TOP_LEVEL_KEYS = {"process", "experiment"}
@@ -157,8 +162,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fh.write("t,replicate,x\n")
 
         def write(first: int, block) -> None:
+            # One %-format call per chunk of a row; "%.17g" gives the same
+            # digits as format(x, ".17g").
             for r, values in enumerate(block, start=first):
-                fh.writelines(f"{t},{r},{x:.17g}\n" for t, x in enumerate(values, start=1))
+                for lo in range(0, args.n, _WRITE_CHUNK):
+                    xs = values[lo : lo + _WRITE_CHUNK].tolist()
+                    rows = zip(range(lo + 1, lo + len(xs) + 1), xs)
+                    fh.write((f"%d,{r},%.17g\n" * len(xs)) % tuple(chain.from_iterable(rows)))
 
         # One worker: blocks arrive in replicate order, as the rows are written.
         sample_blocks(process, args.n, args.seed, args.replicates, write, max_workers=1)
@@ -169,41 +179,41 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _read_single_path(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
+        first = fh.readline()
+        if not first:
+            raise ConfigError(f"{path} is empty")
+        header = [h.strip() for h in next(csv.reader([first]), [])]
         if tuple(header) not in {("x",), ("t", "x"), ("t", "replicate", "x")}:
             raise ConfigError(
                 f"unsupported CSV header {header!r}; expected 'x', 't,x', "
                 "or 't,replicate,x'"
             )
-        x_col = header.index("x")
-        rep_col = header.index("replicate") if "replicate" in header else None
-        values: list[float] = []
-        replicates: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns")
-            try:
-                values.append(float(row[x_col]))
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: non-numeric value {row[x_col]!r}"
-                ) from None
-            if rep_col is not None:
-                replicates.add(row[rep_col])
-                if len(replicates) > 1:
-                    raise ConfigError(
-                        f"{path} holds multiple replicates; analyze expects a "
-                        "single path (re-run simulate with --replicates 1 or "
-                        "split the file)"
-                    )
-    return np.asarray(values, dtype=float)
+        # numpy's C parser: every column numeric, one column count for all
+        # rows, blank lines skipped, '#' not a comment.
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            # numpy's hint names a loadtxt argument this command does not take.
+            message = str(exc).split("; use `usecols`")[0]
+            raise ConfigError(f"{path}: malformed data row: {message}") from None
+    if table.size == 0:
+        return np.empty(0)
+    if table.shape[1] != len(header):
+        raise ConfigError(
+            f"{path}: expected {len(header)} columns, got {table.shape[1]}"
+        )
+    if "replicate" in header:
+        replicates = table[:, header.index("replicate")]
+        if not np.all(replicates == replicates[0]):
+            raise ConfigError(
+                f"{path} holds multiple replicates; analyze expects a "
+                "single path (re-run simulate with --replicates 1 or "
+                "split the file)"
+            )
+    # A copy of the one column, so the parsed table can be freed.
+    return np.ascontiguousarray(table[:, header.index("x")])
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

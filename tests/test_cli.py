@@ -3,11 +3,13 @@ import json
 import math
 import os
 import stat
+import warnings
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from conftest import ENGINE_CONFIGS
 
 from ergodiag import Family, ProcessConfig, RngSeed, processes, sample_path
 from ergodiag import cli, harness
@@ -76,6 +78,23 @@ class TestSimulate:
         expected = sample_path(config, 50, RngSeed(7, 0)).values
         parsed = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
         assert np.array_equal(np.asarray(parsed), expected)
+
+    @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
+    def test_bytes_equal_reference_writer(self, tmp_path, family):
+        config = ENGINE_CONFIGS[family]
+        doc = {"process": config.to_dict()}
+        # Chunk edges at 8192 values, and n = 1000 with a partial last block.
+        for n, replicates in [(1, 2), (2, 2), (8191, 1), (8192, 1), (8193, 2),
+                              (20000, 1), (1000, 17)]:
+            code, out = self.run_simulate(
+                tmp_path, doc, n=str(n), replicates=str(replicates), seed="11"
+            )
+            assert code == 0
+            lines = ["t,replicate,x\n"]
+            for r in range(replicates):
+                values = sample_path(config, n, RngSeed(11, r)).values
+                lines.extend(f"{t},{r},{x:.17g}\n" for t, x in enumerate(values, start=1))
+            assert out.read_bytes() == "".join(lines).encode(), (n, replicates)
 
     def test_invalid_phi_exits_2_naming_field(self, tmp_path, capsys):
         doc = {"process": {"family": "AR1", "params": {"phi": 1.5, "gamma0": 1.0}}}
@@ -226,6 +245,110 @@ class TestAnalyze:
         code, captured = run_analyze(capsys, str(out))
         assert code == 2
         assert "replicate" in captured.err
+
+
+class TestAnalyzeOverflow:
+    @pytest.mark.parametrize(
+        "values",
+        [[1e200, -1e200] * 25, [0.0, 1e300, 2e300] * 17],
+        ids=["pm1e200", "0-1e300-2e300"],
+    )
+    def test_exits_2_naming_the_overflow_and_range(self, tmp_path, capsys, values):
+        input_path = write_path_csv(tmp_path, values)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, captured = run_analyze(capsys, input_path)
+        assert code == 2
+        assert captured.err.startswith("error: numeric overflow: ")
+        assert f"[{min(values)!r}, {max(values)!r}]" in captured.err
+        assert "Traceback" not in captured.err
+        assert "RuntimeWarning" not in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert captured.out == ""
+
+
+def analyze_text(tmp_path, capsys, text, name="path.csv", newline="\n"):
+    path = tmp_path / name
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, captured = run_analyze(capsys, str(path))
+    assert "Traceback" not in captured.err
+    return code, captured, caught
+
+
+class TestReadPath:
+    """The analyze reader: header check, then numpy's C parser for the body."""
+
+    def test_every_simulate_field_reads_back_as_float(self, tmp_path):
+        for family, config in ENGINE_CONFIGS.items():
+            out = tmp_path / f"{family}.csv"
+            doc_path = write_config(tmp_path, {"process": config.to_dict()})
+            assert main(["simulate", "--config", doc_path, "--out", str(out),
+                         "--seed", "3", "--n", "3000", "--replicates", "1"]) == 0
+            fields = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+            want = np.asarray([float(f) for f in fields])
+            got = cli._read_single_path(str(out))
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), family
+
+    def test_edge_strings_parse_like_float(self, tmp_path):
+        fields = ["-0", "1e-320", " 1.5 ", "1E5", "2.5", "-3", ".5", "7.", "1e308", "-1e-5"]
+        path = tmp_path / "edge.csv"
+        path.write_text("x\n" + "\n".join(fields) + "\n", encoding="utf-8")
+        got = cli._read_single_path(str(path))
+        want = np.asarray([float(f) for f in fields])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        ("body", "needle"),
+        [
+            ("1,0,0.5\n2,0,abc\n", "abc"),
+            ("1,0,0.5\n2,0\n", "columns"),
+            ("1,0,0.5\n2,0,0.5,9\n", "columns"),
+            ("one,0,0.5\n", "one"),
+            ("1,zero,0.5\n", "zero"),
+        ],
+        ids=["non-numeric", "short-row", "long-row", "t-text", "replicate-text"],
+    )
+    def test_malformed_row_exits_2_naming_the_file(self, tmp_path, capsys, body, needle):
+        code, captured, _ = analyze_text(tmp_path, capsys, "t,replicate,x\n" + body)
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "path.csv" in captured.err and needle in captured.err
+        assert captured.out == ""
+
+    def test_hash_line_is_data_not_a_comment(self, tmp_path, capsys):
+        code, captured, _ = analyze_text(tmp_path, capsys, "x\n# note\n" + "0.5\n" * 12)
+        assert code == 2
+        assert "path.csv" in captured.err and "'# note'" in captured.err
+
+    def test_rows_wider_than_header_exit_2(self, tmp_path, capsys):
+        code, captured, _ = analyze_text(tmp_path, capsys, "t,x\n" + "1,0,0.5\n" * 12)
+        assert code == 2
+        assert "expected 2 columns, got 3" in captured.err
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        body = "".join(f"{t},{t % 3}\n\n" for t in range(1, 13))
+        code, captured, _ = analyze_text(tmp_path, capsys, "t,x\n\n" + body)
+        assert code == 0
+        assert json.loads(captured.out)["n"] == 12
+
+    def test_crlf_file_parses_like_lf(self, tmp_path, capsys):
+        text = "t,replicate,x\n" + "".join(f"{t},0,{t % 5 / 3!r}\n" for t in range(1, 40))
+        code, lf, _ = analyze_text(tmp_path, capsys, text, name="lf.csv")
+        assert code == 0
+        code, crlf, _ = analyze_text(tmp_path, capsys, text, name="crlf.csv", newline="\r\n")
+        assert code == 0
+        assert crlf.out == lf.out
+
+    def test_header_only_is_insufficient_data_without_warnings(self, tmp_path, capsys):
+        code, captured, caught = analyze_text(tmp_path, capsys, "t,replicate,x\n")
+        assert code == 2
+        assert "insufficient data" in captured.err
+        assert "Warning" not in captured.err
+        assert caught == []
 
 
 EXPERIMENT_DOC = {

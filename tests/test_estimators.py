@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ergodiag import (
     Family,
     ProcessConfig,
     SamplePath,
+    TauEstimate,
     empirical_tail,
     ensemble_mse,
     estimate_tau,
@@ -115,6 +117,56 @@ class TestSampleAutocovariance:
         matrix = est.gamma_hat[np.abs(idx[:, None] - idx[None, :])]
         assert np.linalg.eigvalsh(matrix).min() >= -1e-9
 
+    @pytest.mark.parametrize(
+        ("n", "max_lag"),
+        [(n, lag) for n in (10, 1000, 4097) for lag in (1, n // 2, n - 1)],
+    )
+    def test_fft_matches_exact_lag_sums(self, n, max_lag):
+        rng = np.random.default_rng(n)
+        values = 3.0 + rng.standard_normal(n)
+        est = sample_autocovariance(SamplePath(values), max_lag)
+        assert est.gamma_hat.shape == (max_lag + 1,)
+        assert est.mean_used == time_average(SamplePath(values))
+        d = values - est.mean_used
+        exact = [math.fsum((d[: n - h] * d[h:]).tolist()) / n for h in range(max_lag + 1)]
+        tolerance = 1e-12 * exact[0]
+        assert np.max(np.abs(est.gamma_hat - exact)) <= tolerance
+
+    def test_large_values_whose_autocovariances_fit_do_not_overflow(self):
+        # |F|^2 at the Nyquist frequency is (1000 * 1e152)^2, beyond the float
+        # range, while every gamma_hat(h) = (-1)^h (1 - h/1000) 1e304 fits.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = sample_autocovariance(path(*([1e152, -1e152] * 500)), max_lag=999)
+        h = np.arange(1000)
+        exact = (-1.0) ** h * (1000 - h) * 1e304 / 1000
+        assert np.max(np.abs(est.gamma_hat - exact)) <= 1e-12 * 1e304
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1e200, -1e200] * 25, [0.0, 1e300, 2e300] * 17, [1.7e308] * 20],
+        ids=["pm1e200", "0-1e300-2e300", "sum-overflows"],
+    )
+    def test_overflow_raises_naming_the_value_range(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"values in \[.*e\+(200|300|308)\]"):
+                sample_autocovariance(SamplePath(np.asarray(values)), max_lag=10)
+
+
+def reference_tau(acov: AutocovEstimate, window_c: float) -> TauEstimate:
+    """The window scan as a plain loop over W = 1..m."""
+    g = acov.gamma_hat
+    m = acov.max_lag
+    taus = 1.0 + 2.0 * np.cumsum(g[1:] / g[0])
+    window, saturated = m, True
+    for w in range(1, m + 1):
+        if w >= window_c * taus[w - 1]:
+            window, saturated = w, False
+            break
+    raw = float(taus[window - 1])
+    return TauEstimate(max(raw, 1e-3), window=window, saturated=saturated, floored=raw < 1e-3)
+
 
 class TestEstimateTau:
     def test_white_noise_tau_is_one(self):
@@ -154,6 +206,32 @@ class TestEstimateTau:
         result = estimate_tau(est)
         assert result.floored
         assert result.value == 1e-3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_vectorized_scan_equals_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 300))
+        # Decaying, noisy and sign-alternating autocovariances.
+        g = rng.standard_normal(m + 1) * rng.uniform(0.0, 0.5) + np.exp(
+            -np.arange(m + 1) / rng.uniform(0.5, 50.0)
+        ) * rng.choice([1.0, -1.0]) ** np.arange(m + 1)
+        g[0] = abs(g[0]) + 0.1
+        est = AutocovEstimate(gamma_hat=g, n=10 * m, mean_used=0.0)
+        window_c = float(rng.uniform(0.5, 10.0))
+        got = estimate_tau(est, window_c=window_c)
+        want = reference_tau(est, window_c)
+        assert got == want
+        assert type(got.window) is int and type(got.saturated) is bool
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [np.ones(21), np.asarray([1.0, -0.49995, 0.0, 0.0]), np.asarray([1.0, 0.0]),
+         np.asarray([1.0, 0.9, 0.8]), np.asarray([1.0] + [0.0] * 20)],
+        ids=["saturated", "floored", "one-lag", "short-saturated", "white-noise"],
+    )
+    def test_saturated_and_floored_equal_reference_loop(self, gamma):
+        est = AutocovEstimate(gamma_hat=gamma, n=1000, mean_used=0.0)
+        assert estimate_tau(est) == reference_tau(est, 6.0)
 
     def test_rejects_nonpositive_window_c(self):
         est = AutocovEstimate(gamma_hat=np.asarray([1.0, 0.0]), n=10, mean_used=0.0)
