@@ -47,8 +47,8 @@ from .processes import ProcessConfig, sample_blocks, sample_path
 __all__ = ["main", "ConfigError"]
 
 _ANALYZE_EPSILONS = (0.1, 0.05, 0.01)
-# Values per formatted chunk of a simulate row, the sampling engine's block
-# size: about 200 KB of text, so a long row never becomes one huge string.
+# Values per formatted chunk of a simulate row: about 200 KB of text, so a
+# long row never becomes one huge string.
 _WRITE_CHUNK = 8192
 _MIN_ANALYZE_OBSERVATIONS = 10
 

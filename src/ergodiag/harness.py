@@ -46,12 +46,13 @@ All sampling derives from ``base_seed`` through the stream derivation of
 stream index ``r``, and coordinate ``j`` of the vector check uses the
 per-length base at index ``2**32 + j``.  Replicates are sampled by
 :func:`~ergodiag.processes.sample_blocks` in blocks sized by element count
-(at most 8192 values), in work units of 1024 replicates spread over the
-workers, and each block is reduced to its rows' time averages, written by
-replicate index.  The engine picks the worker count from the usable CPUs
-and the path length (``max_workers`` overrides it).  No result depends on
-the block size or the worker count, so reports are identical for any
-worker count.
+(at most 65 536 values, so short paths share each NumPy call), in work
+units of 1024 replicates spread over the workers, and each block is reduced
+to its rows' time averages, written by replicate index.  The engine picks
+the worker count from the usable CPUs and the path length: threads from
+n = 1000, where two of them measured faster than one, and one thread below
+(``max_workers`` overrides it).  No result depends on the block size or the
+worker count, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -295,12 +296,26 @@ def _ensemble_averages(
 
     Each row is summed sequentially in ascending index order, as
     :func:`~ergodiag.estimators.time_average` sums a path, so the averages
-    are bit for bit the same.
+    are bit for bit the same.  A block of several rows is summed time-major:
+    reducing the ``(n, rows)`` copy along its first axis adds one time step
+    to all the rows' running sums at a time.  Reduced along a contiguous
+    axis, NumPy sums pairwise instead, so ``block.T`` needs the copy, and a
+    lone row, which NumPy would reduce as one contiguous run, keeps
+    ``cumsum``; the ``-0.0`` start keeps an all-``-0.0`` row's sign, as
+    ``cumsum`` does.  Measured on 65 536-value blocks (2-vCPU Xeon), the
+    time-major sum took 0.35x ``cumsum``'s time per value at 65 rows
+    (n = 1000) but 1.2x at 6 rows (n = 10 000) on one thread; on the two
+    threads the engine runs at n = 10 000, summing 6-row blocks time-major
+    still made sampling and reducing the four families 15% faster.
     """
     out = np.empty(replicates, dtype=float)
 
     def reduce(first: int, block: np.ndarray) -> None:
-        out[first : first + len(block)] = np.cumsum(block, axis=1)[:, -1] / n
+        if len(block) > 1:
+            sums = np.add.reduce(np.ascontiguousarray(block.T), axis=0, initial=-0.0)
+        else:
+            sums = np.cumsum(block, axis=1)[:, -1]
+        out[first : first + len(block)] = sums / n
 
     sample_blocks(process, n, ensemble_base, replicates, reduce, max_workers=max_workers)
     return out

@@ -80,6 +80,12 @@ the path :func:`sample_path` returns for that replicate, whichever thread
 draws it (:func:`sample_blocks` picks the worker count).  NEP 19 fixes both
 the ``SeedSequence`` and the PCG64 streams, and the tests compare the
 derived states against ``np.random.PCG64`` itself.
+
+A block holds up to 65 536 values (512 KiB), so the rows of short paths
+share each NumPy call; larger blocks were not faster at short lengths.  By
+default paths of 1000 or more steps are sampled on one thread per usable
+CPU and shorter ones on one thread, because their per-row Python holds the
+interpreter lock.  Both numbers were measured; see their constants.
 """
 
 from __future__ import annotations
@@ -124,10 +130,21 @@ _MIX2 = 0x94D049BB133111EB
 # Replicates per work unit: one generator and one vectorized stream
 # derivation each.  Results do not depend on it, nor on the worker count.
 _WORK_UNIT = 1024
-# Values per block.  64 KiB blocks and their temporaries stay below glibc's
-# mmap threshold, so they are reused from the heap instead of being mapped
-# and faulted in afresh; paths longer than this take one row per block.
-_BLOCK_ELEMENTS = 8192
+# Values per block (512 KiB); paths longer than this take one row per block.
+# Each transform and reduction call covers more rows (6 at n = 10 000, where
+# 8192-value blocks held 1).  Sampling and reducing the four families at
+# 10 000 replicates (2-vCPU Xeon, 2 MiB L2 per core), 8192-value blocks took
+# 1.04x the time at n = 100, 1.5x at n = 1000 and 1.3x at n = 10 000;
+# 262 144-value blocks, the size of the L2, took 1.1x, 1.05x and 0.96x.  The
+# block and its temporaries exceed glibc's mmap threshold, so they are
+# faulted in afresh (up to 11 400 minor faults for 4 x 10 000 paths of
+# n = 1000, against none with 8192-value blocks); those times include it.
+_BLOCK_ELEMENTS = 65536
+# Shortest path sampled on more than one thread by default.  Shorter rows
+# spend their time in per-row Python that holds the interpreter lock: on the
+# same host two threads ran at 0.7x the speed of one at n = 100, 0.95-1.05x
+# at n = 300-600 and 1.2-1.4x at n = 1000.
+_THREADED_LENGTH = 1000
 
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
 _MASK32 = (1 << 32) - 1
@@ -347,9 +364,13 @@ class _AR1(_Definition):
 
 @lru_cache(maxsize=8)
 def _spike_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The cache hands these arrays to every caller and thread: read-only.
     t = np.arange(1, n + 1, dtype=float)
     prob = t**-2.0
-    return 0.5 * prob, prob, t**1.5
+    tables = (0.5 * prob, prob, t**1.5)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class _SparseSpikes(_Definition):
@@ -365,9 +386,12 @@ class _SparseSpikes(_Definition):
         def draw(rngs, block):
             for row, rng in zip(block, rngs):
                 rng.random(out=row)
-            block[:] = np.where(
-                block < half_prob, magnitude, np.where(block < prob, -magnitude, 0.0)
-            )
+            # A row has about sum(t**-2) < 1.65 steps below p: scatter their
+            # signed magnitudes into zeros, the same partition as above.
+            rows, t = np.nonzero(block < prob)
+            u = block[rows, t]
+            block.fill(0.0)
+            block[rows, t] = np.where(u < half_prob[t], magnitude[t], -magnitude[t])
 
         return draw
 
@@ -564,24 +588,22 @@ def sample_blocks(
 
     Calls ``consume(first, block)`` once per block: row ``i`` of ``block``
     is the path of ``RngSeed(base_seed, first + i)``, bit for bit what
-    :func:`sample_path` returns for it.  A block holds at most 8192 values
-    (one row when ``n`` is longer) and is reused once ``consume`` returns,
-    so ``consume`` must copy or reduce it.  Replicates are split into work
-    units of 1024 indices, each with its own generator, run on
+    :func:`sample_path` returns for it.  A block holds at most 65 536
+    values (one row when ``n`` is longer) and is reused once ``consume``
+    returns, so ``consume`` must copy or reduce it.  Replicates are split
+    into work units of 1024 indices, each with its own generator, run on
     ``min(max_workers, work units)`` threads.  By default ``max_workers`` is
-    :func:`worker_count` when a row fills its own block (``n >= 8192``) and
-    1 for shorter rows.  With more than one thread ``consume`` runs on them,
-    for disjoint replicate ranges; with one, the units run inline and blocks
-    arrive in replicate order.  No result depends on the block size, the
-    work unit or the worker count.
+    :func:`worker_count` for ``n >= 1000`` and 1 for shorter rows, where two
+    threads ran slower than one (see ``_THREADED_LENGTH``).  With more than
+    one thread ``consume`` runs on them, for disjoint replicate ranges; with
+    one, the units run inline and blocks arrive in replicate order.  No
+    result depends on the block size, the work unit or the worker count.
     """
     n = _check_length(n)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if max_workers is None:
-        # Short rows spend their time in per-row Python that holds the GIL;
-        # threads contending for it ran slower than one thread.
-        max_workers = worker_count() if n >= _BLOCK_ELEMENTS else 1
+        max_workers = worker_count() if n >= _THREADED_LENGTH else 1
     elif max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     sample = _block_sampler(config, n)

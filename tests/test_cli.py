@@ -83,9 +83,10 @@ class TestSimulate:
     def test_bytes_equal_reference_writer(self, tmp_path, family):
         config = ENGINE_CONFIGS[family]
         doc = {"process": config.to_dict()}
-        # Chunk edges at 8192 values, and n = 1000 with a partial last block.
+        # Chunk edges at 8192 values, and n = 1000 with a partial block of
+        # 17 rows, then a full 65-row block and a partial one.
         for n, replicates in [(1, 2), (2, 2), (8191, 1), (8192, 1), (8193, 2),
-                              (20000, 1), (1000, 17)]:
+                              (20000, 1), (1000, 17), (1000, 70)]:
             code, out = self.run_simulate(
                 tmp_path, doc, n=str(n), replicates=str(replicates), seed="11"
             )
@@ -548,7 +549,7 @@ class TestExperiment:
             assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
-        # two work units of rows that fill a block: two threads at n = 8192
+        # two work units at n = 8192 >= 1000: two threads with 4 usable CPUs
         doc = {
             **AR1_DOC,
             "experiment": {

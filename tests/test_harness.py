@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,10 +27,11 @@ from ergodiag import (
     verify_variance_identity,
     worker_count,
 )
-from ergodiag import processes
+from ergodiag import harness, processes
 from ergodiag.harness import _ensemble_averages
 
 NO_CHECKS: frozenset = frozenset()
+BLOCK = processes._BLOCK_ELEMENTS
 
 
 def exact_only(process: ProcessConfig, n_grid, replicates=2) -> ExperimentConfig:
@@ -429,8 +432,8 @@ class TestDeterminism:
         assert first.to_dict() == second.to_dict()
 
     def pooled_config(self, process) -> ExperimentConfig:
-        # two work units of rows that fill a block, so the engine's own
-        # worker count applies at n = 8192
+        # two work units at a length the engine samples on its own worker
+        # count (n >= 1000), so threads run at n = 8192
         return dataclasses.replace(
             self.base_config(process), n_grid=(10, 8192), replicates=1100
         )
@@ -457,19 +460,72 @@ class TestDeterminism:
 
 class TestEnsembleAverages:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("n", [1, 2, 3, 8191, 8192, 8193])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, BLOCK // 2, BLOCK - 1, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
     def test_equal_per_path_time_average_of_reference(self, family, n, workers):
         # the block reduction must give time_average's float for every path;
-        # the short paths span two work units
+        # the short paths span two work units of multi-row blocks and a
+        # partial last block, the long ones blocks of 2 rows, then of 1 row
         config = ENGINE_CONFIGS[family]
-        replicates = 1030 if n <= 3 else 5
+        replicates = 1030 if n <= 1000 else 5
         averages = _ensemble_averages(config, n, 91, replicates, workers)
         expected = [
             time_average(SamplePath(reference_path(config, n, RngSeed(91, r))))
             for r in range(replicates)
         ]
         assert np.array_equal(averages, expected)
+
+    def test_rows_are_summed_left_to_right(self, monkeypatch):
+        # Rows whose pairwise (or otherwise reordered) sums differ from the
+        # left-to-right ones, handed over as blocks of one row, of three rows
+        # and of seventeen rows; the last row is all -0.0.
+        n = 64
+        pattern = np.resize([1e16, 1.0, -1e16, 1.0], n)
+        rng = np.random.default_rng(3)
+        wide = rng.standard_normal((17, n)) * 10.0 ** rng.uniform(-8, 8, (17, n))
+        rows = np.vstack([pattern, pattern[::-1], wide[:2], pattern, wide[2:],
+                          np.full(n, -0.0)])
+        starts = [0, 1, 4, len(rows)]
+        expected = np.cumsum(rows, axis=1)[:, -1] / n
+        for lo, hi in zip(starts, starts[1:]):
+            pairwise = np.add.reduce(rows[lo:hi], axis=1) / n
+            assert pairwise.tobytes() != expected[lo:hi].tobytes()
+
+        def crafted_blocks(config, length, base_seed, replicates, consume, *, max_workers):
+            assert (length, replicates) == (n, len(rows))
+            for lo, hi in zip(starts, starts[1:]):
+                consume(lo, rows[lo:hi].copy())
+
+        monkeypatch.setattr(harness, "sample_blocks", crafted_blocks)
+        averages = _ensemble_averages(ENGINE_CONFIGS["AR1"], n, 1, len(rows), None)
+        assert averages.tobytes() == expected.tobytes()
+
+
+class TestEnsembleAveragesUnderThreadSwitching:
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
+    def test_eight_threads_switching_often_equal_one(self, family, n):
+        # 8197 replicates are nine work units, so eight threads, more than
+        # the CPUs, share the output array and the cached tables while the
+        # interpreter switches between them every microsecond.
+        config, replicates = ENGINE_CONFIGS[family], 8 * 1024 + 5
+        serial = _ensemble_averages(config, n, 23, replicates, 1)
+        threaded = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: threaded.append(
+                    _ensemble_averages(config, n, 23, replicates, 8)
+                ),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "threaded sampling did not finish in 60 s"
+        assert len(threaded) == 1 and threaded[0].tobytes() == serial.tobytes()
 
 
 class TestCheckDispatch:

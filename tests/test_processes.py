@@ -264,7 +264,9 @@ class TestStreamStates:
             _stream_states(0, 2**64 - 1, 2)
 
 
-ENGINE_LENGTHS = [1, 2, 3, 100, 8191, 8192, 8193]
+BLOCK = processes._BLOCK_ELEMENTS
+THREADED = processes._THREADED_LENGTH
+ENGINE_LENGTHS = [1, 2, 3, 100, 1000, BLOCK // 2, BLOCK - 1, BLOCK, BLOCK + 1]
 
 
 class TestSampleBlocks:
@@ -274,9 +276,12 @@ class TestSampleBlocks:
     def test_blocks_equal_reference_sampler(self, family, n, workers):
         # 1030 replicates cross from work unit 0 (replicates 0..1023) into
         # unit 1, whose seeds and rows are indexed by the absolute replicate;
-        # the short paths fill several blocks per unit and a partial last one
+        # the short paths fill several blocks per unit and a partial last one.
+        # The long paths take 3 replicates: blocks of 2 rows and a partial
+        # 1-row block at half the block size, 1-row blocks from BLOCK - 1 up.
         config = ENGINE_CONFIGS[family]
-        replicates, rows = 1030, max(1, 8192 // n)
+        replicates = 1030 if n <= 1000 else 3
+        rows = max(1, BLOCK // n)
         covered = []
 
         def check(first, block):
@@ -298,8 +303,10 @@ class TestSampleBlocks:
 
     @pytest.mark.parametrize(
         "n, replicates, max_workers, pool",
-        [(8192, 1024, None, None), (8192, 1025, None, 2), (8192, 2049, None, 3),
-         (8191, 2049, None, None), (3, 1, None, None), (3, 2500, 2, 2),
+        [(THREADED, 1024, None, None), (THREADED, 1025, None, 2),
+         (THREADED, 2049, None, 3), (THREADED, 5000, None, 4),
+         (THREADED - 1, 2049, None, None), (THREADED - 1, 2049, 2, 2),
+         (3, 1, None, None), (3, 2500, 2, 2),
          (3, 2500, 8, 3), (3, 2500, 1, None), (3, 1024, 4, None)],
     )
     def test_threads_are_capped_by_work_units(
@@ -307,7 +314,7 @@ class TestSampleBlocks:
     ):
         # With four usable CPUs, a call of one work unit runs inline and a
         # larger one gets one thread per unit, up to max_workers; by default
-        # up to the CPUs when a row fills a block (n >= 8192), else one.
+        # up to the CPUs from n = THREADED up, else one.
         built = []
 
         class Spy(processes.ThreadPoolExecutor):
@@ -325,6 +332,14 @@ class TestSampleBlocks:
         )
         assert sorted(covered) == list(range(replicates))
         assert built == ([] if pool is None else [pool])
+
+    def test_spike_tables_are_read_only(self):
+        # the cache hands the same arrays to every caller and thread
+        for table in processes._spike_tables(10):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                table += 1.0
 
     @pytest.mark.parametrize("max_workers", [0, -1])
     def test_max_workers_below_one_raises(self, ar1_config, max_workers):
