@@ -1,15 +1,23 @@
 """Diagnostics for convergence of time averages of non-stationary series.
 
 Decides, exactly for specified process models and empirically for sampled
-paths, whether running averages settle on the average of the means: exact
-variance identities, growth classification of the covariance sum,
-correlation time and effective sample size, concentration bounds, and a
-Monte Carlo verification harness with a CLI front end.
+paths, whether running averages settle on the average of the means:
+
+* :mod:`~ergodiag.model`: the exact variance identity
+  (``time_average_variance``), growth classification of the covariance sum
+  (``classify_growth``), correlation time and effective sample size;
+* :mod:`~ergodiag.estimators`: their data-side counterparts, from one
+  ``SamplePath`` or from the array of per-replicate time averages
+  (``ensemble_mse``, ``empirical_tail``);
+* :mod:`~ergodiag.bounds`: Markov, Chebyshev and Paley-Zygmund bounds;
+* :mod:`~ergodiag.processes`: four seeded process families
+  (``sample_path``) with their exact moments;
+* :mod:`~ergodiag.harness`: the Monte Carlo verification harness
+  (``run_experiment``, ``verify_variance_identity``), driven from the
+  command line by :mod:`~ergodiag.cli`.
 """
 
 from .bounds import (
-    BoundReport,
-    bound_report,
     chebyshev_bound,
     markov_bound,
     paley_zygmund_lower,
@@ -17,8 +25,6 @@ from .bounds import (
 )
 from .estimators import (
     AutocovEstimate,
-    Ensemble,
-    PathOrigin,
     SamplePath,
     TauEstimate,
     empirical_tail,
@@ -37,8 +43,6 @@ from .harness import (
     Verdict,
     default_checks,
     run_experiment,
-    verify_fourth_moment,
-    verify_nonconvergence,
     verify_variance_identity,
     worker_count,
 )
@@ -62,13 +66,10 @@ from .processes import (
     Family,
     ProcessConfig,
     RngSeed,
-    SparseSpikeMoments,
     build_spec,
     derive_stream,
     enumerate_squared_average_variance,
-    sample_ensemble,
     sample_path,
-    sparse_spike_moments,
     sparse_spike_squared_average_variance,
 )
 
@@ -93,8 +94,6 @@ __all__ = [
     "classify_growth",
     # estimators
     "SamplePath",
-    "PathOrigin",
-    "Ensemble",
     "AutocovEstimate",
     "TauEstimate",
     "time_average",
@@ -109,8 +108,6 @@ __all__ = [
     "chebyshev_bound",
     "paley_zygmund_lower",
     "paley_zygmund_theta",
-    "BoundReport",
-    "bound_report",
     # processes
     "Family",
     "ProcessConfig",
@@ -118,9 +115,6 @@ __all__ = [
     "derive_stream",
     "build_spec",
     "sample_path",
-    "sample_ensemble",
-    "SparseSpikeMoments",
-    "sparse_spike_moments",
     "sparse_spike_squared_average_variance",
     "enumerate_squared_average_variance",
     # harness
@@ -131,8 +125,6 @@ __all__ = [
     "ConvergenceReport",
     "run_experiment",
     "verify_variance_identity",
-    "verify_nonconvergence",
-    "verify_fourth_moment",
     "default_checks",
     "worker_count",
 ]

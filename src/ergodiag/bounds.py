@@ -12,15 +12,13 @@ the bound is vacuous anyway, and clamping keeps probability semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 __all__ = [
     "markov_bound",
     "chebyshev_bound",
     "paley_zygmund_lower",
     "paley_zygmund_theta",
-    "BoundReport",
-    "bound_report",
 ]
 
 
@@ -38,12 +36,21 @@ def chebyshev_bound(variance: float, eps: float) -> float:
 
     Equals ``markov_bound(variance, eps**2)``: the deviation event is the
     event that the non-negative variable ``(Z - E[Z])^2`` reaches ``eps^2``.
+    Where ``eps**2`` leaves the float range the bound is still given: 1 (0
+    for a zero variance) when the square underflows to 0, and
+    ``variance / inf`` when it overflows.
     """
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    return min(1.0, variance / eps**2)
+    try:
+        eps_sq = eps**2
+    except OverflowError:
+        eps_sq = math.inf
+    if eps_sq == 0.0:
+        return 0.0 if variance == 0 else 1.0
+    return min(1.0, variance / eps_sq)
 
 
 def paley_zygmund_lower(mean: float, variance: float, eps: float) -> float:
@@ -81,35 +88,3 @@ def paley_zygmund_theta(mean: float, variance: float, theta: float) -> float:
     if denom == 0.0:
         return 0.0
     return (1.0 - theta) ** 2 * mean**2 / denom
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All applicable bounds at one threshold, plus the moments used.
-
-    ``markov`` and ``pz_lower`` are ``None`` where their hypotheses fail
-    (negative mean, or eps above the mean).
-    """
-
-    markov: float | None
-    chebyshev: float
-    pz_lower: float | None
-    eps: float
-    moments_used: tuple[float, float, float]
-
-
-def bound_report(mean: float, variance: float, eps: float) -> BoundReport:
-    """Evaluate every bound whose hypothesis holds for the given moments."""
-    markov = markov_bound(mean, eps) if mean >= 0 else None
-    pz = (
-        paley_zygmund_lower(mean, variance, eps)
-        if mean >= 0 and 0 <= eps <= mean
-        else None
-    )
-    return BoundReport(
-        markov=markov,
-        chebyshev=chebyshev_bound(variance, eps),
-        pz_lower=pz,
-        eps=eps,
-        moments_used=(mean, variance, variance + mean**2),
-    )

@@ -69,8 +69,17 @@ def _reject_unknown_keys(section: dict, allowed: set[str], where: str) -> None:
 
 def _load_config_file(path: str) -> dict:
     text = Path(path).read_text(encoding="utf-8")
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -1,10 +1,12 @@
 """Empirical, data-side estimators computed from sampled trajectories.
 
-Counterparts of the model-side quantities in :mod:`ergodiag.model`: running
-and full time averages of a path, biased sample autocovariances, windowed
-estimates of the integrated correlation time, ensemble mean squared error
-against a target mean, empirical tail frequencies, and the Euclidean gap for
-vector-valued averages.
+Counterparts of the model-side quantities in :mod:`ergodiag.model`.  From
+one :class:`SamplePath`: its time average and running averages, biased
+sample autocovariances, and a windowed estimate of the integrated
+correlation time.  From the 1-d array of per-replicate time averages: their
+mean squared error around the target mean ``m_n`` (:func:`ensemble_mse`)
+and the frequency of misses by at least eps (:func:`empirical_tail`).  For
+vector-valued averages: the Euclidean gap to the target means.
 
 Path sums are accumulated sequentially in ascending index order, so the last
 running average equals the full time average bit for bit.  Autocovariances
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -25,9 +27,7 @@ from scipy.fft import next_fast_len
 from .model import DegenerateSeriesError
 
 __all__ = [
-    "PathOrigin",
     "SamplePath",
-    "Ensemble",
     "AutocovEstimate",
     "TauEstimate",
     "time_average",
@@ -45,20 +45,10 @@ _TAU_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
-class PathOrigin:
-    """Provenance of a sampled path: generating model, seed, replicate."""
-
-    label: str
-    base_seed: int
-    replicate: int
-
-
-@dataclass(frozen=True)
 class SamplePath:
-    """One sampled trajectory of finite values, with optional provenance."""
+    """One sampled trajectory of finite values."""
 
     values: np.ndarray
-    origin: PathOrigin | None = None
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.values, dtype=float)
@@ -70,56 +60,6 @@ class SamplePath:
 
     def __len__(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Independent replicate paths of equal length from one model.
-
-    ``values`` has shape ``(replicates, length)``; row ``r`` is the path of
-    replicate ``r``, so replicate indices ``0..R-1`` are distinct by
-    construction.
-    """
-
-    values: np.ndarray
-    spec_label: str = ""
-    base_seed: int = 0
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("ensemble values must be a nonempty 2-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("ensemble values must be finite")
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_paths(
-        cls, paths: Iterable[SamplePath], spec_label: str = "", base_seed: int = 0
-    ) -> "Ensemble":
-        rows = [p.values for p in paths]
-        if not rows:
-            raise ValueError("ensemble needs at least one path")
-        lengths = {r.size for r in rows}
-        if len(lengths) != 1:
-            raise ValueError(f"paths have unequal lengths: {sorted(lengths)}")
-        return cls(np.vstack(rows), spec_label=spec_label, base_seed=base_seed)
-
-    @property
-    def n_replicates(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
-
-    def path(self, replicate: int) -> SamplePath:
-        origin = PathOrigin(self.spec_label, self.base_seed, replicate)
-        return SamplePath(self.values[replicate], origin=origin)
-
-    def averages(self) -> np.ndarray:
-        """Per-replicate time averages, in replicate-index order."""
-        return np.cumsum(self.values, axis=1)[:, -1] / self.length
 
 
 @dataclass(frozen=True)
@@ -233,22 +173,16 @@ def estimate_tau(acov: AutocovEstimate, window_c: float = 6.0) -> TauEstimate:
     )
 
 
-def ensemble_mse(ensemble: Ensemble, m_n: float) -> float:
-    """Mean squared error of per-replicate time averages around ``m_n``.
-
-    Reduction runs in replicate-index order, independent of how replicates
-    were produced.
-    """
-    a = ensemble.averages()
-    return float(np.mean((a - m_n) ** 2))
+def ensemble_mse(averages: np.ndarray, m_n: float) -> float:
+    """Mean squared error of per-replicate time averages around ``m_n``."""
+    return float(np.mean((averages - m_n) ** 2))
 
 
-def empirical_tail(ensemble: Ensemble, m_n: float, eps: float) -> float:
-    """Fraction of replicates whose time average misses ``m_n`` by >= eps."""
+def empirical_tail(averages: np.ndarray, m_n: float, eps: float) -> float:
+    """Fraction of per-replicate time averages that miss ``m_n`` by >= eps."""
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    a = ensemble.averages()
-    return int(np.count_nonzero(np.abs(a - m_n) >= eps)) / ensemble.n_replicates
+    return int(np.count_nonzero(np.abs(averages - m_n) >= eps)) / len(averages)
 
 
 def vector_norm_gap(

@@ -103,7 +103,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 from scipy.signal import lfilter
 
-from .estimators import Ensemble, PathOrigin, SamplePath
+from .estimators import SamplePath
 from .model import ProcessSpec, StationaryCov
 
 __all__ = [
@@ -114,10 +114,7 @@ __all__ = [
     "build_spec",
     "sample_path",
     "sample_blocks",
-    "sample_ensemble",
     "worker_count",
-    "SparseSpikeMoments",
-    "sparse_spike_moments",
     "sparse_spike_squared_average_variance",
     "enumerate_squared_average_variance",
 ]
@@ -564,8 +561,7 @@ def sample_path(config: ProcessConfig, n: int, seed: RngSeed) -> SamplePath:
     n = _check_length(n)
     values = np.empty((1, n), dtype=float)
     _block_sampler(config, n)([seed.generator()], values)
-    origin = PathOrigin(config.label, seed.base_seed, seed.replicate)
-    return SamplePath(values=values[0], origin=origin)
+    return SamplePath(values=values[0])
 
 
 def worker_count() -> int:
@@ -628,61 +624,6 @@ def sample_blocks(
     else:
         for lo in units:
             unit(lo)
-
-
-def sample_ensemble(
-    config: ProcessConfig,
-    n: int,
-    replicates: int,
-    base_seed: int,
-    max_workers: int | None = None,
-) -> Ensemble:
-    """Sample ``replicates`` independent paths into one ensemble.
-
-    Row ``r`` is the path of ``RngSeed(base_seed, r)``, filled through
-    :func:`sample_blocks`, so the result is identical for any
-    ``max_workers``.
-    """
-    n = _check_length(n)
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    out = np.empty((replicates, n), dtype=float)
-
-    def store(first: int, block: np.ndarray) -> None:
-        out[first : first + len(block)] = block
-
-    sample_blocks(config, n, base_seed, replicates, store, max_workers=max_workers)
-    return Ensemble(values=out, spec_label=config.label, base_seed=base_seed)
-
-
-@dataclass(frozen=True)
-class SparseSpikeMoments:
-    """Exact moments of the sparse-spike process at indices ``t != s``.
-
-    ``var_x`` is ``Var(X_t) = t``; ``var_x_squared`` is
-    ``Var(X_t^2) = t^4 - t^2``; ``var_product`` is ``Var(X_t X_s) = t*s``;
-    and ``cov_of_squares`` is ``Cov(X_t^2, X_s^2) = 0`` by independence.
-    """
-
-    var_x: float
-    var_x_squared: float
-    var_product: float
-    cov_of_squares: float
-
-
-def sparse_spike_moments(t: int, s: int) -> SparseSpikeMoments:
-    """Exact low-order moments of the sparse-spike process at ``(t, s)``."""
-    if t < 1 or s < 1:
-        raise ValueError(f"indices must be >= 1, got t={t}, s={s}")
-    if t == s:
-        raise ValueError("pairwise moments require distinct indices t != s")
-    t, s = int(t), int(s)
-    return SparseSpikeMoments(
-        var_x=float(t),
-        var_x_squared=float(t**4 - t**2),
-        var_product=float(t * s),
-        cov_of_squares=0.0,
-    )
 
 
 def sparse_spike_squared_average_variance(n: int) -> float:

@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import lfilter
 
 from ergodiag import Family, ProcessConfig, ProcessSpec, RngSeed, StationaryCov
+from ergodiag.processes import sample_blocks
 
 
 @pytest.fixture
@@ -72,6 +73,19 @@ def reference_path(config: ProcessConfig, n: int, seed: RngSeed) -> np.ndarray:
     else:
         mean = trend["amplitude"] * np.sin(2.0 * np.pi * t / trend["period"])
     return mean + p["noise_sd"] * rng.standard_normal(n)
+
+
+def sample_rows(config: ProcessConfig, n: int, replicates: int, base_seed: int) -> np.ndarray:
+    """The paths of replicates ``0 .. replicates - 1`` as one ``(replicates, n)``
+    array, row ``r`` from ``RngSeed(base_seed, r)``, gathered from the engine.
+    """
+    out = np.empty((replicates, n))
+
+    def store(first: int, block: np.ndarray) -> None:
+        out[first : first + len(block)] = block
+
+    sample_blocks(config, n, base_seed, replicates, store)
+    return out
 
 
 # One configuration per family, including the edge parameters the block

@@ -1,8 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
 from ergodiag import (
-    bound_report,
     chebyshev_bound,
     markov_bound,
     paley_zygmund_lower,
@@ -52,6 +53,28 @@ class TestChebyshev:
         rng = np.random.default_rng(7)
         for v, eps in zip(rng.uniform(0, 5, 100), rng.uniform(0.01, 3, 100)):
             assert chebyshev_bound(v, eps) == markov_bound(v, eps**2)
+
+    def test_square_underflow_gives_the_clamped_bound(self):
+        # 1e-170**2 and 5e-324**2 round to 0.0
+        for eps in (1e-170, 5e-324):
+            assert chebyshev_bound(1.0, eps) == 1.0
+            assert chebyshev_bound(5e-324, eps) == 1.0
+            assert chebyshev_bound(0.0, eps) == 0.0
+
+    def test_square_overflow_divides_by_infinity(self):
+        # 1e200**2 raises OverflowError in Python float arithmetic
+        for eps in (1e200, sys.float_info.max):
+            assert chebyshev_bound(1.0, eps) == 0.0
+            assert chebyshev_bound(sys.float_info.max, eps) == 0.0
+            assert chebyshev_bound(0.0, eps) == 0.0
+
+    def test_bound_for_every_decade_of_eps(self):
+        # positive finite eps from the smallest subnormal to the largest float
+        eps = [5e-324] + [10.0**k for k in range(-323, 309)] + [sys.float_info.max]
+        for variance in (0.0, 1e-300, 1.0, 1e300):
+            values = [chebyshev_bound(variance, e) for e in eps]
+            assert all(0.0 <= v <= 1.0 for v in values)
+            assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -152,27 +175,13 @@ class TestSandwichOnSamples:
             assert tail <= markov_bound(mean, eps) + 1e-12
 
 
-class TestBoundReport:
-    def test_all_bounds_present_when_applicable(self):
-        report = bound_report(mean=2.0, variance=1.0, eps=0.5)
-        assert report.markov == 1.0
-        assert report.chebyshev == 1.0  # raw 1.0 / 0.25 = 4, clamped
-        assert report.pz_lower == pytest.approx((2.0 - 0.5) ** 2 / (1.0 + 4.0))
-        assert report.moments_used == (2.0, 1.0, 5.0)
-
-    def test_pz_absent_when_eps_above_mean(self):
-        report = bound_report(mean=0.2, variance=1.0, eps=0.5)
-        assert report.pz_lower is None
-        assert 0.0 <= report.chebyshev <= 1.0
-
+class TestUnitInterval:
     def test_values_inside_unit_interval(self):
         rng = np.random.default_rng(3)
         for m, v, eps in zip(
             rng.uniform(0, 4, 50), rng.uniform(0, 4, 50), rng.uniform(0.01, 4, 50)
         ):
-            report = bound_report(m, v, eps)
-            assert 0.0 <= report.chebyshev <= 1.0
-            if report.markov is not None:
-                assert 0.0 <= report.markov <= 1.0
-            if report.pz_lower is not None:
-                assert 0.0 <= report.pz_lower <= 1.0
+            assert 0.0 <= chebyshev_bound(v, eps) <= 1.0
+            assert 0.0 <= markov_bound(m, eps) <= 1.0
+            if eps <= m:
+                assert 0.0 <= paley_zygmund_lower(m, v, eps) <= 1.0

@@ -116,6 +116,22 @@ class TestSimulate:
         assert code == 2
         assert "analyze" in capsys.readouterr().err
 
+    def test_duplicate_process_section_exits_2_naming_it(self, tmp_path, capsys):
+        # last-wins parsing would sample SPARSE_SPIKES
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"process": {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1.0}}, '
+            '"process": {"family": "SPARSE_SPIKES"}}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "paths.csv"
+        code = main(["simulate", "--config", str(config), "--out", str(out),
+                     "--seed", "1", "--n", "5", "--replicates", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "duplicate key 'process'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         code = main(
             [
@@ -512,6 +528,55 @@ class TestExperiment:
         code, out_dir = self.run_experiment_cmd(tmp_path, EXPERIMENT_DOC)
         assert code == 2
         assert "JSON" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_duplicate_nested_key_exits_2_naming_it(self, tmp_path, capsys):
+        # last-wins parsing would run with base_seed 2
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"process": {"family": "SPARSE_SPIKES"}, '
+            '"experiment": {"base_seed": 1, "n_grid": [10, 100], "base_seed": 2}}',
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code = main(["experiment", "--config", str(config), "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "duplicate key 'base_seed'" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        ("eps", "tail", "bound"), [(1e-170, 1.0, 1.0), (1e200, 0.0, 0.0)]
+    )
+    def test_extreme_epsilons_give_clamped_bounds(
+        self, tmp_path, capsys, eps, tail, bound
+    ):
+        # eps**2 underflows to 0 at 1e-170 and overflows at 1e200
+        doc = {
+            **AR1_DOC,
+            "experiment": {"base_seed": 1, "n_grid": [10, 100], "replicates": 200,
+                           "epsilons": [eps], "checks": []},
+        }
+        code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out_dir / "report.json").read_text())
+        for stats in report["per_n"]:
+            assert stats["empirical_tails"] == {repr(eps): tail}
+            assert stats["chebyshev_bounds"] == {repr(eps): bound}
+
+    def test_grid_entry_of_two_to_the_64_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the grid was checked")
+
+        monkeypatch.setattr(harness, "sample_blocks", no_sampling)
+        doc = {**AR1_DOC, "experiment": {"base_seed": 1, "n_grid": [10, 2**64]}}
+        code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "n_grid" in err and "Traceback" not in err
         assert not out_dir.exists()
 
     def test_spike_grid_above_bound_exits_2_before_sampling(

@@ -7,7 +7,6 @@ import pytest
 from ergodiag import (
     AutocovEstimate,
     DegenerateSeriesError,
-    Ensemble,
     Family,
     ProcessConfig,
     SamplePath,
@@ -17,11 +16,11 @@ from ergodiag import (
     estimate_tau,
     running_averages,
     sample_autocovariance,
-    sample_ensemble,
     sample_path,
     time_average,
     vector_norm_gap,
 )
+from ergodiag.harness import _ensemble_averages
 from ergodiag.processes import RngSeed
 
 
@@ -239,62 +238,55 @@ class TestEstimateTau:
             estimate_tau(est, window_c=0.0)
 
 
-def ensemble_from_rows(rows) -> Ensemble:
-    return Ensemble(np.asarray(rows, dtype=float))
+def averages(*values: float) -> np.ndarray:
+    return np.asarray(values, dtype=float)
 
 
 class TestEnsembleMse:
     def test_zero_when_averages_hit_target(self):
-        ens = ensemble_from_rows([[1.0, 3.0], [2.0, 2.0]])  # both average to 2
-        assert ensemble_mse(ens, 2.0) == 0.0
+        assert ensemble_mse(averages(2.0, 2.0), 2.0) == 0.0
 
     def test_symmetric_pair(self):
-        ens = ensemble_from_rows([[0.7], [-0.7]])
-        assert ensemble_mse(ens, 0.0) == pytest.approx(0.49)
+        assert ensemble_mse(averages(0.7, -0.7), 0.0) == pytest.approx(0.49)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            rows = rng.standard_normal((50, 8)) + rng.uniform(-2, 2)
-            ens = ensemble_from_rows(rows)
+            a = rng.standard_normal((50, 8)).mean(axis=1) + rng.uniform(-2, 2)
             m = float(rng.uniform(-1, 1))
-            a = ens.averages()
             decomposed = float(np.var(a)) + (float(np.mean(a)) - m) ** 2
-            assert ensemble_mse(ens, m) == pytest.approx(decomposed, abs=1e-12)
+            assert ensemble_mse(a, m) == pytest.approx(decomposed, abs=1e-12)
 
     def test_spike_ensemble_matches_exact_variance(self):
         # exact Var(A_100) = 101/200 = 0.505; R = 1e5 keeps the MC error
         # (~sqrt(Var(A^2)/R) ~ 0.014) well inside the 5% band
         config = ProcessConfig(Family.SPARSE_SPIKES)
-        ens = sample_ensemble(config, n=100, replicates=100_000, base_seed=88)
-        assert ensemble_mse(ens, 0.0) == pytest.approx(0.505, rel=0.05)
+        a = _ensemble_averages(config, 100, 88, 100_000, None)
+        assert ensemble_mse(a, 0.0) == pytest.approx(0.505, rel=0.05)
 
 
 class TestEmpiricalTail:
     def test_direct_count(self):
-        ens = ensemble_from_rows([[0.0], [0.2], [0.3]])
-        assert empirical_tail(ens, 0.0, 0.25) == pytest.approx(1 / 3)
+        assert empirical_tail(averages(0.0, 0.2, 0.3), 0.0, 0.25) == pytest.approx(1 / 3)
 
     def test_all_zero(self):
-        ens = ensemble_from_rows([[0.0, 0.0], [0.0, 0.0]])
-        assert empirical_tail(ens, 0.0, 0.1) == 0.0
+        assert empirical_tail(averages(0.0, 0.0), 0.0, 0.1) == 0.0
 
     def test_common_shock_matches_gaussian_tail(self):
         # A_n = Z + mean(noise) ~ N(0, 1 + 1/n); oracle tail from the
         # normal CDF via erf
         n, replicates = 100, 20_000
         config = ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.0, "sigma_eps": 1.0})
-        ens = sample_ensemble(config, n=n, replicates=replicates, base_seed=5150)
+        a = _ensemble_averages(config, n, 5150, replicates, None)
         sd = math.sqrt(1.0 + 1.0 / n)
         oracle = 2.0 * 0.5 * (1.0 + math.erf(-0.5 / sd / math.sqrt(2.0)))
-        tail = empirical_tail(ens, 0.0, 0.5)
+        tail = empirical_tail(a, 0.0, 0.5)
         se = math.sqrt(oracle * (1 - oracle) / replicates)
         assert abs(tail - oracle) <= 4 * se
 
     def test_rejects_nonpositive_eps(self):
-        ens = ensemble_from_rows([[1.0]])
         with pytest.raises(ValueError):
-            empirical_tail(ens, 0.0, 0.0)
+            empirical_tail(averages(1.0), 0.0, 0.0)
 
 
 class TestVectorNormGap:
@@ -319,22 +311,3 @@ class TestVectorNormGap:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             vector_norm_gap([1.0, 2.0], [1.0])
-
-
-class TestEnsembleType:
-    def test_from_paths_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError):
-            Ensemble.from_paths([path(1, 2), path(1, 2, 3)])
-
-    def test_path_accessor_carries_origin(self):
-        ens = Ensemble(np.zeros((3, 4)), spec_label="demo", base_seed=9)
-        p = ens.path(2)
-        assert p.origin.replicate == 2
-        assert p.origin.label == "demo"
-        assert len(p) == 4
-
-    def test_averages_match_per_path_time_average(self):
-        rng = np.random.default_rng(23)
-        ens = Ensemble(rng.standard_normal((20, 333)))
-        per_path = np.asarray([time_average(ens.path(r)) for r in range(20)])
-        assert np.array_equal(ens.averages(), per_path)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import sys
 import threading
@@ -10,6 +11,7 @@ from conftest import ENGINE_CONFIGS, reference_path
 from ergodiag import (
     Check,
     ExperimentConfig,
+    derive_stream,
     RngSeed,
     SamplePath,
     Verdict,
@@ -19,11 +21,10 @@ from ergodiag import (
     ProcessSpec,
     build_spec,
     default_checks,
+    mean_average,
     run_experiment,
     time_average,
     time_average_variance,
-    verify_fourth_moment,
-    verify_nonconvergence,
     verify_variance_identity,
     worker_count,
 )
@@ -83,6 +84,13 @@ class TestExperimentConfig:
             checks=NO_CHECKS,
         )
         assert config.n_grid[-1] == 10**6
+
+    def test_rejects_grid_entry_of_two_to_the_64(self, ar1_config):
+        with pytest.raises(ValueError, match="n_grid"):
+            ExperimentConfig(
+                process=ar1_config, base_seed=1, n_grid=(10, 2**64),
+                replicates=2, checks=NO_CHECKS,
+            )
 
     def test_rejects_unknown_check_name(self, ar1_config):
         with pytest.raises(ValueError):
@@ -253,8 +261,9 @@ class TestNonconvergenceCheck:
             n_grid=(100, 1000),
             replicates=10_000,
             epsilons=(0.5,),
+            checks=frozenset({Check.NONCONVERGENCE}),
         )
-        verdict = verify_nonconvergence(config, eps=0.5)
+        verdict = run_experiment(config).verdicts[Check.NONCONVERGENCE]
         assert verdict.status == "PASS", verdict.message
 
     def test_pure_shock_mse_is_flat_at_one(self):
@@ -275,9 +284,10 @@ class TestNonconvergenceCheck:
 
     def test_skipped_for_other_families(self, ar1_config):
         config = ExperimentConfig(
-            process=ar1_config, base_seed=2, replicates=1000, checks=NO_CHECKS
+            process=ar1_config, base_seed=2, n_grid=(10, 100), replicates=1000,
+            epsilons=(0.5,), checks=frozenset({Check.NONCONVERGENCE}),
         )
-        assert verify_nonconvergence(config, eps=0.5).status == "SKIPPED"
+        assert run_experiment(config).verdicts[Check.NONCONVERGENCE].status == "SKIPPED"
 
 
 class TestWllnCheck:
@@ -365,10 +375,16 @@ class TestL2ConvergenceCheck:
 
 
 class TestFourthMomentCheck:
-    def test_standalone_passes(self):
-        verdict = verify_fourth_moment(
-            n_max_enum=5, n_max_formula=100, n_grid=(50, 500), replicates=5000
+    def test_alone_passes(self, spike_config):
+        config = ExperimentConfig(
+            process=spike_config,
+            base_seed=0,
+            n_grid=(50, 500),
+            replicates=5000,
+            epsilons=(0.1,),
+            checks=frozenset({Check.FOURTH_MOMENT}),
         )
+        verdict = run_experiment(config).verdicts[Check.FOURTH_MOMENT]
         assert verdict.status == "PASS", verdict.message
 
     def test_in_experiment_passes(self, spike_config):
@@ -394,10 +410,6 @@ class TestFourthMomentCheck:
         )
         report = run_experiment(config)
         assert report.verdicts[Check.FOURTH_MOMENT].status == "SKIPPED"
-
-    def test_rejects_enum_depth_over_eight(self):
-        with pytest.raises(ValueError):
-            verify_fourth_moment(n_max_enum=9)
 
 
 class TestVectorCheck:
@@ -526,6 +538,26 @@ class TestEnsembleAveragesUnderThreadSwitching:
             sys.setswitchinterval(interval)
         assert not runner.is_alive(), "threaded sampling did not finish in 60 s"
         assert len(threaded) == 1 and threaded[0].tobytes() == serial.tobytes()
+
+
+class TestExperimentStatistics:
+    def test_per_n_statistics_equal_the_formulas_on_the_averages(self, drift_config):
+        # MSE, plug-in standard error and tails, bit for bit, from the
+        # averages of each grid point's ensemble
+        config = ExperimentConfig(
+            process=drift_config, base_seed=47, n_grid=(10, 100), replicates=500,
+            epsilons=(0.5, 0.1, 0.02), checks=NO_CHECKS,
+        )
+        spec = build_spec(drift_config)
+        for stats in run_experiment(config).per_n:
+            base = derive_stream(47, stats.n)
+            a = _ensemble_averages(drift_config, stats.n, base, 500, None)
+            m_n = mean_average(spec, stats.n)
+            dev_sq = (a - m_n) ** 2
+            assert stats.empirical_mse == float(np.mean(dev_sq))
+            assert stats.mc_standard_error == float(np.std(dev_sq, ddof=1)) / math.sqrt(500)
+            for eps, tail in stats.empirical_tails.items():
+                assert tail == int(np.count_nonzero(np.abs(a - m_n) >= eps)) / 500
 
 
 class TestCheckDispatch:

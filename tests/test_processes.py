@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ENGINE_CONFIGS, reference_path
+from conftest import ENGINE_CONFIGS, reference_path, sample_rows
 from ergodiag import (
     Family,
     ProcessConfig,
@@ -14,13 +14,12 @@ from ergodiag import (
     derive_stream,
     enumerate_squared_average_variance,
     mean_average,
-    sample_ensemble,
     sample_path,
-    sparse_spike_moments,
     sparse_spike_squared_average_variance,
     time_average_variance,
 )
 from ergodiag import processes
+from ergodiag.harness import _ensemble_averages
 from ergodiag.processes import _stream_states, sample_blocks
 
 
@@ -198,35 +197,11 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             sample_path(spike_config, 0, RngSeed(1, 0))
 
-    def test_origin_recorded(self, ar1_config):
-        p = sample_path(ar1_config, 8, RngSeed(10, 4))
-        assert p.origin.base_seed == 10
-        assert p.origin.replicate == 4
-        assert p.origin.label == "AR1"
 
-
-class TestSampleEnsemble:
-    def test_rows_match_individual_paths(self, shock_config):
-        ens = sample_ensemble(shock_config, n=16, replicates=10, base_seed=21)
-        for r in range(10):
-            expected = sample_path(shock_config, 16, RngSeed(21, r)).values
-            assert np.array_equal(ens.values[r], expected)
-
-    def test_worker_count_does_not_change_values(self, ar1_config):
-        # 2100 replicates are three work units, so 2 and 4 workers run threads
-        serial = sample_ensemble(
-            ar1_config, n=32, replicates=2100, base_seed=6, max_workers=1
-        )
-        for workers in (2, 4, None):
-            threaded = sample_ensemble(
-                ar1_config, n=32, replicates=2100, base_seed=6, max_workers=workers
-            )
-            assert np.array_equal(serial.values, threaded.values)
-
+class TestReplicateStreams:
     def test_replicate_streams_uncorrelated(self, shock_config):
         # lag-1 correlation across the replicate index; |r| stays ~1/sqrt(R)
-        ens = sample_ensemble(shock_config, n=8, replicates=100_000, base_seed=1234)
-        a = ens.averages()
+        a = _ensemble_averages(shock_config, 8, 1234, 100_000, None)
         r = np.corrcoef(a[:-1], a[1:])[0, 1]
         assert abs(r) < 0.01
 
@@ -377,29 +352,6 @@ class TestSampleBlocks:
                                   reference_path(config, n, seed))
 
 
-class TestSparseSpikeMoments:
-    def test_first_index_squared_is_constant(self):
-        assert sparse_spike_moments(1, 2).var_x_squared == 0.0
-
-    def test_var_of_square_at_two(self):
-        assert sparse_spike_moments(2, 3).var_x_squared == 12.0
-
-    def test_product_variance(self):
-        assert sparse_spike_moments(2, 3).var_product == 6.0
-
-    def test_squares_uncorrelated(self):
-        assert sparse_spike_moments(4, 9).cov_of_squares == 0.0
-
-    def test_variance_grows_linearly(self):
-        assert sparse_spike_moments(7, 8).var_x == 7.0
-
-    def test_rejects_equal_or_nonpositive_indices(self):
-        with pytest.raises(ValueError):
-            sparse_spike_moments(3, 3)
-        with pytest.raises(ValueError):
-            sparse_spike_moments(0, 2)
-
-
 def two_term_enumeration() -> float:
     """Var(A_2^2) over the six-point joint outcome space of (X_1, X_2).
 
@@ -470,9 +422,9 @@ class TestVarianceIdentityEndToEnd:
     def test_empirical_variance_matches_exact(self, family, params):
         config = ProcessConfig(family, params)
         spec = build_spec(config)
-        ens = sample_ensemble(config, self.N, self.REPLICATES, base_seed=2718)
+        averages = _ensemble_averages(config, self.N, 2718, self.REPLICATES, None)
         m_n = mean_average(spec, self.N)
-        dev_sq = (ens.averages() - m_n) ** 2
+        dev_sq = (averages - m_n) ** 2
         mse = float(np.mean(dev_sq))
         se = float(np.std(dev_sq, ddof=1)) / math.sqrt(self.REPLICATES)
         exact = time_average_variance(spec, self.N)
@@ -484,8 +436,7 @@ class TestAr1SecondMoments:
         # three-term paths: empirical covariance matrix must match
         # gamma0 * phi**|t-s| from t = 1 (no burn-in)
         replicates = 200_000
-        ens = sample_ensemble(ar1_config, n=3, replicates=replicates, base_seed=1618)
-        values = ens.values
+        values = sample_rows(ar1_config, 3, replicates, base_seed=1618)
         expected = 0.5 ** np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
         for i in range(3):
             for j in range(3):
@@ -497,8 +448,7 @@ class TestAr1SecondMoments:
 class TestSpikeSamplerMarginals:
     def test_moments_at_t5_over_a_million_replicates(self, spike_config):
         replicates = 1_000_000
-        ens = sample_ensemble(spike_config, n=5, replicates=replicates, base_seed=424242)
-        x5 = ens.values[:, 4]
+        x5 = sample_rows(spike_config, 5, replicates, base_seed=424242)[:, 4]
 
         # P(X_5 != 0) = 1/25 = 0.04
         freq = float(np.mean(x5 != 0.0))
