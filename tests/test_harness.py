@@ -375,7 +375,7 @@ class TestL2ConvergenceCheck:
 
 
 class TestFourthMomentCheck:
-    def test_alone_passes(self, spike_config):
+    def test_standalone_passes(self, spike_config):
         config = ExperimentConfig(
             process=spike_config,
             base_seed=0,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -199,6 +200,13 @@ class TestSamplePath:
 
 
 class TestReplicateStreams:
+    def test_rows_match_individual_paths(self, shock_config):
+        # row r of the engine's ensemble is the path sample_path draws alone
+        rows = sample_rows(shock_config, 16, 10, base_seed=21)
+        for r in range(10):
+            expected = sample_path(shock_config, 16, RngSeed(21, r)).values
+            assert np.array_equal(rows[r], expected)
+
     def test_replicate_streams_uncorrelated(self, shock_config):
         # lag-1 correlation across the replicate index; |r| stays ~1/sqrt(R)
         a = _ensemble_averages(shock_config, 8, 1234, 100_000, None)
@@ -350,6 +358,50 @@ class TestSampleBlocks:
             seed = RngSeed(2**64 - 1, 2**32)
             assert np.array_equal(sample_path(config, n, seed).values,
                                   reference_path(config, n, seed))
+
+
+def spike_moment(f, *times: int) -> float:
+    """``E[f(X_t, X_s, ...)]`` for independent spike terms, over the law the
+    sampler draws from: ``+-t**1.5`` with ``t**-2 / 2`` each, else 0.
+    """
+    half_prob, prob, magnitude = processes._spike_tables(max(times))
+    laws = [
+        [(magnitude[t - 1], half_prob[t - 1]), (-magnitude[t - 1], half_prob[t - 1]),
+         (0.0, 1.0 - prob[t - 1])]
+        for t in times
+    ]
+    return sum(
+        math.prod(q for _, q in outcome) * f(*(v for v, _ in outcome))
+        for outcome in itertools.product(*laws)
+    )
+
+
+class TestSparseSpikeMoments:
+    # The per-index and pairwise moments that
+    # sparse_spike_squared_average_variance sums, read off the sampler's law.
+    def test_first_index_squared_is_constant(self):
+        assert spike_moment(lambda x: x**4, 1) - spike_moment(lambda x: x**2, 1) ** 2 == 0.0
+
+    def test_var_of_square_at_two(self):
+        # Var(X_t^2) = t^4 - t^2
+        var_sq = spike_moment(lambda x: x**4, 2) - spike_moment(lambda x: x**2, 2) ** 2
+        assert var_sq == pytest.approx(12.0, rel=1e-12)
+
+    def test_product_variance(self):
+        # Var(X_t X_s) = t s, a quarter of the cross term Var(2 X_t X_s)
+        mean = spike_moment(lambda x, y: x * y, 2, 3)
+        assert mean == 0.0
+        assert spike_moment(lambda x, y: (x * y) ** 2, 2, 3) == pytest.approx(6.0, rel=1e-12)
+
+    def test_squares_uncorrelated(self):
+        cov = spike_moment(lambda x, y: x * x * y * y, 4, 9) - (
+            spike_moment(lambda x: x * x, 4) * spike_moment(lambda y: y * y, 9)
+        )
+        assert cov == pytest.approx(0.0, abs=1e-12)
+
+    def test_variance_grows_linearly(self):
+        assert spike_moment(lambda x: x, 7) == 0.0
+        assert spike_moment(lambda x: x * x, 7) == pytest.approx(7.0, rel=1e-12)
 
 
 def two_term_enumeration() -> float:
