@@ -39,7 +39,7 @@ from .bounds import chebyshev_bound
 from .estimators import SamplePath, estimate_tau, sample_autocovariance
 from .harness import Check, ExperimentConfig, run_experiment
 from .model import DegenerateSeriesError, effective_sample_size
-from .processes import ProcessConfig, sample_blocks, sample_path
+from .processes import ProcessConfig, _require_in_memory, sample_blocks, sample_path
 
 # ``simulate`` no longer calls ``sample_path``; it stays importable from this
 # module because bench/spans.py wraps it by name.
@@ -164,6 +164,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     process = _process_from_config(doc)
     if args.n < 1:
         raise ConfigError(f"n must be >= 1, got {args.n}")
+    _require_in_memory(args.n, f"--n {args.n}: one path")
     if args.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {args.replicates}")
 
@@ -336,14 +337,14 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateSeriesError as exc:
         print(f"error: degenerate series: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

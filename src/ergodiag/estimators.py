@@ -8,11 +8,16 @@ mean squared error around the target mean ``m_n`` (:func:`ensemble_mse`)
 and the frequency of misses by at least eps (:func:`empirical_tail`).  For
 vector-valued averages: the Euclidean gap to the target means.
 
-Path sums are accumulated sequentially in ascending index order, so the last
-running average equals the full time average bit for bit.  Autocovariances
-at every lag come from one zero-padded FFT (Wiener-Khinchin), O(n log n)
-whatever the number of lags; they agree with the direct lag sums to within
-a few ulps of ``gamma_hat(0)``, not bit for bit.
+A path's total is NumPy's pairwise sum (``np.sum``), the rule the exact
+side uses for ``m_n`` and ``V_n``: its rounding error grows like
+``eps * log(n) * sum|x_t|``, against ``eps * n * sum|x_t|`` for a
+left-to-right sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
+2nd ed., ch. 4).  Only the running averages, which need every prefix, sum
+left to right, so the last of them may differ from the time average in the
+last bits.  Autocovariances at every lag come from one zero-padded FFT
+(Wiener-Khinchin), O(n log n) whatever the number of lags; they agree with
+the direct lag sums to within a few ulps of ``gamma_hat(0)``, not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -91,13 +96,17 @@ class TauEstimate:
 
 
 def time_average(path: SamplePath) -> float:
-    """Arithmetic mean of the path, summed in ascending index order."""
+    """Arithmetic mean of the path: its pairwise ``np.sum`` over ``n``."""
     v = path.values
-    return float(np.cumsum(v)[-1]) / v.size
+    return float(np.sum(v)) / v.size
 
 
 def running_averages(path: SamplePath) -> np.ndarray:
-    """Prefix means ``(A_1, ..., A_n)``; the last equals ``time_average``."""
+    """Prefix means ``(A_1, ..., A_n)``, each prefix summed left to right.
+
+    The last entry is ``time_average`` up to rounding: the two sums add the
+    same values in different orders.
+    """
     v = path.values
     return np.cumsum(v) / np.arange(1, v.size + 1, dtype=float)
 

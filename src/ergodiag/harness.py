@@ -48,8 +48,11 @@ per-length base at index ``2**32 + j``.  Replicates are sampled by
 :func:`~ergodiag.processes.sample_blocks` in blocks sized by element count
 (at most 65 536 values, so short paths share each NumPy call), in work
 units of 1024 replicates spread over the workers, and each block is reduced
-to its rows' time averages, written by replicate index.  The engine picks
-the worker count from the usable CPUs and the path length: threads from
+to its rows' time averages, written by replicate index.  Each row's total is
+NumPy's pairwise sum of that row, the sum
+:func:`~ergodiag.estimators.time_average` takes of a path, so no average
+depends on which rows share a block.  The engine picks the worker count
+from the usable CPUs and the path length: threads from
 n = 1000, where two of them measured faster than one, and one thread below
 (``max_workers`` overrides it).  No result depends on the block size or the
 worker count, so reports are identical for any worker count.
@@ -80,6 +83,7 @@ from .processes import (
     _FAMILIES,
     Family,
     ProcessConfig,
+    _require_in_memory,
     build_spec,
     derive_stream,
     enumerate_squared_average_variance,
@@ -203,6 +207,7 @@ class ExperimentConfig:
                 f"n_grid entries must be <= {max_n} for {self.process.family.value}, "
                 f"got {grid[-1]}"
             )
+        _require_in_memory(grid[-1], f"n_grid entry {grid[-1]}: one path")
         object.__setattr__(self, "n_grid", grid)
         eps = tuple(
             _number(e, "epsilons entry") for e in _sequence(self.epsilons, "epsilons")
@@ -223,6 +228,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"replicates must be >= {minimum} for a Monte Carlo run, got {replicates}"
             )
+        _require_in_memory(replicates, f"replicates = {replicates}: the time averages")
         object.__setattr__(self, "replicates", replicates)
 
     def ordered_checks(self) -> tuple[Check, ...]:
@@ -293,28 +299,15 @@ def _ensemble_averages(
 ) -> np.ndarray:
     """Per-replicate time averages, written by replicate index.
 
-    Each row is summed sequentially in ascending index order, as
-    :func:`~ergodiag.estimators.time_average` sums a path, so the averages
-    are bit for bit the same.  A block of several rows is summed time-major:
-    reducing the ``(n, rows)`` copy along its first axis adds one time step
-    to all the rows' running sums at a time.  Reduced along a contiguous
-    axis, NumPy sums pairwise instead, so ``block.T`` needs the copy, and a
-    lone row, which NumPy would reduce as one contiguous run, keeps
-    ``cumsum``; the ``-0.0`` start keeps an all-``-0.0`` row's sign, as
-    ``cumsum`` does.  Measured on 65 536-value blocks (2-vCPU Xeon), the
-    time-major sum took 0.35x ``cumsum``'s time per value at 65 rows
-    (n = 1000) but 1.2x at 6 rows (n = 10 000) on one thread; on the two
-    threads the engine runs at n = 10 000, summing 6-row blocks time-major
-    still made sampling and reducing the four families 15% faster.
+    Each row of a block is summed along its contiguous axis, which NumPy
+    does pairwise, one row at a time, exactly as ``np.sum`` sums that row
+    alone, so every average is bit for bit
+    :func:`~ergodiag.estimators.time_average` of the replicate's path.
     """
     out = np.empty(replicates, dtype=float)
 
     def reduce(first: int, block: np.ndarray) -> None:
-        if len(block) > 1:
-            sums = np.add.reduce(np.ascontiguousarray(block.T), axis=0, initial=-0.0)
-        else:
-            sums = np.cumsum(block, axis=1)[:, -1]
-        out[first : first + len(block)] = sums / n
+        out[first : first + len(block)] = block.sum(axis=1) / n
 
     sample_blocks(process, n, ensemble_base, replicates, reduce, max_workers=max_workers)
     return out
@@ -381,7 +374,7 @@ class _RunData:
     growth: GrowthReport | None = None
 
 
-def _check_variance_identity(data: _RunData, z: float = _Z_DEFAULT) -> Verdict:
+def _check_variance_identity(data: _RunData) -> Verdict:
     worst = 0.0
     for stats in data.per_n:
         gap = abs(stats.empirical_mse - stats.exact_var_an)
@@ -391,13 +384,15 @@ def _check_variance_identity(data: _RunData, z: float = _Z_DEFAULT) -> Verdict:
                 return Verdict("FAIL", f"n={stats.n}: gap {gap:.6g} with zero MC error")
             continue
         worst = max(worst, gap / se)
-        if gap > z * se:
+        if gap > _Z_DEFAULT * se:
             return Verdict(
                 "FAIL",
                 f"n={stats.n}: |MSE - exact Var(A_n)| = {gap / se:.2f} MC standard "
-                f"errors exceeds {z:g}",
+                f"errors exceeds {_Z_DEFAULT:g}",
             )
-    return Verdict("PASS", f"max deviation {worst:.2f} MC standard errors (<= {z:g})")
+    return Verdict(
+        "PASS", f"max deviation {worst:.2f} MC standard errors (<= {_Z_DEFAULT:g})"
+    )
 
 
 def _check_l2_convergence(data: _RunData) -> Verdict:

@@ -134,8 +134,9 @@ _WORK_UNIT = 1024
 # 1.04x the time at n = 100, 1.5x at n = 1000 and 1.3x at n = 10 000;
 # 262 144-value blocks, the size of the L2, took 1.1x, 1.05x and 0.96x.  The
 # block and its temporaries exceed glibc's mmap threshold, so they are
-# faulted in afresh (up to 11 400 minor faults for 4 x 10 000 paths of
-# n = 1000, against none with 8192-value blocks); those times include it.
+# faulted in afresh: about 3900 minor faults for 4 x 10 000 paths of n = 100
+# or 1000 on one thread, against none with 8192-value blocks.  The times
+# above predate the per-row ``block.sum(axis=1)`` reduction.
 _BLOCK_ELEMENTS = 65536
 # Shortest path sampled on more than one thread by default.  Shorter rows
 # spend their time in per-row Python that holds the interpreter lock: on the
@@ -554,6 +555,19 @@ def _check_length(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return int(n)
+
+
+def _require_in_memory(count: int, what: str) -> None:
+    """Raise ValueError when ``count`` floats exceed the host's physical memory.
+
+    ``what`` names the input at fault and the array it sizes.
+    """
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * count > memory:
+        raise ValueError(
+            f"{what} would take {8 * count} bytes, more than the {memory} bytes of "
+            "physical memory"
+        )
 
 
 def sample_path(config: ProcessConfig, n: int, seed: RngSeed) -> SamplePath:

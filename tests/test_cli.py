@@ -132,6 +132,20 @@ class TestSimulate:
         assert "duplicate key 'process'" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_path_beyond_physical_memory_exits_2_before_sampling(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --n was checked")
+
+        monkeypatch.setattr(cli, "sample_blocks", no_sampling)
+        code, out = self.run_simulate(tmp_path, AR1_DOC, n="1000000000000")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--n 1000000000000" in err and "physical memory" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         code = main(
             [
@@ -594,6 +608,39 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert code == 2
         assert "n_grid" in err and "SPARSE_SPIKES" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        ("experiment", "field"),
+        [
+            ({"n_grid": [10, 10**12]}, "n_grid entry 1000000000000"),
+            ({"n_grid": [10, 2**62]}, "n_grid entry 4611686018427387904"),
+            ({"replicates": 10**12}, "replicates = 1000000000000"),
+        ],
+        ids=["n_grid-1e12", "n_grid-2^62", "replicates-1e12"],
+    )
+    def test_input_beyond_physical_memory_exits_2_before_sampling(
+        self, tmp_path, capsys, monkeypatch, experiment, field
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(harness, "sample_blocks", no_sampling)
+        doc = {**AR1_DOC, "experiment": {"base_seed": 1, **experiment}}
+        code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and "physical memory" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8 TiB")
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        code, out_dir = self.run_experiment_cmd(tmp_path, EXPERIMENT_DOC)
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 8 TiB\n"
         assert not out_dir.exists()
 
     def test_outputs_get_normal_permissions(self, tmp_path):

@@ -53,6 +53,16 @@ class TestTimeAverage:
     def test_symmetric_pair(self):
         assert time_average(path(0.5, -0.5)) == 0.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pairwise_total_is_near_the_exact_mean(self, seed):
+        # A large offset makes every left-to-right partial sum ~1e14, whose
+        # rounding reached 2.9e-6 on these paths; the pairwise total stays
+        # within 20 * eps * max|x| (4.4e-7) of the correctly rounded mean.
+        x = 1e8 + np.random.default_rng(seed).standard_normal(10**6)
+        exact = math.fsum(x) / x.size
+        bound = 20 * np.finfo(float).eps * float(np.max(np.abs(x)))
+        assert abs(time_average(SamplePath(x)) - exact) <= bound
+
 
 class TestRunningAverages:
     def test_prefix_means(self):
@@ -65,10 +75,15 @@ class TestRunningAverages:
         assert running_averages(path(1, -1, 1, -1)).tolist() == [1.0, 0.0, 1 / 3, 0.0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 1000, 2001])
-    def test_last_entry_equals_time_average_exactly(self, n):
+    def test_last_entry_equals_time_average_up_to_rounding(self, n):
+        # time_average is np.sum's pairwise total over n; the last running
+        # average sums left to right, whose worst-case rounding error is
+        # (n - 1) * eps * sum|x_t| on the total, so eps * sum|x_t| on the mean
         rng = np.random.default_rng(n)
         p = SamplePath(rng.standard_normal(n) * rng.uniform(0.1, 100))
-        assert running_averages(p)[-1] == time_average(p)
+        assert time_average(p) == float(np.sum(p.values)) / n
+        gap = abs(running_averages(p)[-1] - time_average(p))
+        assert gap <= np.finfo(float).eps * float(np.sum(np.abs(p.values)))
 
 
 class TestSampleAutocovariance:

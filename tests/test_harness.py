@@ -487,10 +487,10 @@ class TestEnsembleAverages:
         ]
         assert np.array_equal(averages, expected)
 
-    def test_rows_are_summed_left_to_right(self, monkeypatch):
-        # Rows whose pairwise (or otherwise reordered) sums differ from the
-        # left-to-right ones, handed over as blocks of one row, of three rows
-        # and of seventeen rows; the last row is all -0.0.
+    def test_rows_are_summed_pairwise_as_np_sum(self, monkeypatch):
+        # Rows whose left-to-right (or otherwise reordered) sums differ from
+        # np.sum's pairwise ones, handed over as blocks of one row, of three
+        # rows and of seventeen rows; the last row is all -0.0.
         n = 64
         pattern = np.resize([1e16, 1.0, -1e16, 1.0], n)
         rng = np.random.default_rng(3)
@@ -498,10 +498,10 @@ class TestEnsembleAverages:
         rows = np.vstack([pattern, pattern[::-1], wide[:2], pattern, wide[2:],
                           np.full(n, -0.0)])
         starts = [0, 1, 4, len(rows)]
-        expected = np.cumsum(rows, axis=1)[:, -1] / n
+        expected = np.array([np.sum(row) for row in rows]) / n
         for lo, hi in zip(starts, starts[1:]):
-            pairwise = np.add.reduce(rows[lo:hi], axis=1) / n
-            assert pairwise.tobytes() != expected[lo:hi].tobytes()
+            left_to_right = np.cumsum(rows[lo:hi], axis=1)[:, -1] / n
+            assert left_to_right.tobytes() != expected[lo:hi].tobytes()
 
         def crafted_blocks(config, length, base_seed, replicates, consume, *, max_workers):
             assert (length, replicates) == (n, len(rows))
@@ -511,6 +511,8 @@ class TestEnsembleAverages:
         monkeypatch.setattr(harness, "sample_blocks", crafted_blocks)
         averages = _ensemble_averages(ENGINE_CONFIGS["AR1"], n, 1, len(rows), None)
         assert averages.tobytes() == expected.tobytes()
+        # np.sum starts from +0.0, so the all -0.0 row averages to +0.0
+        assert math.copysign(1.0, averages[-1]) == 1.0
 
 
 class TestEnsembleAveragesUnderThreadSwitching:
