@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import chebyshev_bound
 from .estimators import SamplePath, estimate_tau, sample_autocovariance
-from .harness import Check, ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, run_experiment
 from .model import DegenerateSeriesError, effective_sample_size
 from .processes import ProcessConfig, _require_in_memory, sample_blocks, sample_path
 
@@ -114,15 +114,9 @@ def _experiment_from_config(doc: dict, process: ProcessConfig) -> ExperimentConf
     if "base_seed" not in section:
         raise ConfigError("experiment.base_seed is required (seeds are never implicit)")
     kwargs: dict = {"process": process, "base_seed": section["base_seed"]}
-    for key in ("n_grid", "replicates", "epsilons"):
+    for key in ("n_grid", "replicates", "epsilons", "checks"):
         if key in section:
             kwargs[key] = section[key]
-    if "checks" in section:
-        try:
-            kwargs["checks"] = frozenset(Check(c) for c in section["checks"])
-        except (TypeError, ValueError) as exc:
-            valid = [c.value for c in Check]
-            raise ConfigError(f"experiment.checks: {exc}; valid checks: {valid}") from exc
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:

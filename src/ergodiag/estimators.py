@@ -17,7 +17,9 @@ left to right, so the last of them may differ from the time average in the
 last bits.  Autocovariances at every lag come from one zero-padded FFT
 (Wiener-Khinchin), O(n log n) whatever the number of lags; they agree with
 the direct lag sums to within a few ulps of ``gamma_hat(0)``, not bit for
-bit.
+bit.  The padded length is the smallest ``2**a * 3**b * 5**c`` at or above
+``n + max_lag``, the length ``scipy.fft.next_fast_len(..., real=True)``
+gives; it is computed here, so this module imports no scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .model import DegenerateSeriesError
 
@@ -111,6 +112,24 @@ def running_averages(path: SamplePath) -> np.ndarray:
     return np.cumsum(v) / np.arange(1, v.size + 1, dtype=float)
 
 
+def _fft_length(target: int) -> int:
+    """Smallest 5-smooth integer ``2**a * 3**b * 5**c >= target``.
+
+    The length ``scipy.fft.next_fast_len(target, real=True)`` returns, found
+    without importing scipy: for each ``3**b * 5**c`` below the best length
+    so far, the least power-of-two multiple that reaches ``target``.
+    """
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def sample_autocovariance(path: SamplePath, max_lag: int) -> AutocovEstimate:
     """Biased sample autocovariances of one path.
 
@@ -130,7 +149,7 @@ def sample_autocovariance(path: SamplePath, max_lag: int) -> AutocovEstimate:
     n = len(path)
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
-    size = next_fast_len(n + max_lag, real=True)
+    size = _fft_length(n + max_lag)
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = time_average(path)
         d = path.values - xbar

@@ -64,7 +64,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -153,10 +153,14 @@ def default_checks(family: Family) -> frozenset[Check]:
 
 
 def _sequence(values: object, name: str) -> tuple:
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} must be a list, got {values!r}") from None
+    # A string or a mapping iterates over its characters or keys, not over
+    # entries, so neither is taken for a list.
+    if not isinstance(values, (str, bytes, Mapping)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a list, got {values!r}")
 
 
 def _integer(value: object, name: str) -> int:
@@ -220,7 +224,12 @@ class ExperimentConfig:
         if self.checks is None:
             checks = default_checks(self.process.family)
         else:
-            checks = frozenset(Check(c) for c in self.checks)
+            names = _sequence(self.checks, "checks")
+            try:
+                checks = frozenset(Check(c) for c in names)
+            except ValueError as exc:
+                valid = [c.value for c in Check]
+                raise ValueError(f"checks: {exc}; valid checks: {valid}") from None
         object.__setattr__(self, "checks", checks)
         replicates = _integer(self.replicates, "replicates")
         minimum = 100 if checks else 2

@@ -86,6 +86,12 @@ share each NumPy call; larger blocks were not faster at short lengths.  By
 default paths of 1000 or more steps are sampled on one thread per usable
 CPU and shorter ones on one thread, because their per-row Python holds the
 interpreter lock.  Both numbers were measured; see their constants.
+
+scipy is needed only for AR1's filter, ``scipy.signal.lfilter``, and
+importing scipy.signal takes most of the package's start-up.  So this module
+does not import it: building an AR1 sampler does, on the calling thread,
+before any block is drawn, and :func:`lfilter` looks it up at each call.
+The other three families never load scipy.
 """
 
 from __future__ import annotations
@@ -101,7 +107,6 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .estimators import SamplePath
 from .model import ProcessSpec, StationaryCov
@@ -129,19 +134,23 @@ _MIX2 = 0x94D049BB133111EB
 _WORK_UNIT = 1024
 # Values per block (512 KiB); paths longer than this take one row per block.
 # Each transform and reduction call covers more rows (6 at n = 10 000, where
-# 8192-value blocks held 1).  Sampling and reducing the four families at
-# 10 000 replicates (2-vCPU Xeon, 2 MiB L2 per core), 8192-value blocks took
-# 1.04x the time at n = 100, 1.5x at n = 1000 and 1.3x at n = 10 000;
-# 262 144-value blocks, the size of the L2, took 1.1x, 1.05x and 0.96x.  The
-# block and its temporaries exceed glibc's mmap threshold, so they are
-# faulted in afresh: about 3900 minor faults for 4 x 10 000 paths of n = 100
-# or 1000 on one thread, against none with 8192-value blocks.  The times
-# above predate the per-row ``block.sum(axis=1)`` reduction.
+# 8192-value blocks held 1).  Sampling and reducing (``block.sum(axis=1)``)
+# the four families at 10 000 replicates, n = 100, 300, 1000, 3000 and
+# 10 000 (2-vCPU Xeon, 2 MiB L2 per core; medians of 7 alternating
+# repeats), 8192-value blocks took 1.06-1.13x the time on one thread and
+# 1.14-1.55x on two; 262 144-value blocks, the size of the L2, took
+# 0.99-1.15x and 0.97-1.07x.  In a fresh process the block and its
+# temporaries lie above glibc's mmap threshold, so they are faulted in
+# afresh: about 3900-4100 minor faults for 4 x 10 000 paths of n = 100, 1000
+# or 10 000 on one thread, against 160-220 with 8192-value blocks.  The
+# times above were taken in one process, where freed larger blocks had
+# raised glibc's dynamic threshold, so they do not include these faults.
 _BLOCK_ELEMENTS = 65536
 # Shortest path sampled on more than one thread by default.  Shorter rows
-# spend their time in per-row Python that holds the interpreter lock: on the
-# same host two threads ran at 0.7x the speed of one at n = 100, 0.95-1.05x
-# at n = 300-600 and 1.2-1.4x at n = 1000.
+# spend their time in per-row Python that holds the interpreter lock.
+# Measured as above, two threads took 1.28-1.60x the time of one at n = 100,
+# 1.27-1.50x at n = 300, 0.74-0.81x at n = 1000 (1.16x for SPARSE_SPIKES,
+# 0.84x for the four together) and 0.53-0.61x at n = 10 000.
 _THREADED_LENGTH = 1000
 
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -152,6 +161,14 @@ _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SS_POOL = 4
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def lfilter(*args, **kwargs):
+    """``scipy.signal.lfilter``, looked up at each call, so that importing
+    this module does not import scipy (see the module docstring)."""
+    from scipy.signal import lfilter
+
+    return lfilter(*args, **kwargs)
 
 
 def derive_stream(base_seed: int, index: int) -> int:
@@ -342,6 +359,10 @@ class _AR1(_Definition):
         return p["gamma0"] * p["phi"] ** np.abs(np.asarray(h))
 
     def draw(self, p: dict, n: int) -> Callable:
+        # Import the filter here, on the thread that builds the sampler, so
+        # that the threads drawing blocks only look it up.
+        import scipy.signal  # noqa: F401
+
         phi, gamma0 = p["phi"], p["gamma0"]
         x1_scale = math.sqrt(gamma0)
         innov_scale = math.sqrt(gamma0 * (1.0 - phi * phi))

@@ -508,6 +508,27 @@ class TestExperiment:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("checks", "WLLN"),
+            ("n_grid", "100"),
+            ("epsilons", "0.1"),
+            ("checks", {"WLLN": 0}),
+            ("n_grid", {"10": 1}),
+        ],
+    )
+    def test_list_field_given_a_string_or_object_exits_2(
+        self, tmp_path, capsys, field, value
+    ):
+        # A string or object iterates over characters or keys; neither is a list.
+        doc = {**SPIKE_DOC, "experiment": {"base_seed": 1, "replicates": 200, field: value}}
+        code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{field} must be a list, got {value!r}" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "process",
         [
             {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1e300}},

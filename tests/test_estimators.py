@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from ergodiag import (
     time_average,
     vector_norm_gap,
 )
+from ergodiag.estimators import _fft_length
 from ergodiag.harness import _ensemble_averages
 from ergodiag.processes import RngSeed
 
@@ -84,6 +86,17 @@ class TestRunningAverages:
         assert time_average(p) == float(np.sum(p.values)) / n
         gap = abs(running_averages(p)[-1] - time_average(p))
         assert gap <= np.finfo(float).eps * float(np.sum(np.abs(p.values)))
+
+
+class TestFftLength:
+    def test_equals_scipy_next_fast_len_for_real_transforms(self):
+        from scipy.fft import next_fast_len
+
+        rng = random.Random(20)
+        targets = list(range(1, 2**17 + 1))
+        targets += [rng.randrange(1, 2**40 + 1) for _ in range(10_000)]
+        ours = [_fft_length(t) for t in targets]
+        assert ours == [next_fast_len(t, real=True) for t in targets]
 
 
 class TestSampleAutocovariance:

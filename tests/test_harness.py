@@ -92,6 +92,21 @@ class TestExperimentConfig:
                 replicates=2, checks=NO_CHECKS,
             )
 
+    @pytest.mark.parametrize("field", ["n_grid", "epsilons", "checks"])
+    def test_list_fields_reject_strings_and_mappings(self, ar1_config, field):
+        for value in ("WLLN", b"10", {"WLLN": 0}):
+            with pytest.raises(ValueError, match=f"{field} must be a list"):
+                ExperimentConfig(process=ar1_config, base_seed=0, **{field: value})
+
+    def test_list_fields_take_any_other_iterable(self, ar1_config):
+        config = ExperimentConfig(
+            process=ar1_config, base_seed=0, n_grid=range(10, 40, 10),
+            epsilons=np.array([0.5, 0.25]), checks=(c for c in ["WLLN"]),
+        )
+        assert config.n_grid == (10, 20, 30)
+        assert config.epsilons == (0.5, 0.25)
+        assert config.checks == {Check.WLLN}
+
     def test_rejects_unknown_check_name(self, ar1_config):
         with pytest.raises(ValueError):
             ExperimentConfig(process=ar1_config, base_seed=0, checks={"BOGUS"})
