@@ -29,10 +29,11 @@ Checks
     Every tail frequency sits below its Chebyshev bound and above its
     Paley-Zygmund bound (where applicable), within Monte Carlo noise.
 ``FOURTH_MOMENT``
-    Sparse-spike only: the closed-form ``Var(A_n^2)`` matches exhaustive
-    enumeration at small ``n``, the ratio ``Var(A_n^2) / Var(A_n)^2``
-    diverges, and tails keep shrinking while the exact variance does not --
-    convergence in probability without mean square convergence.
+    Sparse-spike only: tails keep shrinking while the exact variance does
+    not -- convergence in probability without mean square convergence.  The
+    closed-form ``Var(A_n^2)`` behind it depends on no run, so the tests,
+    not the check, pin it against exhaustive enumeration and check that
+    ``Var(A_n^2) / Var(A_n)^2`` diverges.
 ``VECTOR``
     The mean squared Euclidean gap of a 3-coordinate process with
     independent copies per coordinate matches the sum of per-coordinate
@@ -93,8 +94,10 @@ from .processes import (
     worker_count,
 )
 
-# Sampling no longer calls ``sample_path`` or ``time_average``; both stay
-# importable from this module because bench/spans.py wraps them by name.
+# Nothing here calls ``sample_path``, ``time_average``,
+# ``enumerate_squared_average_variance`` or
+# ``sparse_spike_squared_average_variance`` any more; they stay importable
+# from this module because bench/spans.py wraps them by name.
 
 __all__ = [
     "Check",
@@ -517,45 +520,11 @@ def _check_bounds(data: _RunData) -> Verdict:
     return Verdict("PASS", "all tails sit inside their bound sandwich")
 
 
-def _fourth_moment_exact_legs() -> str | None:
-    """Exact-arithmetic legs of the fourth-moment check; None when they hold.
-
-    The closed-form ``Var(A_n^2)`` must match exhaustive enumeration for
-    n = 1..6, and ``Var(A_n^2) / Var(A_n)^2`` must increase over n = 10, 25,
-    50, 100 and exceed 10 at n = 100.
-    """
-    for n in range(1, 7):
-        formula = sparse_spike_squared_average_variance(n)
-        brute = enumerate_squared_average_variance(n)
-        scale = max(abs(brute), 1.0)
-        if abs(formula - brute) > 1e-12 * scale:
-            return (
-                f"closed form Var(A_n^2) = {formula!r} disagrees with enumeration "
-                f"{brute!r} at n={n}"
-            )
-    ratio_grid = (10, 25, 50, 100)
-    ratios = []
-    for n in ratio_grid:
-        var_an = (n + 1) / (2.0 * n)  # exact Var(A_n) for the spike family
-        ratios.append(sparse_spike_squared_average_variance(n) / (var_an * var_an))
-    if any(b <= a for a, b in zip(ratios, ratios[1:])):
-        return f"Var(A_n^2) / Var(A_n)^2 is not increasing over {ratio_grid}"
-    if ratios[-1] <= 10.0:
-        return (
-            f"Var(A_n^2) / Var(A_n)^2 = {ratios[-1]:.3g} at n={ratio_grid[-1]}, "
-            "expected > 10"
-        )
-    return None
-
-
 def _check_fourth_moment(data: _RunData) -> Verdict:
     if data.config.process.family is not Family.SPARSE_SPIKES:
         return Verdict("SKIPPED", "only meaningful for the SPARSE_SPIKES family")
     if len(data.per_n) < 2:
         return Verdict("SKIPPED", "needs at least 2 grid points to see a trend")
-    problem = _fourth_moment_exact_legs()
-    if problem is not None:
-        return Verdict("FAIL", problem)
 
     eps = 0.1
     tails = [empirical_tail(a, m, eps) for a, m in zip(data.averages, data.means)]

@@ -87,11 +87,28 @@ default paths of 1000 or more steps are sampled on one thread per usable
 CPU and shorter ones on one thread, because their per-row Python holds the
 interpreter lock.  Both numbers were measured; see their constants.
 
-scipy is needed only for AR1's filter, ``scipy.signal.lfilter``, and
-importing scipy.signal takes most of the package's start-up.  So this module
-does not import it: building an AR1 sampler does, on the calling thread,
-before any block is drawn, and :func:`lfilter` looks it up at each call.
-The other three families never load scipy.
+The AR1 filter
+--------------
+AR1's recursion ``y_t = phi * y_{t-1} + e_t`` is a first-order linear scan,
+which :func:`lfilter` runs in place on the whole block with NumPy alone, so
+no family needs scipy.  Each row is cut into segments of ``L`` steps.  The
+local recursion of every segment, started from zero, runs for all segments
+of all rows at once, one step per NumPy call, on a transposed copy of the
+block.  The segment ends are then turned into the true ends by doubling
+(Hillis-Steele) with coefficient ``phi**L``, ``phi**(2L)``, ... .  One
+fix-up pass adds ``phi**(j+1)`` times the previous segment's end to step
+``j`` of each segment.  Two rules keep every row bit for bit the path
+:func:`sample_path` draws:
+
+* ``L`` depends on ``n`` only (``min(10, n)``), never on the rows, block
+  size or worker count, so a row goes through the same operations in every
+  block;
+* the scan uses only elementwise float64 multiplications and additions, and
+  the powers of ``phi`` are double-double products rounded once (Dekker
+  1971), so no bit depends on the CPU, libm or the BLAS build.
+
+The result agrees with the sequential recursion to a few units in the last
+place of ``max|y|``, not bit for bit.
 """
 
 from __future__ import annotations
@@ -148,9 +165,11 @@ _WORK_UNIT = 1024
 _BLOCK_ELEMENTS = 65536
 # Shortest path sampled on more than one thread by default.  Shorter rows
 # spend their time in per-row Python that holds the interpreter lock.
-# Measured as above, two threads took 1.28-1.60x the time of one at n = 100,
-# 1.27-1.50x at n = 300, 0.74-0.81x at n = 1000 (1.16x for SPARSE_SPIKES,
-# 0.84x for the four together) and 0.53-0.61x at n = 10 000.
+# Measured as above, two threads took 1.28-1.60x the time of one at n = 100.
+# Measured again with the AR1 scan and flat spike indices, they took
+# 1.04-2.01x at n = 300, 0.75-0.83x at n = 1000 (1.15x for SPARSE_SPIKES),
+# 0.59-0.68x at n = 3000 (1.03x for SPARSE_SPIKES) and 0.54-0.72x at
+# n = 10 000.
 _THREADED_LENGTH = 1000
 
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -163,12 +182,93 @@ _SS_POOL = 4
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def lfilter(*args, **kwargs):
-    """``scipy.signal.lfilter``, looked up at each call, so that importing
-    this module does not import scipy (see the module docstring)."""
-    from scipy.signal import lfilter
+# Steps per segment of the AR1 scan.  On the engine's blocks ((rows, n) =
+# (655, 100), (65, 1000), (6, 10 000)) and on one 2e5-step row, the scan took
+# 0.59-0.89x the time per value of scipy.signal.lfilter (medians of 300
+# interleaved calls, 2-vCPU Xeon).  In the same kind of run 8, 12, 16 and 24
+# were slower than 10 on these shapes, by up to 2.1x, because their
+# transposed copies are slower; 20 was within 10% of 10 on them but took
+# 2.7x its time at n = 30, which it pads to 40.
+_SCAN_SEGMENT = 10
+# 2**27 + 1: Veltkamp's splitting constant for float64.
+_SPLIT = np.float64(134217729.0)
 
-    return lfilter(*args, **kwargs)
+
+def _dd_mul(x: tuple, y: tuple) -> tuple:
+    """Product of two double-double numbers ``(hi, lo)``, with Dekker's exact
+    product of the high parts: float64 multiplications and additions only."""
+    (xh, xl), (yh, yl) = x, y
+    p = xh * yh
+    cx, cy = _SPLIT * xh, _SPLIT * yh
+    xh_hi, yh_hi = cx - (cx - xh), cy - (cy - yh)
+    xh_lo, yh_lo = xh - xh_hi, yh - yh_hi
+    e = ((xh_hi * yh_hi - p) + xh_hi * yh_lo + xh_lo * yh_hi) + xh_lo * yh_lo
+    e = e + (xh * yl + xl * yh)
+    hi = p + e
+    return hi, e - (hi - p)
+
+
+@lru_cache(maxsize=8)
+def _scan_powers(phi: float, n: int) -> tuple[np.ndarray, tuple[np.float64, ...]]:
+    """``phi**1 .. phi**L`` and the doubling coefficients ``phi**(L * 2**k)``
+    of a length-``n`` scan, each a double-double product rounded once."""
+    length = min(_SCAN_SEGMENT, n)
+    base = (np.float64(phi), np.float64(0.0))
+    power, powers = base, [base[0]]
+    for _ in range(length - 1):
+        power = _dd_mul(power, base)
+        powers.append(power[0])
+    segments, doubling, shift = -(-n // length), [], 1
+    while shift < segments - 1:
+        doubling.append(power[0])
+        power = _dd_mul(power, power)
+        shift *= 2
+    table = np.array(powers)
+    table.flags.writeable = False  # the cache hands it to every thread
+    return table, tuple(doubling)
+
+
+def lfilter(block: np.ndarray, phi: float) -> None:
+    """Run ``block[:, t] = phi * block[:, t-1] + block[:, t]`` for ``t >= 1``
+    on every row, in place, as the blocked scan of the module docstring."""
+    rows, n = block.shape
+    if n == 1:
+        return
+    powers, doubling = _scan_powers(phi, n)
+    length = len(powers)
+    segments = -(-n // length)
+    cells = rows * segments
+    # padded[i, s * L + j] is step j of segment s of row i; scan[j, i * S + s]
+    # holds the same value, so each step of the recursion is one row of scan.
+    padded = block
+    if segments * length != n or not block.flags.c_contiguous:
+        padded = np.zeros((rows, segments * length))
+        padded[:, :n] = block
+    scan = padded.reshape(cells, length).T.copy()
+    step = np.empty(cells)
+    for j in range(1, length):
+        np.multiply(scan[j - 1], phi, out=step)
+        np.add(scan[j], step, out=scan[j])
+    if segments > 1:
+        # carry[s, i]: the local end of segment s - 1 of row i (0 for s = 0),
+        # which the doubling turns into the true end in place.
+        carry = np.empty((segments, rows))
+        carry[0] = 0.0
+        carry[1:] = scan[-1].reshape(rows, segments)[:, :-1].T
+        ends = carry[1:].reshape(-1)
+        shifted = np.empty_like(ends)
+        shift = rows
+        for coefficient in doubling:
+            np.multiply(ends[:-shift], coefficient, out=shifted[:-shift])
+            np.add(ends[shift:], shifted[:-shift], out=ends[shift:])
+            shift *= 2
+        carry = np.ascontiguousarray(carry.T).reshape(cells)
+        for j in range(length):
+            np.multiply(carry, powers[j], out=step)
+            np.add(scan[j], step, out=scan[j])
+    padded.reshape(cells, length)[...] = scan.T
+    if padded is not block:
+        block[...] = padded[:, :n]
 
 
 def derive_stream(base_seed: int, index: int) -> int:
@@ -359,10 +459,6 @@ class _AR1(_Definition):
         return p["gamma0"] * p["phi"] ** np.abs(np.asarray(h))
 
     def draw(self, p: dict, n: int) -> Callable:
-        # Import the filter here, on the thread that builds the sampler, so
-        # that the threads drawing blocks only look it up.
-        import scipy.signal  # noqa: F401
-
         phi, gamma0 = p["phi"], p["gamma0"]
         x1_scale = math.sqrt(gamma0)
         innov_scale = math.sqrt(gamma0 * (1.0 - phi * phi))
@@ -371,12 +467,9 @@ class _AR1(_Definition):
             for row, rng in zip(block, rngs):
                 rng.standard_normal(out=row)
             x1 = x1_scale * block[:, 0]
-            if n > 1:
-                block[:, 1:], _ = lfilter(
-                    [1.0], [1.0, -phi], innov_scale * block[:, 1:], axis=1,
-                    zi=(phi * x1)[:, None],
-                )
+            block *= innov_scale
             block[:, 0] = x1
+            lfilter(block, phi)
 
         return draw
 
@@ -407,10 +500,12 @@ class _SparseSpikes(_Definition):
                 rng.random(out=row)
             # A row has about sum(t**-2) < 1.65 steps below p: scatter their
             # signed magnitudes into zeros, the same partition as above.
-            rows, t = np.nonzero(block < prob)
-            u = block[rows, t]
+            # flatnonzero and t = index % n: about 4x faster than 2-d nonzero.
+            hits = np.flatnonzero(block < prob)
+            t = hits % n
+            u = block.flat[hits]
             block.fill(0.0)
-            block[rows, t] = np.where(u < half_prob[t], magnitude[t], -magnitude[t])
+            block.flat[hits] = np.where(u < half_prob[t], magnitude[t], -magnitude[t])
 
         return draw
 

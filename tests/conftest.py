@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
 from ergodiag import Family, ProcessConfig, ProcessSpec, RngSeed, StationaryCov
-from ergodiag.processes import sample_blocks
+from ergodiag.processes import lfilter, sample_blocks
 
 
 @pytest.fixture
@@ -46,19 +45,21 @@ def white_noise_spec(variance: float = 1.0) -> ProcessSpec:
 
 def reference_path(config: ProcessConfig, n: int, seed: RngSeed) -> np.ndarray:
     """One path drawn on its own: a fresh ``seed.generator()``, scalar draws
-    for the AR1 start and the common shock, and a 1-d ``lfilter`` for AR1.
-    The block engine's rows must equal it bit for bit.
+    for the AR1 start and the common shock, and for AR1 the package's
+    :func:`~ergodiag.processes.lfilter` on that one row.  The filter is
+    checked against scipy and a Python loop in ``test_processes``; here it
+    pins stream order and blocking: the block engine's rows must equal this
+    path bit for bit.
     """
     rng = seed.generator()
     p = config.params
     if config.family is Family.AR1:
         phi, gamma0 = p["phi"], p["gamma0"]
         x1 = math.sqrt(gamma0) * rng.standard_normal()
-        if n == 1:
-            return np.asarray([x1])
         innov = math.sqrt(gamma0 * (1.0 - phi * phi)) * rng.standard_normal(n - 1)
-        rest, _ = lfilter([1.0], [1.0, -phi], innov, zi=np.asarray([phi * x1]))
-        return np.concatenate(([x1], rest))
+        path = np.concatenate(([x1], innov))[None, :]
+        lfilter(path, phi)
+        return path[0]
     t = np.arange(1, n + 1, dtype=float)
     if config.family is Family.SPARSE_SPIKES:
         prob, magnitude = t**-2.0, t**1.5

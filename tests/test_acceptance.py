@@ -155,9 +155,12 @@ def test_c06_fourth_moment_oracle():
         assert formula == pytest.approx(brute, rel=1e-12, abs=1e-12)
     assert sparse_spike_squared_average_variance(2) == 1.25
 
-    n = 100
-    var_an = (n + 1) / (2.0 * n)
-    ratio = sparse_spike_squared_average_variance(n) / var_an**2
+    ratios = []
+    for n in (10, 25, 50, 100):
+        var_an = (n + 1) / (2.0 * n)  # exact Var(A_n) of the spike family
+        ratios.append(sparse_spike_squared_average_variance(n) / var_an**2)
+    assert all(b > a for a, b in zip(ratios, ratios[1:]))
+    ratio = ratios[-1]
     assert ratio > 10.0
     print(f"\n[criterion 6] PASS: enumeration agrees to 1e-12; ratio(100) = {ratio:.1f}")
 

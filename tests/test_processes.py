@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter as scipy_lfilter
 
 from conftest import ENGINE_CONFIGS, reference_path, sample_rows
 from ergodiag import (
@@ -245,6 +246,52 @@ class TestStreamStates:
             _stream_states(2**64, 0, 1)
         with pytest.raises(ValueError):
             _stream_states(0, 2**64 - 1, 2)
+
+
+SEGMENT = processes._SCAN_SEGMENT
+FILTER_LENGTHS = [1, 2, SEGMENT, SEGMENT + 1, 2 * SEGMENT + 1, 100, 1000, 10_000, 200_000]
+
+
+def loop_filter(x: np.ndarray, phi: float) -> np.ndarray:
+    """The AR(1) recursion one step at a time, in Python floats."""
+    y = x.tolist()
+    for t in range(1, len(y)):
+        y[t] = phi * y[t - 1] + y[t]
+    return np.array(y)
+
+
+class TestAr1Filter:
+    @pytest.mark.parametrize("n", FILTER_LENGTHS)
+    @pytest.mark.parametrize("phi", [-0.999, -0.7, 0.0, 0.5, 0.999])
+    def test_matches_scipy_and_a_python_loop(self, phi, n):
+        x = np.random.default_rng(n).standard_normal((3, n))
+        y = x.copy()
+        processes.lfilter(y, phi)
+        for expected in (scipy_lfilter([1.0], [1.0, -phi], x, axis=1),
+                         loop_filter(x[-1], phi)[None, :]):
+            rows = len(expected)
+            gap = np.abs(y[-rows:] - expected).max(axis=1)
+            assert (gap <= 1e-14 * np.abs(expected).max(axis=1)).all()
+        # Each row gets the bits it gets alone, also from a strided view.
+        for i in range(3):
+            alone = x[i : i + 1].copy()
+            processes.lfilter(alone, phi)
+            assert np.array_equal(alone[0], y[i])
+        wide = np.zeros((3, n + 1))
+        wide[:, :n] = x
+        processes.lfilter(wide[:, :n], phi)
+        assert np.array_equal(wide[:, :n], y)
+
+    @pytest.mark.parametrize("phi", [-0.9999, -0.7, 0.0, 0.123456789, 0.5, 0.999])
+    def test_powers_are_correctly_rounded_and_read_only(self, phi):
+        powers, doubling = processes._scan_powers(phi, 10**6)
+        exact = Fraction(phi)
+        assert powers.tolist() == [float(exact**k) for k in range(1, SEGMENT + 1)]
+        assert [float(p) for p in doubling[:8]] == [
+            float(exact ** (SEGMENT * 2**k)) for k in range(8)
+        ]
+        with pytest.raises(ValueError, match="read-only"):
+            powers[0] = 1.0
 
 
 BLOCK = processes._BLOCK_ELEMENTS

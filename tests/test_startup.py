@@ -1,9 +1,9 @@
-"""scipy stays out of every run that does not sample AR1.
+"""No run of ergodiag loads scipy.
 
-Importing scipy.signal takes most of the package's start-up, and only the AR1
-filter needs it, so it is imported when an AR1 sampler is built.  The test
-process itself has scipy loaded (``conftest`` imports it), so each check runs
-in a fresh interpreter.
+Importing scipy.signal took most of the package's start-up, and scipy is a
+test dependency only (the reference for the AR1 filter and the FFT length).
+The test process itself has scipy loaded (``test_processes`` imports it), so
+each check runs in a fresh interpreter.
 """
 
 import json
@@ -52,22 +52,28 @@ print(json.dumps(stages))
     assert stages == [[], [], []]
 
 
-def test_building_an_ar1_sampler_loads_scipy_signal_before_any_draw():
+def test_ar1_sampler_experiment_and_simulate_load_no_scipy(tmp_path):
+    process = {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1.0}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "process": process,
+        "experiment": {"base_seed": 3, "n_grid": [10, 100], "replicates": 200,
+                       "epsilons": [0.5]},
+    }))
     code = f"""
 import json, sys
+import numpy as np
+import ergodiag.cli
 from ergodiag.processes import Family, ProcessConfig, _block_sampler
-others = [
-    ProcessConfig(Family.SPARSE_SPIKES),
-    ProcessConfig(Family.COMMON_SHOCK, {{"sigma_z": 1.0, "sigma_eps": 1.0}}),
-    ProcessConfig(Family.DRIFTING_MEAN, {{"trend": {{"kind": "LINEAR", "a": 0, "b": 1}},
-                                        "noise_sd": 1.0}}),
-]
-for config in others:
-    _block_sampler(config, 100)
-before = {LOADED}
-_block_sampler(ProcessConfig(Family.AR1, {{"phi": 0.5, "gamma0": 1.0}}), 100)
-print(json.dumps([before, "scipy.signal" in sys.modules]))
+sample = _block_sampler(ProcessConfig(Family.AR1, {{"phi": 0.5, "gamma0": 1.0}}), 100)
+sample([np.random.default_rng(0)], np.empty((1, 100)))
+stages = [{LOADED}]
+assert ergodiag.cli.main(["experiment", "--config", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+stages.append({LOADED})
+assert ergodiag.cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[3],
+                          "--seed", "5", "--n", "50", "--replicates", "3"]) == 0
+stages.append({LOADED})
+print(json.dumps(stages))
 """
-    before, signal_loaded = run_fresh(code)
-    assert before == []
-    assert signal_loaded
+    stages = run_fresh(code, str(config), str(tmp_path / "out"), str(tmp_path / "paths.csv"))
+    assert stages == [[], [], []]
