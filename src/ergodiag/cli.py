@@ -8,7 +8,8 @@ Subcommands
     so values round-trip exactly).
 ``analyze --input F [--max-lag INT] [--window-c REAL] [--target-mean REAL]``
     Estimate autocovariances, correlation time, effective sample size, and
-    Chebyshev bounds from a single observed path; JSON on stdout.
+    Chebyshev bounds from a single observed path; JSON on stdout, with
+    ``tau_floored`` only when the correlation time was floored.
 ``experiment --config F --out-dir D``
     Run the Monte Carlo verification harness and write ``report.json`` plus
     the plot-ready ``curves.csv``.
@@ -254,6 +255,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             repr(eps): chebyshev_bound(var_an_estimate, eps) for eps in _ANALYZE_EPSILONS
         },
     }
+    if tau.floored:
+        result["tau_floored"] = True
     if args.target_mean is not None:
         result["gap"] = abs(acov.mean_used - args.target_mean)
     print(json.dumps(result, indent=2, allow_nan=False))

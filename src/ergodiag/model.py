@@ -23,10 +23,12 @@ the structure the spec declares:
 * double sum -- any other spec is summed over all ``n x n`` pairs, O(n^2).
   ``method="double"`` forces it, as the cross-check for the other two.
 
-Mean and covariance callables are expected to broadcast over numpy integer
-arrays and return the broadcast shape; a wrong shape raises ``ValueError``.
-Plain scalar callables, which raise ``TypeError`` or ``ValueError`` on
-arrays, are accepted and evaluated one element at a time.
+Every mean, covariance and ``gamma`` callable is called once per block of
+indices, with numpy integer arrays, and must return floats of their
+broadcast shape; a wrong shape raises ``ValueError`` and an exception from
+the callable propagates unchanged.  A function written for scalars works
+once wrapped as ``np.vectorize(fn, otypes=[float])``, at the cost of one
+Python call per element.
 """
 
 from __future__ import annotations
@@ -90,19 +92,11 @@ NON_SUMMABLE = NonSummable()
 class StationaryCov:
     """Autocovariance of a weakly stationary sequence, as a function of lag.
 
-    Parameters
-    ----------
-    gamma:
-        Callable mapping a non-negative integer lag (or array of lags) to the
-        autocovariance at that lag.  Must satisfy ``gamma(0) >= 0`` and
-        ``|gamma(h)| <= gamma(0)``.
-    max_meaningful_lag:
-        Largest lag at which ``gamma`` may be nonzero, or ``None`` when the
-        autocovariance has unbounded support.  Used only to truncate sums.
+    ``gamma`` maps an array of non-negative integer lags to the
+    autocovariances at those lags, with ``|gamma(h)| <= gamma(0)``.
     """
 
     gamma: Callable[..., object]
-    max_meaningful_lag: int | None = None
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,10 @@ class ProcessSpec:
     """First- and second-moment description of a real-valued sequence.
 
     ``mean_fn(t)`` returns ``E[X_t]`` and ``cov_fn(t, s)`` returns
-    ``Cov(X_t, X_s)`` for 1-based indices.  ``cov_fn`` must be symmetric in
-    its arguments with non-negative diagonal.  When the sequence is weakly
+    ``Cov(X_t, X_s)`` for 1-based indices, each called with integer arrays
+    and returning floats of their broadcast shape (wrap a scalar function
+    in ``np.vectorize(fn, otypes=[float])``).  ``cov_fn`` must be symmetric
+    in its arguments with non-negative diagonal.  When the sequence is weakly
     stationary, ``stationary`` carries the lag form of the covariance and
     must agree with ``cov_fn(t, s) == stationary.gamma(|t - s|)``.
 
@@ -124,7 +120,6 @@ class ProcessSpec:
     mean_fn: Callable[..., object]
     cov_fn: Callable[..., object]
     stationary: StationaryCov | None = None
-    label: str = ""
     diagonal: bool = False
 
 
@@ -185,32 +180,18 @@ def _check_n(n: int) -> int:
 
 
 def _eval_elementwise(fn: Callable, *index_arrays: np.ndarray) -> np.ndarray:
-    """Evaluate ``fn`` on broadcast index arrays, scalar fallback included.
+    """Call ``fn`` once; its result as floats of the arrays' broadcast shape.
 
-    ``fn`` is called once on the arrays.  Only a ``TypeError`` or
-    ``ValueError`` from that call, which is what a scalar-only callable
-    raises on arrays, sends it to one call per element.  A result of the
-    wrong shape raises ``ValueError``, except a single value for a single
-    index, which is what a scalar callable returns there.
+    Exceptions from ``fn`` propagate; a result of another shape raises
+    ``ValueError``.
     """
     shape = np.broadcast_shapes(*(a.shape for a in index_arrays))
-    try:
-        result = fn(*index_arrays)
-    except (TypeError, ValueError):
-        pass
-    else:
-        out = np.asarray(result, dtype=float)
-        if out.shape == shape or (out.size == 1 and math.prod(shape) == 1):
-            return out.reshape(shape)
+    out = np.asarray(fn(*index_arrays), dtype=float)
+    if out.shape != shape:
         raise ValueError(
             f"callable returned shape {out.shape} for index arrays of shape {shape}"
         )
-    broadcast = np.broadcast_arrays(*index_arrays)
-    flat = [
-        float(fn(*(int(a.flat[i]) for a in broadcast)))
-        for i in range(broadcast[0].size)
-    ]
-    return np.asarray(flat, dtype=float).reshape(shape)
+    return out
 
 
 def mean_average(spec: ProcessSpec, n: int) -> float:
@@ -228,12 +209,9 @@ def mean_average(spec: ProcessSpec, n: int) -> float:
 def _lag_decomposition_sum(stationary: StationaryCov, n: int) -> float:
     """``V_n`` for a stationary covariance: ``n*g(0) + 2*sum (n-h)*g(h)``."""
     g0 = float(_eval_elementwise(stationary.gamma, np.asarray([0]))[0])
-    h_top = n - 1
-    if stationary.max_meaningful_lag is not None:
-        h_top = min(h_top, stationary.max_meaningful_lag)
-    if h_top < 1:
-        return n * g0
-    h = np.arange(1, h_top + 1, dtype=np.int64)
+    if n == 1:
+        return g0
+    h = np.arange(1, n, dtype=np.int64)
     g = _eval_elementwise(stationary.gamma, h)
     return n * g0 + 2.0 * float(np.sum((n - h) * g))
 
@@ -241,36 +219,24 @@ def _lag_decomposition_sum(stationary: StationaryCov, n: int) -> float:
 def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
     """Double sum of covariances ``V_n = sum_{t,s <= n} Cov(X_t, X_s)``.
 
-    Parameters
-    ----------
-    spec:
-        Process model supplying the covariance function.
-    n:
-        Number of leading terms included.
-    method:
-        ``"double"`` evaluates the full ``n x n`` double sum (ascending rows,
-        pairwise summation within each row, then pairwise over the row
-        sums), O(n^2).  ``"lags"`` uses the stationary lag decomposition
-        ``n*gamma(0) + 2*sum_h (n-h)*gamma(h)`` and requires
-        ``spec.stationary``; it agrees with ``"double"`` to ~1e-9 relative
-        for any valid stationary spec.  ``"auto"`` picks ``"lags"`` for a
-        stationary spec; else, for a spec declared ``diagonal``, it sums
-        ``cov_fn(t, t)`` over ``t = 1..n``, O(n) -- each row sum of
-        ``"double"`` is then its diagonal term plus exact zeros, so the two
-        return the same float; else it runs ``"double"``.
+    ``method="auto"`` (the default) takes the route the spec declares (see
+    the module docstring): the stationary lag decomposition, which agrees
+    with ``"double"`` to ~1e-9 relative for any valid stationary spec; the
+    sum of ``cov_fn(t, t)`` for a ``diagonal`` spec, the same float as
+    ``"double"`` because each of its row sums is the diagonal term plus
+    exact zeros; else ``"double"``.  ``method="double"`` evaluates all
+    ``n x n`` covariances (ascending rows, pairwise summation within each
+    row, then pairwise over the row sums), O(n^2), whatever the spec
+    declares.
     """
     n = _check_n(n)
-    if method not in ("auto", "double", "lags"):
+    if method not in ("auto", "double"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        if spec.stationary is None and spec.diagonal:
-            t = np.arange(1, n + 1, dtype=np.int64)
-            return float(np.sum(_eval_elementwise(spec.cov_fn, t, t)))
-        method = "lags" if spec.stationary is not None else "double"
-    if method == "lags":
-        if spec.stationary is None:
-            raise ValueError("method 'lags' requires a stationary spec")
+    if method == "auto" and spec.stationary is not None:
         return _lag_decomposition_sum(spec.stationary, n)
+    if method == "auto" and spec.diagonal:
+        t = np.arange(1, n + 1, dtype=np.int64)
+        return float(np.sum(_eval_elementwise(spec.cov_fn, t, t)))
 
     s = np.arange(1, n + 1, dtype=np.int64)
     row_sums = np.empty(n, dtype=float)
@@ -282,10 +248,10 @@ def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
     return float(np.sum(row_sums))
 
 
-def time_average_variance(spec: ProcessSpec, n: int, method: str = "auto") -> float:
+def time_average_variance(spec: ProcessSpec, n: int) -> float:
     """Exact variance of the time average: ``covariance_sum(spec, n) / n**2``."""
     n = _check_n(n)
-    return covariance_sum(spec, n, method=method) / float(n * n)
+    return covariance_sum(spec, n) / float(n * n)
 
 
 def correlation_time(

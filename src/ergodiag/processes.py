@@ -126,7 +126,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .estimators import SamplePath
-from .model import ProcessSpec, StationaryCov
+from .model import ProcessSpec, StationaryCov, _check_n
 
 __all__ = [
     "Family",
@@ -527,8 +527,9 @@ class _CommonShock(_Definition):
         return {"sigma_z": sigma_z, "sigma_eps": sigma_eps}
 
     def gamma(self, p: dict, h) -> np.ndarray:
-        z2 = p["sigma_z"] ** 2
-        return np.where(np.equal(np.asarray(h), 0), z2 + p["sigma_eps"] ** 2, z2)
+        # numpy scalars: a square out of the float range is inf, not an error.
+        z2, e2 = np.float64(p["sigma_z"]) ** 2, np.float64(p["sigma_eps"]) ** 2
+        return np.where(np.equal(np.asarray(h), 0), z2 + e2, z2)
 
     def draw(self, p: dict, n: int) -> Callable:
         def draw(rngs, block):
@@ -586,7 +587,7 @@ class _DriftingMean(_Definition):
         return trend["amplitude"] * np.sin(2.0 * np.pi * t / trend["period"])
 
     def variance(self, p: dict, t) -> float:
-        return p["noise_sd"] ** 2
+        return np.float64(p["noise_sd"]) ** 2
 
     def draw(self, p: dict, n: int) -> Callable:
         trend = self.mean(p, np.arange(1, n + 1, dtype=np.int64))
@@ -625,10 +626,6 @@ class ProcessConfig:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", _FAMILIES[family].validate(self.params))
 
-    @property
-    def label(self) -> str:
-        return self.family.value
-
     def to_dict(self) -> dict:
         return {"family": self.family.value, "params": dict(self.params)}
 
@@ -641,7 +638,6 @@ def build_spec(config: ProcessConfig) -> ProcessSpec:
         mean_fn=partial(definition.mean, p),
         cov_fn=partial(definition.cov, p),
         stationary=None if gamma is None else StationaryCov(gamma=partial(gamma, p)),
-        label=config.label,
         # Independent terms: V_n is the sum of the variances.
         diagonal=gamma is None,
     )
@@ -655,22 +651,23 @@ def _block_sampler(
     ``sample(rngs, block)`` draws row ``i`` of ``block`` from the ``i``-th
     generator of ``rngs``, in the documented order, then applies the family
     transform to the whole block in place.  The tables it needs are built
-    here, once.
+    here, once.  Values out of the float range raise one ``ValueError``
+    naming the family and ``n``, with no numpy warning before it.
     """
-    draw = _FAMILIES[config.family].draw(config.params, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        draw = _FAMILIES[config.family].draw(config.params, n)
 
     def sample(rngs, block):
-        draw(rngs, block)
+        # errstate is per thread, so it is set in the thread that draws.
+        with np.errstate(over="ignore", invalid="ignore"):
+            draw(rngs, block)
         if not np.isfinite(block).all():
-            raise ValueError("path values must be finite (no NaN or inf)")
+            raise ValueError(
+                f"{config.family.value} paths of length n={n}: values must be "
+                "finite (no NaN or inf); scale the process down"
+            )
 
     return sample
-
-
-def _check_length(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return int(n)
 
 
 def _require_in_memory(count: int, what: str) -> None:
@@ -688,7 +685,7 @@ def _require_in_memory(count: int, what: str) -> None:
 
 def sample_path(config: ProcessConfig, n: int, seed: RngSeed) -> SamplePath:
     """Sample one trajectory of length ``n``, deterministically from ``seed``."""
-    n = _check_length(n)
+    n = _check_n(n)
     values = np.empty((1, n), dtype=float)
     _block_sampler(config, n)([seed.generator()], values)
     return SamplePath(values=values[0])
@@ -725,7 +722,7 @@ def sample_blocks(
     one, the units run inline and blocks arrive in replicate order.  No
     result depends on the block size, the work unit or the worker count.
     """
-    n = _check_length(n)
+    n = _check_n(n)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if max_workers is None:

@@ -36,10 +36,8 @@ def white_noise_spec(variance: float = 1.0) -> ProcessSpec:
         mean_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         cov_fn=lambda t, s: np.where(np.equal(t, s), variance, 0.0),
         stationary=StationaryCov(
-            gamma=lambda h: np.where(np.equal(h, 0), variance, 0.0),
-            max_meaningful_lag=0,
+            gamma=lambda h: np.where(np.equal(h, 0), variance, 0.0)
         ),
-        label="white",
     )
 
 

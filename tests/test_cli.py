@@ -116,6 +116,21 @@ class TestSimulate:
         assert code == 2
         assert "analyze" in capsys.readouterr().err
 
+    def test_overflowing_trend_ends_in_one_error_line(self, tmp_path, capsys):
+        trend = {"kind": "LINEAR", "a": 1e308, "b": 1e308}
+        doc = {"process": {"family": "DRIFTING_MEAN",
+                           "params": {"trend": trend, "noise_sd": 1.0}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = self.run_simulate(tmp_path, doc, n="100", replicates="100")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            "error: DRIFTING_MEAN paths of length n=100: values must be finite"
+        )
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_duplicate_process_section_exits_2_naming_it(self, tmp_path, capsys):
         # last-wins parsing would sample SPARSE_SPIKES
         config = tmp_path / "config.json"
@@ -189,6 +204,19 @@ class TestAnalyze:
         assert not result["window_saturated"]
         assert set(result["chebyshev"]) == {"0.1", "0.05", "0.01"}
         assert "gap" not in result
+        assert "tau_floored" not in result
+
+    def test_floored_tau_is_reported(self, tmp_path, capsys):
+        # Alternating signs: the raw windowed tau is below the 1e-3 floor.
+        rng = np.random.default_rng(0)
+        values = (-1.0) ** np.arange(1, 1001) + 0.01 * rng.standard_normal(1000)
+        input_path = write_path_csv(tmp_path, values)
+        code, captured = run_analyze(capsys, input_path, "--max-lag", "50")
+        assert code == 0
+        result = json.loads(captured.out)
+        assert result["tau_hat"] == 0.001
+        assert result["ess"] == 1000 / 0.001
+        assert result["tau_floored"] is True
 
     def test_ar1_effective_sample_size_near_n_over_three(self, tmp_path, capsys):
         config = ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0})
@@ -549,6 +577,42 @@ class TestExperiment:
         assert code == 2
         assert "error: numeric overflow" in err
         assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        ("process", "error"),
+        [
+            ({"family": "COMMON_SHOCK", "params": {"sigma_z": 1e300, "sigma_eps": 1e300}},
+             "error: numeric overflow: n=10: outside the float range: Var(A_n) = inf, "),
+            # finite values whose row sums overflow
+            ({"family": "COMMON_SHOCK", "params": {"sigma_z": 1e307, "sigma_eps": 0.0}},
+             "error: numeric overflow: n=10: outside the float range: Var(A_n) = inf, "),
+            ({"family": "DRIFTING_MEAN", "params": {
+                "trend": {"kind": "LINEAR", "a": 1e308, "b": 1e308}, "noise_sd": 1.0}},
+             "error: DRIFTING_MEAN paths of length n=10: values must be finite"),
+            ({"family": "DRIFTING_MEAN", "params": {
+                "trend": {"kind": "LINEAR", "a": 0.0, "b": 0.0}, "noise_sd": 1e200}},
+             "error: numeric overflow: n=10: outside the float range: Var(A_n) = inf, "),
+            ({"family": "AR1", "params": {"phi": 0.9999999999, "gamma0": 1e300}},
+             "error: numeric overflow: n=10: outside the float range: "
+             "Var((A_n - m_n)^2) = inf, "),
+        ],
+        ids=["shock", "shock-row-sum", "drift", "drift-noise", "ar1"],
+    )
+    def test_overflowing_parameters_end_in_one_error_line(
+        self, tmp_path, capsys, process, error
+    ):
+        doc = {
+            "process": process,
+            "experiment": {"base_seed": 1, "n_grid": [10, 100], "replicates": 100},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(error)
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert not out_dir.exists()
 
     def test_non_finite_report_is_never_written(self, tmp_path, capsys, monkeypatch):

@@ -236,7 +236,6 @@ class TestVarianceIdentityCheck:
         corrupted = ProcessSpec(
             mean_fn=honest.mean_fn,
             cov_fn=lambda t, s: 2.0 * np.asarray(honest.cov_fn(t, s)),
-            label="corrupted",
         )
         config = ExperimentConfig(
             process=ar1_config, base_seed=11, replicates=5000, checks=NO_CHECKS
@@ -597,10 +596,14 @@ class TestCheckDispatch:
             epsilons=(0.2,), checks=NO_CHECKS,
         )
         stats = run_experiment(config).per_n[0]
-        mse, exact = stats.empirical_mse, stats.exact_var_an
+        # a covariance scaled x2 makes the verdict FAIL and print MSE and exact
+        honest = build_spec(shock_config)
+        corrupted = ProcessSpec(
+            mean_fn=honest.mean_fn, cov_fn=lambda t, s: 2.0 * honest.cov_fn(t, s)
+        )
+        mse, exact = stats.empirical_mse, time_average_variance(corrupted, 50)
         gap = abs(mse - exact) / stats.mc_standard_error
-        # a zero threshold makes the verdict FAIL and print MSE and exact
-        verdict = verify_variance_identity(config, n=50, z_threshold=0.0)
+        verdict = verify_variance_identity(config, n=50, spec=corrupted)
         assert verdict == Verdict(
             "FAIL",
             f"n=50: |MSE - exact| = {gap:.2f} MC standard errors "

@@ -96,14 +96,17 @@ class TestCovarianceSum:
         )
         assert brute == 5.5
         assert covariance_sum(spec, 3, method="double") == pytest.approx(5.5, rel=1e-12)
-        assert covariance_sum(spec, 3, method="lags") == pytest.approx(5.5, rel=1e-12)
+        assert covariance_sum(spec, 3) == pytest.approx(5.5, rel=1e-12)
 
-    def test_scalar_callable_fallback(self):
+    def test_vectorized_scalar_callable(self):
+        # A function written for scalars is called through np.vectorize.
         spec = ProcessSpec(
-            mean_fn=lambda t: 0.0,
-            cov_fn=lambda t, s: 1.0 if t == s else 0.0,
+            mean_fn=np.vectorize(lambda t: 0.0, otypes=[float]),
+            cov_fn=np.vectorize(lambda t, s: 1.0 if t == s else 0.0, otypes=[float]),
         )
         assert covariance_sum(spec, 5) == 5.0
+        assert covariance_sum(spec, 5, method="double") == 5.0
+        assert mean_average(spec, 5) == 0.0
 
     def test_wrong_shape_raises_after_one_call(self):
         calls = []
@@ -133,7 +136,7 @@ class TestCovarianceSum:
     def test_double_sum_agrees_with_lag_decomposition_ar1(self, params, n):
         spec = build_spec(ProcessConfig(Family.AR1, params))
         double = covariance_sum(spec, n, method="double")
-        lags = covariance_sum(spec, n, method="lags")
+        lags = covariance_sum(spec, n)
         assert lags == pytest.approx(double, rel=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 512])
@@ -142,12 +145,13 @@ class TestCovarianceSum:
             ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 2.0, "sigma_eps": 0.5})
         )
         double = covariance_sum(spec, n, method="double")
-        lags = covariance_sum(spec, n, method="lags")
+        lags = covariance_sum(spec, n)
         assert lags == pytest.approx(double, rel=1e-9)
 
-    def test_lags_method_requires_stationary_tag(self, spike_config):
-        spec = build_spec(spike_config)
-        with pytest.raises(ValueError, match="stationary"):
+    def test_lags_method_is_unknown(self, ar1_config):
+        # "auto" takes the lag route for every stationary spec.
+        spec = build_spec(ar1_config)
+        with pytest.raises(ValueError, match="unknown method 'lags'"):
             covariance_sum(spec, 4, method="lags")
 
     @pytest.mark.parametrize("name", sorted(DIAGONAL_CONFIGS))
@@ -189,6 +193,55 @@ class TestCovarianceSum:
             covariance_sum(spec, 5, method="fft")
         with pytest.raises(ValueError):
             covariance_sum(spec, 0)
+
+
+def raises_on_arrays(exc_type: type, calls: list):
+    """A callable that returns 0.0 for scalar indices and raises ``exc_type``
+    on index arrays, counting its calls."""
+
+    def fn(*indices):
+        calls.append(1)
+        if any(np.ndim(i) for i in indices):
+            raise exc_type("genuine bug")
+        return 0.0
+
+    return fn
+
+
+def zeros(*indices):
+    return np.zeros(np.broadcast_shapes(*(np.shape(i) for i in indices)))
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, TypeError])
+class TestOneCallPerBlock:
+    """A callable is called once per block of indices; its errors propagate."""
+
+    @pytest.mark.parametrize("route", ["lags", "diagonal", "double-auto", "double"])
+    def test_covariance_sum_propagates_after_one_call(self, exc_type, route):
+        calls = []
+        fn = raises_on_arrays(exc_type, calls)
+        if route == "lags":
+            spec = ProcessSpec(zeros, zeros, stationary=StationaryCov(gamma=fn))
+        else:
+            spec = ProcessSpec(zeros, fn, diagonal=route == "diagonal")
+        method = "double" if route == "double" else "auto"
+        with pytest.raises(exc_type, match="genuine bug"):
+            covariance_sum(spec, 300, method=method)
+        assert len(calls) == 1
+
+    def test_mean_average_propagates_after_one_call(self, exc_type):
+        calls = []
+        spec = ProcessSpec(raises_on_arrays(exc_type, calls), zeros)
+        with pytest.raises(exc_type, match="genuine bug"):
+            mean_average(spec, 300)
+        assert len(calls) == 1
+
+    def test_correlation_time_propagates_after_one_call(self, exc_type):
+        calls = []
+        cov = StationaryCov(gamma=raises_on_arrays(exc_type, calls))
+        with pytest.raises(exc_type, match="genuine bug"):
+            correlation_time(cov)
+        assert len(calls) == 1
 
 
 class TestTimeAverageVariance:
@@ -280,8 +333,9 @@ class TestCorrelationTime:
             step_gamma(small_from=1016, breaks=(1025,)),
             # two runs broken at length 9, the second straddling lag 1024
             step_gamma(small_from=1011, breaks=(1020, 1030)),
-            # scalar-only (fails on a 1024-lag array): the elementwise fallback
-            lambda h: 1.0 if h == 0 else (1e-3 if h < 1020 else 0.0),
+            # a scalar function, called through np.vectorize
+            np.vectorize(lambda h: 1.0 if h == 0 else (1e-3 if h < 1020 else 0.0),
+                         otypes=[float]),
         ],
     )
     def test_tail_run_across_chunks_equals_lag_by_lag_loop(self, gamma):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -381,16 +382,19 @@ class TestSampleBlocks:
             )
         assert blocks == []
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_values_raise(self):
+        # one error naming the family and n, and no numpy overflow warning
         config = ProcessConfig(
             Family.DRIFTING_MEAN,
             {"trend": {"kind": "LINEAR", "a": 0.0, "b": 1e308}, "noise_sd": 1.0},
         )
-        with pytest.raises(ValueError, match="finite"):
-            sample_blocks(config, 3, 1, 10, lambda first, block: None)
-        with pytest.raises(ValueError, match="finite"):
-            sample_path(config, 3, RngSeed(1, 0))
+        message = "DRIFTING_MEAN paths of length n=3: values must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                sample_blocks(config, 3, 1, 10, lambda first, block: None)
+            with pytest.raises(ValueError, match=message):
+                sample_path(config, 3, RngSeed(1, 0))
 
     def test_rejects_bad_length_and_count(self, ar1_config):
         with pytest.raises(ValueError, match="n must be"):
