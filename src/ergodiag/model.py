@@ -34,7 +34,7 @@ Python call per element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -111,16 +111,17 @@ class ProcessSpec:
     stationary, ``stationary`` carries the lag form of the covariance and
     must agree with ``cov_fn(t, s) == stationary.gamma(|t - s|)``.
 
-    ``diagonal=True`` declares that ``cov_fn(t, s) == 0`` for every
-    ``t != s`` (uncorrelated terms).  :func:`covariance_sum` then sums only
-    ``cov_fn(t, t)``, in O(n) instead of O(n^2); the declaration is trusted,
-    not checked, and a wrong one gives a wrong ``V_n``.
+    ``diagonal=True``, a keyword-only field, declares that
+    ``cov_fn(t, s) == 0`` for every ``t != s`` (uncorrelated terms).
+    :func:`covariance_sum` then sums only ``cov_fn(t, t)``, in O(n) instead
+    of O(n^2); the declaration is trusted, not checked, and a wrong one gives
+    a wrong ``V_n``.
     """
 
     mean_fn: Callable[..., object]
     cov_fn: Callable[..., object]
     stationary: StationaryCov | None = None
-    diagonal: bool = False
+    diagonal: bool = field(default=False, kw_only=True)
 
 
 class GrowthClass(str, Enum):

@@ -108,6 +108,12 @@ class TestCovarianceSum:
         assert covariance_sum(spec, 5, method="double") == 5.0
         assert mean_average(spec, 5) == 0.0
 
+    def test_diagonal_is_keyword_only(self):
+        # A fourth positional argument once meant a label; it must not
+        # silently declare the spec diagonal.
+        with pytest.raises(TypeError):
+            ProcessSpec(zeros, zeros, None, "label")
+
     def test_wrong_shape_raises_after_one_call(self):
         calls = []
 
