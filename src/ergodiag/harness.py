@@ -1,12 +1,13 @@
 """Monte Carlo experiments that verify the convergence theory numerically.
 
-:func:`run_experiment` samples replicate ensembles of a configured process
-over a grid of series lengths and, for each length, compares the empirical
-mean squared error of the time average against the exact ``V_n / n^2``,
-tabulates tail frequencies against Chebyshev upper and Paley-Zygmund lower
-bounds, classifies the exact growth of ``V_n``, and issues a PASS / FAIL /
-SKIPPED verdict per requested check.  Pass thresholds are expressed in Monte
-Carlo standard errors (default 4), so they scale with the replicate budget.
+:func:`run_experiment` samples one replicate ensemble of a configured process
+at the longest of a grid of series lengths and, for each length, compares the
+empirical mean squared error of the time average over that prefix against the
+exact ``V_n / n^2``, tabulates tail frequencies against Chebyshev upper and
+Paley-Zygmund lower bounds, classifies the exact growth of ``V_n``, and issues
+a PASS / FAIL / SKIPPED verdict per requested check.  Pass thresholds are
+expressed in Monte Carlo standard errors (default 4), so they scale with the
+replicate budget.
 The two things it takes from a family, the exact ``Var((A_n - m_n)^2)``
 behind the Paley-Zygmund bounds and the default checks, come from the
 family's definition in :mod:`ergodiag.processes`.
@@ -42,21 +43,35 @@ Checks
 Seed discipline
 ---------------
 All sampling derives from ``base_seed`` through the stream derivation of
-:mod:`ergodiag.processes`: grid point ``n`` uses the per-length base
-``derive_stream(base_seed, n)``, replicate ``r`` of that ensemble uses
-stream index ``r``, and coordinate ``j`` of the vector check uses the
-per-length base at index ``2**32 + j``.  Replicates are sampled by
+:mod:`ergodiag.processes`.  An experiment samples one ensemble, at the
+longest grid length ``N``, from the base ``derive_stream(base_seed, N)``:
+replicate ``r`` uses stream index ``r``, and grid point ``n`` averages the
+first ``n`` values of each replicate's path.  The sampler is
+prefix-consistent, so that average is bit for bit the time average of the
+replicate's path sampled at length ``n`` alone; the grid points share their
+replicates, as in a common-random-numbers design.  Coordinate ``j`` of the
+vector check uses the base at index ``2**32 + j``, and
+:func:`verify_variance_identity` the base ``derive_stream(base_seed, n)``
+of its one length.  Replicates are sampled by
 :func:`~ergodiag.processes.sample_blocks` in blocks sized by element count
 (at most 65 536 values, so short paths share each NumPy call), in work
 units of 1024 replicates spread over the workers, and each block is reduced
-to its rows' time averages, written by replicate index.  Each row's total is
-NumPy's pairwise sum of that row, the sum
+to its rows' prefix averages, written by replicate index.  Each total is
+NumPy's pairwise sum of that prefix, the sum
 :func:`~ergodiag.estimators.time_average` takes of a path, so no average
 depends on which rows share a block.  The engine picks the worker count
 from the usable CPUs and the path length: threads from
 n = 1000, where two of them measured faster than one, and one thread below
 (``max_workers`` overrides it).  No result depends on the block size or the
 worker count, so reports are identical for any worker count.
+
+Because the grid points share replicates, their statistics are positively
+correlated.  The trend legs of ``L2_CONVERGENCE`` and ``WLLN`` allow
+``hypot`` of the two points' standard errors, the noise of a difference of
+independent points; a positive correlation makes that difference less
+noisy, so the slack is conservative for the legs that FAIL when a statistic
+rose, and the net-drop leg of ``WLLN`` asks for a larger drop than the
+noise needs.
 """
 
 from __future__ import annotations
@@ -240,7 +255,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"replicates must be >= {minimum} for a Monte Carlo run, got {replicates}"
             )
-        _require_in_memory(replicates, f"replicates = {replicates}: the time averages")
+        # One time average per replicate at every grid length.
+        _require_in_memory(
+            len(grid) * replicates,
+            f"replicates = {replicates}: the time averages at {len(grid)} grid lengths",
+        )
         object.__setattr__(self, "replicates", replicates)
 
     def ordered_checks(self) -> tuple[Check, ...]:
@@ -304,27 +323,33 @@ class ConvergenceReport:
 
 def _ensemble_averages(
     process: ProcessConfig,
-    n: int,
+    lengths: tuple[int, ...],
     ensemble_base: int,
     replicates: int,
     max_workers: int | None,
 ) -> np.ndarray:
-    """Per-replicate time averages, written by replicate index.
+    """Per-replicate time averages of every prefix length, one row per length.
 
-    Each row of a block is summed along its contiguous axis, which NumPy
-    does pairwise, one row at a time, exactly as ``np.sum`` sums that row
-    alone, so every average is bit for bit
-    :func:`~ergodiag.estimators.time_average` of the replicate's path.
+    Paths are sampled once, at the longest length; row ``k`` holds each
+    replicate's average over its first ``lengths[k]`` values, written by
+    replicate index.  Each row of a block is summed along its contiguous
+    axis, which NumPy does pairwise, one row at a time, exactly as ``np.sum``
+    sums that prefix alone.  The sampler is prefix-consistent, so every
+    average is bit for bit :func:`~ergodiag.estimators.time_average` of the
+    replicate's path sampled at that length.
     """
-    out = np.empty(replicates, dtype=float)
+    out = np.empty((len(lengths), replicates), dtype=float)
 
     def reduce(first: int, block: np.ndarray) -> None:
         # In the sampling thread: a sum out of the float range is inf, which
         # _require_finite names.
         with np.errstate(over="ignore", invalid="ignore"):
-            out[first : first + len(block)] = block.sum(axis=1) / n
+            for row, m in zip(out, lengths):
+                row[first : first + len(block)] = block[:, :m].sum(axis=1) / m
 
-    sample_blocks(process, n, ensemble_base, replicates, reduce, max_workers=max_workers)
+    sample_blocks(
+        process, lengths[-1], ensemble_base, replicates, reduce, max_workers=max_workers
+    )
     return out
 
 
@@ -560,8 +585,8 @@ def _check_vector(data: _RunData) -> Verdict:
     gap_sq = np.zeros(config.replicates, dtype=float)
     for j in range(_VECTOR_DIM):
         coord_base = derive_stream(base_n, _VECTOR_STREAM_OFFSET + j)
-        a = _ensemble_averages(
-            config.process, n, coord_base, config.replicates, data.max_workers
+        (a,) = _ensemble_averages(
+            config.process, (n,), coord_base, config.replicates, data.max_workers
         )
         gap_sq += (a - m_n) ** 2
 
@@ -593,24 +618,21 @@ _CHECKS: dict[Check, Callable[[_RunData], Verdict]] = {
 }
 
 
-def _sample_point(
-    config: ExperimentConfig, spec: ProcessSpec, n: int, workers: int | None
-) -> tuple[np.ndarray, float, float, float, float]:
-    """Sampled and exact statistics at one grid length.
+def _statistics(
+    spec: ProcessSpec, n: int, averages: np.ndarray
+) -> tuple[float, float, float, float]:
+    """Sampled and exact statistics at one length from its averages.
 
-    Returns the per-replicate averages, ``m_n``, the empirical MSE of the
-    averages around ``m_n``, its plug-in Monte Carlo standard error, and
-    the exact ``Var(A_n)`` from ``spec``.  A value out of the float range
-    comes back as inf or NaN, without a numpy warning, for
-    :func:`_require_finite` to name.
+    Returns ``m_n``, the empirical MSE of the averages around ``m_n``, its
+    plug-in Monte Carlo standard error, and the exact ``Var(A_n)`` from
+    ``spec``.  A value out of the float range comes back as inf or NaN,
+    without a numpy warning, for :func:`_require_finite` to name.
     """
-    base_n = derive_stream(config.base_seed, n)
-    averages = _ensemble_averages(config.process, n, base_n, config.replicates, workers)
     with np.errstate(over="ignore", invalid="ignore"):
         m_n = mean_average(spec, n)
         mse = ensemble_mse(averages, m_n)
         se = _mc_standard_error((averages - m_n) ** 2)
-        return averages, m_n, mse, se, time_average_variance(spec, n)
+        return m_n, mse, se, time_average_variance(spec, n)
 
 
 def run_experiment(
@@ -624,9 +646,13 @@ def run_experiment(
     spec = build_spec(config.process)
     definition = _FAMILIES[config.process.family]
     data = _RunData(config=config, spec=spec, max_workers=max_workers)
+    base = derive_stream(config.base_seed, config.n_grid[-1])
+    ensemble = _ensemble_averages(
+        config.process, config.n_grid, base, config.replicates, max_workers
+    )
 
-    for n in config.n_grid:
-        averages, m_n, mse, se, exact_var = _sample_point(config, spec, n, max_workers)
+    for n, averages in zip(config.n_grid, ensemble):
+        m_n, mse, se, exact_var = _statistics(spec, n, averages)
         var_sq = definition.squared_deviation_variance(n, exact_var)
         moments = {"m_n": m_n, "Var(A_n)": exact_var, "Var((A_n - m_n)^2)": var_sq,
                    "empirical MSE": mse, "MC standard error": se}
@@ -692,7 +718,9 @@ def verify_variance_identity(
         )
     if spec is None:
         spec = build_spec(config.process)
-    _, _, mse, se, exact = _sample_point(config, spec, n, None)
+    base = derive_stream(config.base_seed, n)
+    (averages,) = _ensemble_averages(config.process, (n,), base, config.replicates, None)
+    _, mse, se, exact = _statistics(spec, n, averages)
     gap = abs(mse - exact)
     if se == 0.0:
         status = "PASS" if gap == 0.0 else "FAIL"

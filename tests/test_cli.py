@@ -589,7 +589,7 @@ class TestExperiment:
              "error: numeric overflow: n=10: outside the float range: Var(A_n) = inf, "),
             ({"family": "DRIFTING_MEAN", "params": {
                 "trend": {"kind": "LINEAR", "a": 1e308, "b": 1e308}, "noise_sd": 1.0}},
-             "error: DRIFTING_MEAN paths of length n=10: values must be finite"),
+             "error: DRIFTING_MEAN paths of length n=100: values must be finite"),
             ({"family": "DRIFTING_MEAN", "params": {
                 "trend": {"kind": "LINEAR", "a": 0.0, "b": 0.0}, "noise_sd": 1e200}},
              "error: numeric overflow: n=10: outside the float range: Var(A_n) = inf, "),

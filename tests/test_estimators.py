@@ -289,7 +289,7 @@ class TestEnsembleMse:
         # exact Var(A_100) = 101/200 = 0.505; R = 1e5 keeps the MC error
         # (~sqrt(Var(A^2)/R) ~ 0.014) well inside the 5% band
         config = ProcessConfig(Family.SPARSE_SPIKES)
-        a = _ensemble_averages(config, 100, 88, 100_000, None)
+        (a,) = _ensemble_averages(config, (100,), 88, 100_000, None)
         assert ensemble_mse(a, 0.0) == pytest.approx(0.505, rel=0.05)
 
 
@@ -305,7 +305,7 @@ class TestEmpiricalTail:
         # normal CDF via erf
         n, replicates = 100, 20_000
         config = ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.0, "sigma_eps": 1.0})
-        a = _ensemble_averages(config, n, 5150, replicates, None)
+        (a,) = _ensemble_averages(config, (n,), 5150, replicates, None)
         sd = math.sqrt(1.0 + 1.0 / n)
         oracle = 2.0 * 0.5 * (1.0 + math.erf(-0.5 / sd / math.sqrt(2.0)))
         tail = empirical_tail(a, 0.0, 0.5)

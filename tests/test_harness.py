@@ -23,6 +23,7 @@ from ergodiag import (
     default_checks,
     mean_average,
     run_experiment,
+    sample_path,
     time_average,
     time_average_variance,
     verify_variance_identity,
@@ -66,6 +67,19 @@ class TestExperimentConfig:
     def test_rejects_small_replicate_budget_with_checks(self, ar1_config):
         with pytest.raises(ValueError):
             ExperimentConfig(process=ar1_config, base_seed=0, replicates=50)
+
+    def test_memory_guard_counts_an_average_per_grid_length(
+        self, ar1_config, monkeypatch
+    ):
+        # room for 2500 floats: 1000 replicates' averages fit at two grid
+        # lengths, not at three
+        sizes = {"SC_PHYS_PAGES": 2500, "SC_PAGE_SIZE": 8}
+        monkeypatch.setattr(processes.os, "sysconf", sizes.__getitem__)
+        ExperimentConfig(process=ar1_config, base_seed=0, n_grid=(100, 1000),
+                         replicates=1000)
+        with pytest.raises(ValueError, match="replicates = 1000.*physical memory"):
+            ExperimentConfig(process=ar1_config, base_seed=0, n_grid=(10, 100, 1000),
+                             replicates=1000)
 
     def test_allows_tiny_replicates_without_checks(self, ar1_config):
         config = ExperimentConfig(
@@ -494,12 +508,27 @@ class TestEnsembleAverages:
         # partial last block, the long ones blocks of 2 rows, then of 1 row
         config = ENGINE_CONFIGS[family]
         replicates = 1030 if n <= 1000 else 5
-        averages = _ensemble_averages(config, n, 91, replicates, workers)
+        (averages,) = _ensemble_averages(config, (n,), 91, replicates, workers)
         expected = [
             time_average(SamplePath(reference_path(config, n, RngSeed(91, r))))
             for r in range(replicates)
         ]
         assert np.array_equal(averages, expected)
+
+    @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
+    def test_prefix_rows_equal_time_average_of_shorter_paths(self, family):
+        # one ensemble drawn at the longest length, in multi-row blocks;
+        # row k averages each path's first lengths[k] values, bit for bit
+        # the time average of the path sampled at that length alone
+        config, lengths, replicates = ENGINE_CONFIGS[family], (1, 7, 95, 1003), 70
+        averages = _ensemble_averages(config, lengths, 91, replicates, 2)
+        assert averages.shape == (len(lengths), replicates)
+        for row, m in zip(averages, lengths):
+            expected = [
+                time_average(sample_path(config, m, RngSeed(91, r)))
+                for r in range(replicates)
+            ]
+            assert row.tobytes() == np.array(expected).tobytes(), m
 
     def test_rows_are_summed_pairwise_as_np_sum(self, monkeypatch):
         # Rows whose left-to-right (or otherwise reordered) sums differ from
@@ -523,7 +552,7 @@ class TestEnsembleAverages:
                 consume(lo, rows[lo:hi].copy())
 
         monkeypatch.setattr(harness, "sample_blocks", crafted_blocks)
-        averages = _ensemble_averages(ENGINE_CONFIGS["AR1"], n, 1, len(rows), None)
+        (averages,) = _ensemble_averages(ENGINE_CONFIGS["AR1"], (n,), 1, len(rows), None)
         assert averages.tobytes() == expected.tobytes()
         # np.sum starts from +0.0, so the all -0.0 row averages to +0.0
         assert math.copysign(1.0, averages[-1]) == 1.0
@@ -537,14 +566,14 @@ class TestEnsembleAveragesUnderThreadSwitching:
         # the CPUs, share the output array and the cached tables while the
         # interpreter switches between them every microsecond.
         config, replicates = ENGINE_CONFIGS[family], 8 * 1024 + 5
-        serial = _ensemble_averages(config, n, 23, replicates, 1)
+        serial = _ensemble_averages(config, (n,), 23, replicates, 1)
         threaded = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runner = threading.Thread(
                 target=lambda: threaded.append(
-                    _ensemble_averages(config, n, 23, replicates, 8)
+                    _ensemble_averages(config, (n,), 23, replicates, 8)
                 ),
                 daemon=True,
             )
@@ -559,21 +588,39 @@ class TestEnsembleAveragesUnderThreadSwitching:
 class TestExperimentStatistics:
     def test_per_n_statistics_equal_the_formulas_on_the_averages(self, drift_config):
         # MSE, plug-in standard error and tails, bit for bit, from the
-        # averages of each grid point's ensemble
+        # averages of every grid point's replicates, all drawn from the base
+        # of the longest length: replicate r at n is the path of
+        # RngSeed(derive_stream(47, n_grid[-1]), r) sampled at length n
         config = ExperimentConfig(
             process=drift_config, base_seed=47, n_grid=(10, 100), replicates=500,
             epsilons=(0.5, 0.1, 0.02), checks=NO_CHECKS,
         )
         spec = build_spec(drift_config)
+        base = derive_stream(47, config.n_grid[-1])
         for stats in run_experiment(config).per_n:
-            base = derive_stream(47, stats.n)
-            a = _ensemble_averages(drift_config, stats.n, base, 500, None)
+            a = np.array([
+                time_average(sample_path(drift_config, stats.n, RngSeed(base, r)))
+                for r in range(500)
+            ])
             m_n = mean_average(spec, stats.n)
             dev_sq = (a - m_n) ** 2
             assert stats.empirical_mse == float(np.mean(dev_sq))
             assert stats.mc_standard_error == float(np.std(dev_sq, ddof=1)) / math.sqrt(500)
             for eps, tail in stats.empirical_tails.items():
                 assert tail == int(np.count_nonzero(np.abs(a - m_n) >= eps)) / 500
+
+    @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
+    def test_last_grid_point_is_the_one_point_grid(self, family):
+        # the longest length keeps its ensemble and every statistic when
+        # shorter lengths join the grid
+        def per_n(n_grid):
+            config = ExperimentConfig(
+                process=ENGINE_CONFIGS[family], base_seed=53, n_grid=n_grid,
+                replicates=300, epsilons=(0.5, 0.1), checks=NO_CHECKS,
+            )
+            return run_experiment(config).per_n
+
+        assert per_n((100, 1000, 2048))[-1] == per_n((2048,))[0]
 
 
 class TestCheckDispatch:

@@ -201,6 +201,32 @@ class TestSamplePath:
             sample_path(spike_config, 0, RngSeed(1, 0))
 
 
+PREFIX_CONFIGS = {
+    **ENGINE_CONFIGS,
+    "AR1-phi+0.999": ProcessConfig(Family.AR1, {"phi": 0.999, "gamma0": 1.0}),
+    "AR1-phi-0.999": ProcessConfig(Family.AR1, {"phi": -0.999, "gamma0": 1.0}),
+}
+
+
+class TestPrefixConsistency:
+    """The experiment reads every grid length off the longest length's paths."""
+
+    @pytest.mark.parametrize("family", list(PREFIX_CONFIGS))
+    def test_prefix_is_the_shorter_path_bit_for_bit(self, family):
+        # the first m values of a path of length N are the path of length m
+        # from the same seed: every m below the AR1 scan's 10-step segment
+        # and across its ends, lengths that are no multiple of 10, and a
+        # path longer than one 65 536-value block
+        config = PREFIX_CONFIGS[family]
+        seed = RngSeed(77, 3)
+        lengths = (*range(1, 13), 19, 21, 95, 99, 101, 999, 1003, 9_999, 65_536)
+        for big in (12, 1003, 65_537):
+            path = sample_path(config, big, seed).values
+            for m in (m for m in lengths if m <= big):
+                short = sample_path(config, m, seed).values
+                assert path[:m].tobytes() == short.tobytes(), (big, m)
+
+
 class TestReplicateStreams:
     def test_rows_match_individual_paths(self, shock_config):
         # row r of the engine's ensemble is the path sample_path draws alone
@@ -211,7 +237,7 @@ class TestReplicateStreams:
 
     def test_replicate_streams_uncorrelated(self, shock_config):
         # lag-1 correlation across the replicate index; |r| stays ~1/sqrt(R)
-        a = _ensemble_averages(shock_config, 8, 1234, 100_000, None)
+        (a,) = _ensemble_averages(shock_config, (8,), 1234, 100_000, None)
         r = np.corrcoef(a[:-1], a[1:])[0, 1]
         assert abs(r) < 0.01
 
@@ -525,7 +551,7 @@ class TestVarianceIdentityEndToEnd:
     def test_empirical_variance_matches_exact(self, family, params):
         config = ProcessConfig(family, params)
         spec = build_spec(config)
-        averages = _ensemble_averages(config, self.N, 2718, self.REPLICATES, None)
+        (averages,) = _ensemble_averages(config, (self.N,), 2718, self.REPLICATES, None)
         m_n = mean_average(spec, self.N)
         dev_sq = (averages - m_n) ** 2
         mse = float(np.mean(dev_sq))
