@@ -358,8 +358,15 @@ def _binom_se(p: float, replicates: int) -> float:
 
 
 def _mc_standard_error(samples: np.ndarray) -> float:
-    """Plug-in Monte Carlo standard error of the mean of ``samples``."""
-    return float(np.std(samples, ddof=1)) / math.sqrt(len(samples))
+    """Plug-in Monte Carlo standard error of the mean of ``samples``.
+
+    ``np.std`` squares the deviations, so it runs on the samples scaled by
+    an exact power of two to ``max|sample| < 1``: squares of tiny samples
+    would underflow to an SE of 0.0, and squares of huge ones overflow.
+    """
+    _, exponent = math.frexp(float(np.max(np.abs(samples))))
+    scaled = np.ldexp(samples, -exponent)
+    return math.ldexp(float(np.std(scaled, ddof=1)) / math.sqrt(len(samples)), exponent)
 
 
 def _growth_grid(n_grid: tuple[int, ...]) -> tuple[int, ...] | None:

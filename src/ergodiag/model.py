@@ -286,23 +286,30 @@ def correlation_time(
         raise DegenerateSeriesError(f"gamma(0) must be > 0, got {g0}")
 
     # Lags are evaluated in chunks of 1024, 2048, ... (at most _BLOCK_ELEMENTS
-    # lags each); np.cumsum adds in order, so each partial sum is the one a
-    # lag-by-lag loop would reach.
+    # lags each).  The carried sum is added to the chunk's first term, then
+    # np.cumsum adds in order, in place, so each partial sum is the one a
+    # lag-by-lag loop would reach.  Run lengths are worked out only in a
+    # chunk with a small term; in any other chunk the run ends at 0.
     acc = g0
     run = 0  # small increments in a row, carried across chunks
     lo, size = 1, _FIRST_LAG_CHUNK
     while lo <= max_terms:
         h = np.arange(lo, min(lo + size, max_terms + 1), dtype=np.int64)
         terms = 2.0 * _eval_elementwise(cov.gamma, h)
-        partial = np.cumsum(np.concatenate(([acc], terms)))[1:]
         small = np.abs(terms) < abs_tol
-        i = np.arange(h.size)
-        last_break = np.maximum.accumulate(np.where(small, -1, i))
-        runs = np.where(last_break < 0, run + i + 1, i - last_break)
-        done = np.flatnonzero(runs >= _TAIL_RUN)
-        if done.size:
-            return float(partial[done[0]]) / g0
-        acc, run = float(partial[-1]), int(runs[-1])
+        terms[0] += acc
+        partial = np.cumsum(terms, out=terms)
+        if small.any():
+            i = np.arange(h.size)
+            last_break = np.maximum.accumulate(np.where(small, -1, i))
+            runs = np.where(last_break < 0, run + i + 1, i - last_break)
+            done = np.flatnonzero(runs >= _TAIL_RUN)
+            if done.size:
+                return float(partial[done[0]]) / g0
+            run = int(runs[-1])
+        else:
+            run = 0
+        acc = float(partial[-1])
         lo, size = lo + h.size, min(2 * size, _BLOCK_ELEMENTS)
     return NON_SUMMABLE
 

@@ -595,7 +595,7 @@ class TestExperiment:
              "error: numeric overflow: n=10: outside the float range: Var(A_n) = inf, "),
             ({"family": "AR1", "params": {"phi": 0.9999999999, "gamma0": 1e300}},
              "error: numeric overflow: n=10: outside the float range: "
-             "Var((A_n - m_n)^2) = inf, "),
+             "Var((A_n - m_n)^2) = inf; scale the process down"),
         ],
         ids=["shock", "shock-row-sum", "drift", "drift-noise", "ar1"],
     )

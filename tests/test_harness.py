@@ -264,6 +264,24 @@ class TestVarianceIdentityCheck:
         with pytest.raises(ValueError):
             verify_variance_identity(config, n=100)
 
+    def test_ar1_scaled_by_a_power_of_two_keeps_its_verdict(self):
+        # Paths at gamma0 = 2**-900 are those at gamma0 = 1 scaled by
+        # 2**-450, so every squared deviation scales by 2**-900; the SE must
+        # follow, not underflow to 0 with the fourth powers.
+        def run(gamma0):
+            process = ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": gamma0})
+            config = ExperimentConfig(
+                process=process, base_seed=3, n_grid=(10, 100), replicates=2000,
+                epsilons=(0.1,), checks=frozenset({Check.VARIANCE_IDENTITY}),
+            )
+            return run_experiment(config)
+
+        tiny, unit = run(2.0**-900), run(1.0)
+        assert tiny.verdicts == unit.verdicts
+        assert tiny.verdicts[Check.VARIANCE_IDENTITY].status == "PASS"
+        for small, one in zip(tiny.per_n, unit.per_n):
+            assert small.mc_standard_error == math.ldexp(one.mc_standard_error, -900)
+
     def test_in_experiment_verdict_passes_per_family(
         self, ar1_config, spike_config, shock_config, drift_config
     ):

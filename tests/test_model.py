@@ -20,6 +20,7 @@ from ergodiag import (
     mean_average,
     time_average_variance,
 )
+from ergodiag import processes
 
 from conftest import white_noise_spec
 
@@ -269,6 +270,35 @@ class TestTimeAverageVariance:
             assert time_average_variance(spec, n) == covariance_sum(spec, n) / n**2
 
 
+def pow_ar1_spec(phi: float, gamma0: float) -> ProcessSpec:
+    """AR1 written as the plain formula ``gamma0 * phi**|h|``, pow at every lag."""
+    return ProcessSpec(
+        lambda t: np.zeros(np.shape(t)),
+        lambda t, s: gamma0 * phi ** np.abs(t - s),
+        stationary=StationaryCov(lambda h: gamma0 * phi ** np.abs(h)),
+    )
+
+
+class TestAr1ZeroLagSums:
+    # AR1's gamma skips pow from its zero lag H on (1757 at phi = 0.653,
+    # 250 at 0.05); V_n must keep every bit of the plain formula.
+    @pytest.mark.parametrize("phi", [0.653, -0.653, 0.05, -0.05])
+    def test_time_average_variance_is_bit_identical(self, phi):
+        spec = build_spec(ProcessConfig(Family.AR1, {"phi": phi, "gamma0": 1.3}))
+        plain = pow_ar1_spec(phi, 1.3)
+        H = processes._ar1_zero_lag(phi)
+        for n in (1, 2, H - 1, H, H + 1, 30_000, 100_000):
+            assert time_average_variance(spec, n) == time_average_variance(plain, n), n
+
+    @pytest.mark.parametrize("phi", [0.653, -0.653, 0.05, -0.05])
+    def test_double_sum_is_bit_identical(self, phi):
+        spec = build_spec(ProcessConfig(Family.AR1, {"phi": phi, "gamma0": 1.3}))
+        plain = pow_ar1_spec(phi, 1.3)
+        assert covariance_sum(spec, 300, method="double") == covariance_sum(
+            plain, 300, method="double"
+        )
+
+
 def reference_correlation_time(gamma, abs_tol=1e-10, max_terms=100_000):
     """``correlation_time`` computed one lag at a time, the plain way."""
     g0 = float(np.ravel(gamma(np.asarray([0])))[0])
@@ -339,6 +369,17 @@ class TestCorrelationTime:
             step_gamma(small_from=1016, breaks=(1025,)),
             # two runs broken at length 9, the second straddling lag 1024
             step_gamma(small_from=1011, breaks=(1020, 1030)),
+            # small terms from either side of the chunk ends at lags 1024
+            # and 3072
+            step_gamma(small_from=1023),
+            step_gamma(small_from=1024),
+            step_gamma(small_from=1025),
+            step_gamma(small_from=3071),
+            step_gamma(small_from=3072),
+            step_gamma(small_from=3073),
+            # a run of 6 ending chunk 1, no small term in chunk 2 (lags
+            # 1025-3072), a full run in chunk 3: the run restarts from 0
+            step_gamma(small_from=1019, breaks=tuple(range(1025, 3073))),
             # a scalar function, called through np.vectorize
             np.vectorize(lambda h: 1.0 if h == 0 else (1e-3 if h < 1020 else 0.0),
                          otypes=[float]),

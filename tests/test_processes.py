@@ -321,6 +321,44 @@ class TestAr1Filter:
             powers[0] = 1.0
 
 
+ZERO_LAG_PHIS = [0.0, -0.0, 0.5, -0.5, 0.93, -0.93, 0.999, -0.999,
+                 1e-320, 5e-324, 1 - 2**-53]
+
+
+def lags_around_zero_lag(H: int) -> np.ndarray:
+    """Lags 0 ... H + 1e5, or, where H is out of reach (phi = 1 - 2**-53),
+    lags 0 ... 1e6 and H - 10 ... H + 1e5."""
+    head = np.arange(min(H, 10**6), dtype=np.int64)
+    return np.concatenate([head, np.arange(max(H - 10, head.size), H + 10**5 + 1)])
+
+
+class TestAr1ZeroLag:
+    @pytest.mark.parametrize("phi", ZERO_LAG_PHIS)
+    def test_gamma_equals_the_pow_formula(self, phi):
+        p = {"phi": phi, "gamma0": 1.7}
+        H = processes._ar1_zero_lag(phi)
+        h = lags_around_zero_lag(H)
+        ar1 = processes._FAMILIES[Family.AR1]
+        assert np.array_equal(ar1.gamma(p, h), 1.7 * phi ** h)
+        # a 2-d block of signed t - s whose lags straddle H
+        t = np.arange(1, 301)[:, None] + max(H - 150, 0)
+        s = np.arange(1, 301)[None, :]
+        assert np.array_equal(ar1.gamma(p, t - s), 1.7 * phi ** np.abs(t - s))
+
+    @pytest.mark.parametrize("phi", ZERO_LAG_PHIS + [-(1 - 2**-53), 0.653, 0.8])
+    def test_pow_is_zero_from_the_zero_lag_on(self, phi):
+        # What the cut rests on: this platform's pow returns 0.0 at and
+        # past H, so skipping it there changes no value.
+        H = processes._ar1_zero_lag(phi)
+        h = np.arange(H, H + 10**5 + 1)
+        assert not np.any(phi ** h)
+
+    def test_zero_lag_values(self):
+        assert [processes._ar1_zero_lag(phi) for phi in (0.653, 0.8, 0.999)] == [
+            1757, 3355, 748_225,
+        ]
+
+
 BLOCK = processes._BLOCK_ELEMENTS
 THREADED = processes._THREADED_LENGTH
 ENGINE_LENGTHS = [1, 2, 3, 100, 1000, BLOCK // 2, BLOCK - 1, BLOCK, BLOCK + 1]
