@@ -4,8 +4,10 @@ Subcommands
 -----------
 ``simulate --config F --out F --seed U64 --n INT --replicates INT``
     Sample an ensemble of the configured process and write it as CSV with
-    header ``t,replicate,x`` (replicate-major rows, 17 significant digits,
-    so values round-trip exactly).
+    header ``t,replicate,x``: replicate-major rows, each value in the bytes
+    ``"%.17g"`` gives it, so values round-trip exactly.  ``_format`` computes
+    those digits with NumPy for ``1e-4 <= |x| < 1e16`` and zeros, and leaves
+    other values to ``%``.
 ``analyze --input F [--max-lag INT] [--window-c REAL] [--target-mean REAL]``
     Estimate autocovariances, correlation time, effective sample size, and
     Chebyshev bounds from a single observed path; JSON on stdout, with
@@ -30,7 +32,6 @@ import os
 import sys
 import tempfile
 import warnings
-from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -48,8 +49,9 @@ from .processes import ProcessConfig, _require_in_memory, sample_blocks, sample_
 __all__ = ["main", "ConfigError"]
 
 _ANALYZE_EPSILONS = (0.1, 0.05, 0.01)
-# Values per formatted chunk of a simulate row: about 200 KB of text, so a
-# long row never becomes one huge string.
+# Values simulate formats at once, across replicates: about 200 KB of text,
+# laid out in a byte matrix and mask of about 1 MB, so the row writer's
+# temporaries stay this small however long a path is.
 _WRITE_CHUNK = 8192
 _MIN_ANALYZE_OBSERVATIONS = 10
 
@@ -162,18 +164,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _require_in_memory(args.n, f"--n {args.n}: one path")
     if args.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {args.replicates}")
+    # The row writer builds its digit tables on import; no other command needs it.
+    from ._format import write_rows
 
     def body(fh) -> None:
         fh.write("t,replicate,x\n")
 
         def write(first: int, block) -> None:
-            # One %-format call per chunk of a row; "%.17g" gives the same
-            # digits as format(x, ".17g").
-            for r, values in enumerate(block, start=first):
-                for lo in range(0, args.n, _WRITE_CHUNK):
-                    xs = values[lo : lo + _WRITE_CHUNK].tolist()
-                    rows = zip(range(lo + 1, lo + len(xs) + 1), xs)
-                    fh.write((f"%d,{r},%.17g\n" * len(xs)) % tuple(chain.from_iterable(rows)))
+            values = block.reshape(-1)  # replicate-major, as the rows go
+            for lo in range(0, values.size, _WRITE_CHUNK):
+                write_rows(fh, values[lo : lo + _WRITE_CHUNK], lo, args.n, first)
 
         # One worker: blocks arrive in replicate order, as the rows are written.
         sample_blocks(process, args.n, args.seed, args.replicates, write, max_workers=1)

@@ -36,7 +36,7 @@ from ergodiag import (
     vector_norm_gap,
     verify_variance_identity,
 )
-from ergodiag import processes
+from ergodiag import harness, processes
 from ergodiag.cli import main
 
 SPIKES = ProcessConfig(Family.SPARSE_SPIKES)
@@ -199,14 +199,19 @@ def test_c08_vector_coordinates():
     spec = build_spec(AR1)
     exact_sum = 3 * time_average_variance(spec, n)
 
+    # Coordinate j of replicate r is the AR1 path of RngSeed(base_j, r), its
+    # time average read off the block engine.
     base = derive_stream(8001, n)
-    gap_sq = np.empty(replicates)
-    for r in range(replicates):
-        averages = [
+    averages = np.stack([
+        harness._ensemble_averages(AR1, (n,), derive_stream(base, j), replicates, None)[0]
+        for j in range(3)
+    ])
+    for r in range(300):
+        assert [
             time_average(sample_path(AR1, n, RngSeed(derive_stream(base, j), r)))
             for j in range(3)
-        ]
-        gap_sq[r] = vector_norm_gap(averages, [0.0, 0.0, 0.0]) ** 2
+        ] == averages[:, r].tolist()
+    gap_sq = np.array([vector_norm_gap(a, [0.0, 0.0, 0.0]) ** 2 for a in averages.T])
     mse = float(np.mean(gap_sq))
     se = float(np.std(gap_sq, ddof=1)) / math.sqrt(replicates)
     assert abs(mse - exact_sum) <= 4 * se

@@ -79,9 +79,19 @@ class TestSimulate:
         parsed = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
         assert np.array_equal(np.asarray(parsed), expected)
 
-    @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
+    # Every value of these paths lies outside the window 1e-4 <= |x| < 1e16
+    # that the row writer prints with NumPy: below it, and above it.
+    WINDOW_MISSES = {
+        "AR1_BELOW_WINDOW": ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1e-12}),
+        "DRIFTING_MEAN_ABOVE_WINDOW": ProcessConfig(
+            Family.DRIFTING_MEAN,
+            {"trend": {"kind": "LINEAR", "a": 1e17, "b": 1.0}, "noise_sd": 1.0},
+        ),
+    }
+
+    @pytest.mark.parametrize("family", [*ENGINE_CONFIGS, *WINDOW_MISSES])
     def test_bytes_equal_reference_writer(self, tmp_path, family):
-        config = ENGINE_CONFIGS[family]
+        config = {**ENGINE_CONFIGS, **self.WINDOW_MISSES}[family]
         doc = {"process": config.to_dict()}
         # Chunk edges at 8192 values, and n = 1000 with a partial block of
         # 17 rows, then a full 65-row block and a partial one.
@@ -94,6 +104,8 @@ class TestSimulate:
             lines = ["t,replicate,x\n"]
             for r in range(replicates):
                 values = sample_path(config, n, RngSeed(11, r)).values
+                if family in self.WINDOW_MISSES:
+                    assert not np.any((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16))
                 lines.extend(f"{t},{r},{x:.17g}\n" for t, x in enumerate(values, start=1))
             assert out.read_bytes() == "".join(lines).encode(), (n, replicates)
 

@@ -1,9 +1,10 @@
-"""No run of ergodiag loads scipy.
+"""No run of ergodiag loads scipy, and only ``simulate`` loads its row writer.
 
 Importing scipy.signal took most of the package's start-up, and scipy is a
 test dependency only (the reference for the AR1 filter and the FFT length).
-The test process itself has scipy loaded (``test_processes`` imports it), so
-each check runs in a fresh interpreter.
+The row writer ``ergodiag._format`` builds its digit tables on import, which
+only ``simulate`` needs.  The test process itself has scipy loaded
+(``test_processes`` imports it), so each check runs in a fresh interpreter.
 """
 
 import json
@@ -77,3 +78,25 @@ print(json.dumps(stages))
 """
     stages = run_fresh(code, str(config), str(tmp_path / "out"), str(tmp_path / "paths.csv"))
     assert stages == [[], [], []]
+
+
+def test_only_simulate_loads_the_row_writer(tmp_path):
+    values = tmp_path / "path.csv"
+    values.write_text("x\n" + "\n".join(str((7 * t) % 11 - 5) for t in range(200)) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"process": {"family": "AR1",
+                                              "params": {"phi": 0.5, "gamma0": 1.0}}}))
+    loaded = "'ergodiag._format' in sys.modules"
+    code = f"""
+import json, sys
+import ergodiag, ergodiag.cli
+stages = [{loaded}]
+assert ergodiag.cli.main(["analyze", "--input", sys.argv[1], "--max-lag", "20"]) == 0
+stages.append({loaded})
+assert ergodiag.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3],
+                          "--seed", "5", "--n", "50", "--replicates", "3"]) == 0
+stages.append({loaded})
+print(json.dumps(stages))
+"""
+    stages = run_fresh(code, str(values), str(config), str(tmp_path / "paths.csv"))
+    assert stages == [False, False, True]
