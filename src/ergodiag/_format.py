@@ -3,13 +3,13 @@
 CPython prints ``%.17g`` with correctly rounded, ties-to-even decimal digits
 (Gay 1990, *Correctly rounded binary-decimal and decimal-binary
 conversions*).  Seventeen digits take its bignum route, about 1 us a value.
-In the window ``1e-4 <= |x| < 1e16``, where ``%g`` uses fixed notation, the
-same digits come from float64 arithmetic alone:
+In the window ``1e-4 <= |x| < 1e16``, which lies inside the range
+``1e-4 <= |x| < 1e17`` that ``%.17g`` prints in fixed notation, the same
+digits come from float64 arithmetic alone:
 
 * ``k = floor(log10|x|)`` lies in ``[-4, 15]`` and ``10**(16 - k)`` is an
-  exact double, so Dekker's error-free product (Dekker 1971) gives
-  ``hi + lo = |x| * 10**(16 - k)`` exactly.  Each step is one ufunc call,
-  so no multiply-add is contracted.
+  exact double, so Dekker's error-free product (Dekker 1971,
+  ``processes._two_product``) gives ``hi + lo = |x| * 10**(16 - k)`` exactly.
 * ``log10`` only guesses ``k``: the decade test ``1e16 <= hi + lo < 1e17``
   on the exact pair decides it.
 * ``hi >= 2**53`` is an even integer and ``|lo|`` is at most half its ulp,
@@ -20,9 +20,10 @@ same digits come from float64 arithmetic alone:
 
 ``0.0`` and ``-0.0`` print as ``0`` and ``-0``.  Any other value (outside the
 window, or not finite) is printed by ``%.17g`` itself, all such values of a
-chunk in one ``%`` call.  A chunk with more than half its values outside
-the window is printed by ``%`` alone, one call per replicate, so no input
-costs more than ``%``-formatting every line.
+chunk in one ``%`` call.  A chunk with more than three quarters of its
+values outside the window is printed by ``%`` alone, one call per replicate:
+past about that share the byte matrix below costs more than the digits it
+saves.
 
 Each line is one row of a byte matrix, written four bytes at a time from
 tables of digit groups, with a mask of the bytes in use; the masked bytes,
@@ -44,13 +45,12 @@ from typing import TextIO
 
 import numpy as np
 
+from .processes import _two_product
+
 __all__ = ["write_rows"]
 
-_SPLIT = np.float64(134217729.0)  # 2**27 + 1: Veltkamp's splitting constant
-# 10**q for q = 0 .. 20, exact doubles, and their Veltkamp halves.
+# 10**q for q = 0 .. 20, exact doubles.
 _POW10 = np.array([float(10**q) for q in range(21)])
-_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
 _INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
@@ -119,18 +119,6 @@ _ZERO_CODE = 20 * 18 * 2
 _FALLBACK = _ZERO_CODE + 2
 
 
-def _exact_scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``hi + lo == a * 10**(16 - k)`` exactly: Dekker's two-product."""
-    q = 16 - k
-    p, p_hi, p_lo = _POW10[q], _POW10_HI[q], _POW10_LO[q]
-    hi = a * p
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    return hi, lo
-
-
 def _integers(words: np.ndarray, used: np.ndarray, values: np.ndarray) -> None:
     """Write the digits of non-negative ``values``, right-aligned, into the
     columns of ``words``, and mark the bytes in use in ``used``."""
@@ -154,7 +142,7 @@ def _number(
     a = np.abs(x[rows])
     k = np.floor(np.log10(a)).astype(np.int64)
     np.clip(k, -4, 15, out=k)
-    hi, lo = _exact_scaled(a, k)
+    hi, lo = _two_product(a, _POW10[16 - k])
     # log10 only guesses k.  The decade test 1e16 <= hi + lo < 1e17 on the
     # exact pair decides it, and only a pair at or past a bound can fail it.
     edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
@@ -163,7 +151,7 @@ def _number(
         up = (edge_hi > 1e17) | ((edge_hi == 1e17) & (edge_lo >= 0))
         down = (edge_hi < 1e16) | ((edge_hi == 1e16) & (edge_lo < 0))
         k[edge] += up.astype(np.int64) - down
-        hi[edge], lo[edge] = _exact_scaled(a[edge], k[edge])
+        hi[edge], lo[edge] = _two_product(a[edge], _POW10[16 - k[edge]])
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
     upper, lower = np.divmod(digits, 10**8)
@@ -206,10 +194,15 @@ def write_rows(fh: TextIO, x: np.ndarray, start: int, n: int, first: int) -> Non
     ax = np.abs(x)
     window = (ax >= 1e-4) & (ax < 1e16)
     other = np.flatnonzero(~window & (ax != 0))
-    if 2 * other.size > x.size:
-        # Mostly printed by %.17g anyway: % for every line costs less.  One
-        # call and one write per replicate: joining them into one string per
-        # chunk faulted in fresh pages for it on every chunk.
+    if 4 * other.size > 3 * x.size:
+        # Mostly printed by %.17g anyway: % for every line costs less.  On
+        # 8192-value chunks of rows of 100 and 1000 steps, values below and
+        # above the window, the byte matrix took 0.89-1.00x the time of %
+        # alone at three quarters outside, 0.94-1.04x at 0.8 and 1.01-1.16x
+        # with every value outside (medians of 40-80 interleaved calls in
+        # each of three runs, 2-vCPU Xeon).  One call and one write per
+        # replicate: joining them into one string per chunk faulted in fresh
+        # pages for it on every chunk.
         values = iter(x.tolist())
         for row in range(start // n, (start + x.size - 1) // n + 1):
             lo, hi = max(start - row * n, 0), min(start + x.size - row * n, n)

@@ -194,15 +194,22 @@ _SCAN_SEGMENT = 10
 _SPLIT = np.float64(134217729.0)
 
 
+def _two_product(a, b) -> tuple:
+    """Dekker's exact product ``p + e == a * b``, elementwise, of float64
+    scalars or arrays: multiplications and additions only, one ufunc call
+    each, so no multiply-add is contracted."""
+    p = a * b
+    ca, cb = _SPLIT * a, _SPLIT * b
+    a_hi, b_hi = ca - (ca - a), cb - (cb - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
 def _dd_mul(x: tuple, y: tuple) -> tuple:
     """Product of two double-double numbers ``(hi, lo)``, with Dekker's exact
     product of the high parts: float64 multiplications and additions only."""
     (xh, xl), (yh, yl) = x, y
-    p = xh * yh
-    cx, cy = _SPLIT * xh, _SPLIT * yh
-    xh_hi, yh_hi = cx - (cx - xh), cy - (cy - yh)
-    xh_lo, yh_lo = xh - xh_hi, yh - yh_hi
-    e = ((xh_hi * yh_hi - p) + xh_hi * yh_lo + xh_lo * yh_hi) + xh_lo * yh_lo
+    p, e = _two_product(xh, yh)
     e = e + (xh * yl + xl * yh)
     hi = p + e
     return hi, e - (hi - p)

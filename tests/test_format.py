@@ -1,7 +1,7 @@
 """``_format.write_rows`` writes the bytes of ``"%d,%d,%.17g\\n"``, value by value.
 
 Every test compares the kernel's text for one chunk with the ``%`` writer
-on the same rows.  Chunks hold fewer than half their values outside the
+on the same rows.  Chunks hold at most half their values outside the
 window ``1e-4 <= |x| < 1e16`` unless a test says otherwise, so the NumPy
 digits and the in-chunk ``%.17g`` texts are both exercised.
 """
@@ -147,10 +147,12 @@ def test_a_chunk_spanning_rows():
 
 
 def test_chunks_mostly_outside_the_window_across_rows():
-    # More than half the values are printed by %.17g: the whole chunk is.
+    # More than three quarters of the values are printed by %.17g: the
+    # whole chunk is.  At three quarters the kernel still lays it out.
     rng = np.random.default_rng(RNG_SEED + 8)
-    x = 1e-12 * rng.standard_normal(300)
-    x[::3] = rng.standard_normal(100)
+    x = 1e-12 * rng.standard_normal(500)
+    x[::5] = rng.standard_normal(100)
     assert_same(x, start=950, n=100)
     assert_same(x, start=0, n=1, first=5)
     assert_same([1e17, np.inf, -np.inf, np.nan, 5.0])
+    assert_same([1e17, -1e-5, np.nan, 5.0], n=3)
