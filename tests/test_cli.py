@@ -512,14 +512,20 @@ class TestExperiment:
         assert code == 2
         assert "analyze" in capsys.readouterr().err
 
-    def test_unknown_check_name_exits_2(self, tmp_path, capsys):
-        doc = {
-            **SPIKE_DOC,
-            "experiment": {"base_seed": 1, "checks": ["STATIONARITY"]},
-        }
-        code, _ = self.run_experiment_cmd(tmp_path, doc)
+    @pytest.mark.parametrize("name", ["STATIONARITY", "VECTOR"])
+    def test_unknown_check_name_exits_2(self, tmp_path, capsys, name):
+        doc = {**SPIKE_DOC, "experiment": {"base_seed": 1, "checks": [name]}}
+        code, out_dir = self.run_experiment_cmd(tmp_path, doc)
         assert code == 2
-        assert "STATIONARITY" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_schema_enums_match_the_package(self):
+        schema = load_report_schema()
+        checks = schema["$defs"]["checkName"]["enum"]
+        families = schema["properties"]["process"]["properties"]["family"]["enum"]
+        assert checks == [c.value for c in harness.Check]
+        assert families == [f.value for f in Family]
 
     @pytest.mark.parametrize(
         ("experiment", "field"),
