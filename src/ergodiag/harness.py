@@ -469,7 +469,7 @@ def _tail_trend_ok(tails: list[float], replicates: int) -> tuple[bool, str]:
         if tails[k + 1] > tails[k] + slack:
             return False, f"tail rose {tails[k]:.4g} -> {tails[k + 1]:.4g}"
     net_slack = 2.0 * math.hypot(ses[0], ses[-1])
-    if tails[-1] > tails[0] - net_slack and tails[-1] >= _TINY_TAIL:
+    if tails[-1] >= tails[0] - net_slack and tails[-1] >= _TINY_TAIL:
         return False, f"no net decrease ({tails[0]:.4g} -> {tails[-1]:.4g})"
     return True, ""
 

@@ -445,19 +445,24 @@ class TestFourthMomentCheck:
         report = run_experiment(config)
         assert report.verdicts[Check.FOURTH_MOMENT].status == "PASS"
 
-    def test_short_grid_is_judged_on_its_tails(self, spike_config):
-        # The exact Var(A_9) = 10/18 is far from its limit 1/2, which the
-        # closed form, not the run, decides; the verdict rests on the tails.
+    def test_short_grid_tails_that_stay_at_one_fail(self, spike_config):
+        # X_1 = +-1, so |A_n| >= 1/n > 0.1 for n <= 9 unless larger spikes
+        # cancel it: the eps = 0.1 tail is 1 at both grid points, with a
+        # binomial SE of 0, and a tail that did not fall is no shrinking tail.
         config = ExperimentConfig(
             process=spike_config,
             base_seed=5,
             n_grid=(2, 9),
             replicates=1000,
-            checks=frozenset({Check.FOURTH_MOMENT}),
+            epsilons=(0.1,),
+            checks=frozenset({Check.FOURTH_MOMENT, Check.WLLN}),
         )
-        verdict = run_experiment(config).verdicts[Check.FOURTH_MOMENT]
-        assert verdict.status == "PASS", verdict.message
-        assert verdict.message.endswith("while Var(A_n) stays near 0.5556")
+        report = run_experiment(config)
+        assert [s.empirical_tails[0.1] for s in report.per_n] == [1.0, 1.0]
+        for check in (Check.FOURTH_MOMENT, Check.WLLN):
+            verdict = report.verdicts[check]
+            assert verdict.status == "FAIL", verdict.message
+            assert verdict.message == "eps=0.1: no net decrease (1 -> 1)"
 
     def test_skipped_for_other_families(self, ar1_config):
         config = ExperimentConfig(

@@ -37,7 +37,8 @@ def test_cli_import_analyze_and_spike_experiment_load_no_scipy(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "process": {"family": "SPARSE_SPIKES"},
-        "experiment": {"base_seed": 3, "n_grid": [10, 100], "replicates": 200},
+        "experiment": {"base_seed": 3, "n_grid": [10, 100], "replicates": 200,
+                       "epsilons": [0.1]},
     }))
     code = f"""
 import json, sys
