@@ -21,13 +21,14 @@ digits come from float64 arithmetic alone:
 ``0.0`` and ``-0.0`` print as ``0`` and ``-0``.  Any other value (outside the
 window, or not finite) is printed by ``%.17g`` itself, all such values of a
 chunk in one ``%`` call.  A chunk with more than three quarters of its
-values outside the window is printed by ``%`` alone, one call per replicate:
-past about that share the byte matrix below costs more than the digits it
-saves.
+values outside the window is left to :func:`percent_rows`, which prints it
+by ``%`` alone, one call per replicate: past about that share the byte
+matrix below costs more than the digits it saves.
 
 Each line is one row of a byte matrix, written four bytes at a time from
 tables of digit groups, with a mask of the bytes in use; the masked bytes,
-read row by row, are the text.  The number takes 48 bytes of its row:
+read row by row, are the chunk's bytes, which :func:`format_rows` returns
+as a uint8 array for a binary file.  The number takes 48 bytes of its row:
 
     ",-0L" AAAA AAAA AAAA AAAA ".000" "   L" BBBB BBBB BBBB BBBB "\\n   "
 
@@ -36,18 +37,25 @@ integer part is taken from the ``A`` copy and the fraction from the ``B``
 copy, so the decimal point needs no shift.  Which bytes are in use depends
 only on the decade ``k``, the count of significant digits and the sign, and
 one table row per combination holds the mask.
+
+Threads: :func:`format_rows` spends most of its time in NumPy calls that
+release the interpreter lock, and shares nothing between threads but
+read-only tables, so ``simulate`` runs it on two threads at once.
+:func:`percent_rows` holds the lock nearly all the time, and ``simulate``
+calls it on the calling thread only.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
-from typing import TextIO
+from typing import BinaryIO
 
 import numpy as np
 
 from .processes import _two_product
 
-__all__ = ["write_rows"]
+__all__ = ["format_rows", "percent_rows"]
 
 # 10**q for q = 0 .. 20, exact doubles.
 _POW10 = np.array([float(10**q) for q in range(21)])
@@ -111,12 +119,26 @@ def _number_masks() -> np.ndarray:
     fallback = np.zeros((25, 48), bool)
     fallback[:, [0, 44]] = True
     fallback[:, 1:25] = np.arange(24) < np.arange(25)[:, None]
-    return np.concatenate((window.reshape(-1, 48), zero, fallback)).view(np.uint64)
+    return np.concatenate((window.reshape(-1, 48), zero, fallback))
 
 
 _MASKS = _number_masks()
 _ZERO_CODE = 20 * 18 * 2
 _FALLBACK = _ZERO_CODE + 2
+
+
+def _items(rows: np.ndarray) -> np.ndarray:
+    """Each row of the C-contiguous 2-D array ``rows`` as one opaque item."""
+    return rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
+
+
+@lru_cache(maxsize=None)
+def _row_masks(prefix: int) -> np.ndarray:
+    """``_MASKS`` after ``prefix`` unused bytes, one item per code: a whole
+    row of ``used``, so one ``np.take`` gathers a chunk's masks into it."""
+    rows = np.zeros((len(_MASKS), prefix + 48), bool)
+    rows[:, prefix:] = _MASKS
+    return _items(rows)
 
 
 def _integers(words: np.ndarray, used: np.ndarray, values: np.ndarray) -> None:
@@ -130,16 +152,26 @@ def _integers(words: np.ndarray, used: np.ndarray, values: np.ndarray) -> None:
     used[:] = np.take(masks, count, axis=0)
 
 
-def _number(
-    words: np.ndarray, used: np.ndarray, x: np.ndarray, inside: np.ndarray, other: np.ndarray
-) -> None:
-    """Write ``x`` into the 12 columns of ``words`` as the module docstring
-    lays it out, and mark the bytes in use in ``used``.  ``inside`` indexes
-    the values in the window, ``other`` those printed by ``%.17g``; the rest
-    are zeros.
+def _digits(x: np.ndarray, ax: np.ndarray, window: np.ndarray, other: np.ndarray) -> tuple:
+    """The parts of the numbers ``x`` (``ax`` their magnitudes) in the layout
+    of the module docstring.  ``window`` marks the values in the window,
+    ``other`` indexes those printed by ``%.17g``; the rest are zeros.
+
+    Returns ``rows``, which selects the values given digits, their leading
+    digits and the four groups of the other 16 digits; each value's code in
+    ``_MASKS``; and the ``%.17g`` texts of ``other``, left-justified in a byte
+    matrix of 24 columns, or None.
     """
-    rows = slice(None) if inside.size == x.size else inside
-    a = np.abs(x[rows])
+    inside = np.count_nonzero(window)
+    if 2 * inside < x.size:
+        rows = np.flatnonzero(window)
+        a = ax[rows]
+    else:
+        # At least half in the window: every value is given digits, those
+        # outside it the digits of 2.0, which their masks hide, so that
+        # whole columns are written, with no index.
+        rows = slice(None)
+        a = ax if inside == x.size else np.where(window, ax, 2.0)
     k = np.floor(np.log10(a)).astype(np.int64)
     np.clip(k, -4, 15, out=k)
     hi, lo = _two_product(a, _POW10[16 - k])
@@ -157,39 +189,81 @@ def _number(
     upper, lower = np.divmod(digits, 10**8)
     lead, upper = np.divmod(upper, 10**8)
     groups = (*np.divmod(upper, 10_000), *np.divmod(lower, 10_000))
-    # Zeros and %.17g texts use only the bytes ",-0" and "\n" of these.
-    words[:, 0] = _LEAD_A[0]
-    words[rows, 0] = _LEAD_A[lead]
-    for g, group in enumerate(groups, start=1):
-        words[rows, g] = words[rows, g + 6] = _DIGITS[group]
-    words[:, 5] = _POINT
-    words[rows, 6] = _LEAD_B[lead]
-    words[:, 11] = _NEWLINE
-
-    # Trailing zeros of the 16 digits after the leading one, which is never 0.
-    trailing = np.int8(0)
-    for group in groups:
-        trailing = np.where(group == 0, 4 + trailing, _TRAILING[group])
+    # Trailing zeros of the 16 digits after the leading one, which is never
+    # 0: those of the last group, and where it is 0 of the groups before it.
+    trailing = _TRAILING[groups[3]]
+    ends = np.flatnonzero(groups[3] == 0)
+    if ends.size:
+        zeros = np.int8(0)
+        for group in groups:
+            zeros = np.where(group[ends] == 0, 4 + zeros, _TRAILING[group[ends]])
+        trailing[ends] = zeros
     negative = np.signbit(x)
-    code = _ZERO_CODE + negative.astype(np.int64)
-    code[rows] = ((k + 4) * 18 + (17 - trailing)) * 2 + negative[rows]
+    code = ((k + 4) * 18 + (17 - trailing)) * 2 + negative[rows]
+    if inside < x.size:
+        if isinstance(rows, slice):
+            outside = np.flatnonzero(~window)
+            code[outside] = _ZERO_CODE + negative[outside]
+        else:
+            code, inside_code = _ZERO_CODE + negative.astype(np.int64), code
+            code[rows] = inside_code
+    texts = None
     if other.size:
         # Left-justified in 24 bytes, so the texts form a matrix.
-        text = ("%-24.17g" * other.size % tuple(x[other].tolist())).encode("ascii")
-        raw = np.frombuffer(text, np.uint8).reshape(other.size, 24)
-        words.view(np.uint8)[other, 1:25] = raw
-        code[other] = _FALLBACK + np.count_nonzero(raw != ord(" "), axis=1)
-    used[:] = np.take(_MASKS, code, axis=0).view(bool)
+        text = b"%-24.17g" * other.size % tuple(x[other].tolist())
+        texts = np.frombuffer(text, np.uint8).reshape(other.size, 24)
+        code[other] = _FALLBACK + np.count_nonzero(texts != ord(" "), axis=1)
+    return rows, lead, groups, code, texts
 
 
-def write_rows(fh: TextIO, x: np.ndarray, start: int, n: int, first: int) -> None:
-    """Write the CSV lines ``t,r,x`` of values ``start .. start + len(x) - 1``
-    of replicate-major paths of length ``n``, the first of replicate ``first``.
+def _layout(
+    x: np.ndarray, ax: np.ndarray, window: np.ndarray, other: np.ndarray,
+    start: int, n: int, first: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The byte matrix of the lines of ``x`` as 4-byte words, and its mask."""
+    # The digits first: their temporaries are gone before the matrix exists.
+    rows, lead, groups, code, texts = _digits(x, ax, window, other)
+    r, t = np.divmod(np.arange(start, start + x.size), n)
+    t += 1
+    r += first
+    t_words = -(-len(str(int(t.max()))) // 4)
+    r_words = -(-len(str(int(r[-1]))) // 4)
+    # t, then "," and three unused bytes, then r, then the number.
+    cols = np.cumsum([0, t_words, 1, r_words, _NUMBER_WORDS])
+    words = np.empty((x.size, cols[-1]), np.uint32)
+    used = np.empty((x.size, 4 * cols[-1]), bool)
+    # Every row of used from its number's code; t, "," and r overwrite the rest.
+    np.take(_row_masks(4 * cols[3]), code, out=_items(used), mode="clip")
+    _integers(words[:, : cols[1]], used[:, : 4 * cols[1]], t)
+    words[:, cols[1]] = _COMMA
+    used[:, 4 * cols[1] : 4 * cols[2]] = (True, False, False, False)
+    _integers(words[:, cols[2] : cols[3]], used[:, 4 * cols[2] : 4 * cols[3]], r)
+
+    number = words[:, cols[3] :]
+    # Zeros and %.17g texts use only the bytes ",-0" and "\n" of these.
+    number[:, 0] = _LEAD_A[0]
+    number[rows, 0] = _LEAD_A[lead]
+    for g, group in enumerate(groups, start=1):
+        number[rows, g] = number[rows, g + 6] = _DIGITS[group]
+    number[:, 5] = _POINT
+    number[rows, 6] = _LEAD_B[lead]
+    number[:, 11] = _NEWLINE
+    if texts is not None:
+        words.view(np.uint8)[other, 4 * cols[3] + 1 : 4 * cols[3] + 25] = texts
+    return words, used
+
+
+def format_rows(x: np.ndarray, start: int, n: int, first: int) -> np.ndarray | None:
+    """The CSV lines ``t,r,x`` of values ``start .. start + len(x) - 1`` of
+    replicate-major paths of length ``n``, the first of replicate ``first``,
+    as ASCII bytes in a uint8 array; None for a chunk left to
+    :func:`percent_rows`.
 
     Value ``i`` of ``x`` is step ``t = (start + i) % n + 1`` of replicate
     ``r = first + (start + i) // n``, and its line is ``"%d,%d,%.17g\\n" %
     (t, r, x[i])``.  ``x`` is kept to a few thousand values, so the byte
-    matrix stays small.
+    matrix stays small.  Calls share only read-only tables, so threads may
+    make them at once.
     """
     ax = np.abs(x)
     window = (ax >= 1e-4) & (ax < 1e16)
@@ -200,28 +274,22 @@ def write_rows(fh: TextIO, x: np.ndarray, start: int, n: int, first: int) -> Non
         # above the window, the byte matrix took 0.89-1.00x the time of %
         # alone at three quarters outside, 0.94-1.04x at 0.8 and 1.01-1.16x
         # with every value outside (medians of 40-80 interleaved calls in
-        # each of three runs, 2-vCPU Xeon).  One call and one write per
-        # replicate: joining them into one string per chunk faulted in fresh
-        # pages for it on every chunk.
-        values = iter(x.tolist())
-        for row in range(start // n, (start + x.size - 1) // n + 1):
-            lo, hi = max(start - row * n, 0), min(start + x.size - row * n, n)
-            rows = chain.from_iterable(zip(range(lo + 1, hi + 1), values))
-            fh.write((f"%d,{first + row},%.17g\n" * (hi - lo)) % tuple(rows))
-        return
-    r, t = np.divmod(np.arange(start, start + x.size), n)
-    t += 1
-    r += first
-    t_words = -(-len(str(int(t.max()))) // 4)
-    r_words = -(-len(str(int(r[-1]))) // 4)
-    # t, then "," and three unused bytes, then r, then the number.
-    cols = np.cumsum([0, t_words, 1, r_words, _NUMBER_WORDS])
-    words = np.empty((x.size, cols[-1]), np.uint32)
-    used = np.empty((x.size, 4 * cols[-1]), bool)
-    _integers(words[:, : cols[1]], used[:, : 4 * cols[1]], t)
-    words[:, cols[1]] = _COMMA
-    used[:, 4 * cols[1] : 4 * cols[2]] = (True, False, False, False)
-    _integers(words[:, cols[2] : cols[3]], used[:, 4 * cols[2] : 4 * cols[3]], r)
-    _number(words[:, cols[3] :], used[:, 4 * cols[3] :], x, np.flatnonzero(window), other)
-    text = np.compress(used.reshape(-1), words.view(np.uint8).reshape(-1))
-    fh.write(text.tobytes().decode("ascii"))
+        # each of three runs, 2-vCPU Xeon).
+        return None
+    words, used = _layout(x, ax, window, other, start, n, first)
+    # A boolean index copies the bytes in use; np.compress would first list
+    # their positions, 8 bytes for each byte of text.
+    return words.view(np.uint8).reshape(-1)[used.reshape(-1)]
+
+
+def percent_rows(out: BinaryIO, x: np.ndarray, start: int, n: int, first: int) -> None:
+    """Write the lines :func:`format_rows` describes to ``out`` by ``%``
+    alone.  One call and one write per replicate: joining them into one
+    string per chunk faulted in fresh pages for it on every chunk.  Bytes
+    ``%`` prints floats as ``str`` ``%`` does, and took 0.93x its time with
+    the encode (1000-value rows)."""
+    values = iter(x.tolist())
+    for row in range(start // n, (start + x.size - 1) // n + 1):
+        lo, hi = max(start - row * n, 0), min(start + x.size - row * n, n)
+        rows = chain.from_iterable(zip(range(lo + 1, hi + 1), values))
+        out.write((b"%%d,%d,%%.17g\n" % (first + row)) * (hi - lo) % tuple(rows))

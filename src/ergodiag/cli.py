@@ -7,7 +7,12 @@ Subcommands
     header ``t,replicate,x``: replicate-major rows, each value in the bytes
     ``"%.17g"`` gives it, so values round-trip exactly.  ``_format`` computes
     those digits with NumPy for ``1e-4 <= |x| < 1e16`` and zeros, and leaves
-    other values to ``%``.
+    other values to ``%``.  Rows are formatted as bytes, in chunks of
+    ``_WRITE_CHUNK`` values, and written straight to the file.  With more
+    than one usable CPU a helper thread formats every other chunk while the
+    calling thread formats the next; the calling thread writes every chunk,
+    in row order, and prints by ``%`` each chunk that ``_format`` leaves to
+    it.  With one CPU the calling thread does it all.
 ``analyze --input F [--max-lag INT] [--window-c REAL] [--target-mean REAL]``
     Estimate autocovariances, correlation time, effective sample size, and
     Chebyshev bounds from a single observed path; JSON on stdout, with
@@ -32,11 +37,14 @@ import os
 import sys
 import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from . import processes
 from .bounds import chebyshev_bound
 from .estimators import SamplePath, estimate_tau, sample_autocovariance
 from .harness import ExperimentConfig, run_experiment
@@ -51,7 +59,9 @@ __all__ = ["main", "ConfigError"]
 _ANALYZE_EPSILONS = (0.1, 0.05, 0.01)
 # Values simulate formats at once, across replicates: about 200 KB of text,
 # laid out in a byte matrix and mask of about 1 MB, so the row writer's
-# temporaries stay this small however long a path is.
+# temporaries stay this small however long a path is.  Each of the two
+# formatting threads needs that much at once, in its own malloc arena, so a
+# larger chunk would double both working sets for fewer NumPy calls a value.
 _WRITE_CHUNK = 8192
 _MIN_ANALYZE_OBSERVATIONS = 10
 
@@ -126,8 +136,12 @@ def _experiment_from_config(doc: dict, process: ProcessConfig) -> ExperimentConf
         raise ConfigError(f"experiment section invalid: {exc}") from exc
 
 
-def _atomic_write(path: Path, write_body: Callable) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+def _atomic_write(path: Path, write_body: Callable, *, binary: bool = False) -> None:
+    """Write via a sibling temp file and rename, so readers never see halves.
+
+    ``write_body`` gets the file opened as UTF-8 text, or for bytes if
+    ``binary``.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -135,7 +149,11 @@ def _atomic_write(path: Path, write_body: Callable) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        if binary:
+            fh = os.fdopen(fd, "wb")
+        else:
+            fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+        with fh:
             write_body(fh)
         os.replace(tmp_name, path)
     except BaseException:
@@ -165,20 +183,54 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {args.replicates}")
     # The row writer builds its digit tables on import; no other command needs it.
-    from ._format import write_rows
+    from ._format import format_rows, percent_rows
+
+    n = args.n
 
     def body(fh) -> None:
-        fh.write("t,replicate,x\n")
+        fh.write(b"t,replicate,x\n")
 
-        def write(first: int, block) -> None:
-            values = block.reshape(-1)  # replicate-major, as the rows go
-            for lo in range(0, values.size, _WRITE_CHUNK):
-                write_rows(fh, values[lo : lo + _WRITE_CHUNK], lo, args.n, first)
+        def put(text, x, start: int, first: int) -> None:
+            if text is None:
+                percent_rows(fh, x, start, n, first)
+            else:
+                fh.write(text)
 
-        # One worker: blocks arrive in replicate order, as the rows are written.
-        sample_blocks(process, args.n, args.seed, args.replicates, write, max_workers=1)
+        # The helper formats every other chunk while this thread formats the
+        # next one; this thread writes both, in row order, and prints every
+        # chunk left to %.  Only the helper's chunk is ever pending.
+        pending: list = []
 
-    _atomic_write(Path(args.out), body)
+        def flush() -> None:
+            for future, *chunk in pending:
+                put(future.result(), *chunk)
+            pending.clear()
+
+        if processes.worker_count() > 1:
+            helper = ThreadPoolExecutor(1, thread_name_prefix="ergodiag-simulate")
+        else:
+            helper = None
+        # Leaving the block waits for the helper, also when a chunk failed.
+        with helper or nullcontext():
+
+            def write(first: int, block) -> None:
+                values = block.reshape(-1)  # replicate-major, as the rows go
+                for start in range(0, values.size, _WRITE_CHUNK):
+                    x = values[start : start + _WRITE_CHUNK]
+                    if helper is not None and not pending:
+                        x = x.copy()  # the block is reused once write returns
+                        future = helper.submit(format_rows, x, start, n, first)
+                        pending.append((future, x, start, first))
+                    else:
+                        text = format_rows(x, start, n, first)
+                        flush()
+                        put(text, x, start, first)
+
+            # One worker: blocks arrive in replicate order, as the rows are written.
+            sample_blocks(process, n, args.seed, args.replicates, write, max_workers=1)
+            flush()
+
+    _atomic_write(Path(args.out), body, binary=True)
     return 0
 
 

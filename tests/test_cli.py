@@ -3,6 +3,8 @@ import json
 import math
 import os
 import stat
+import threading
+import time
 import warnings
 from importlib import resources
 
@@ -12,7 +14,7 @@ import pytest
 from conftest import ENGINE_CONFIGS
 
 from ergodiag import Family, ProcessConfig, RngSeed, processes, sample_path
-from ergodiag import cli, harness
+from ergodiag import _format, cli, harness
 from ergodiag.cli import main
 
 
@@ -185,6 +187,115 @@ class TestSimulate:
             ]
         )
         assert code == 3
+
+
+class TestSimulateWriterThreads:
+    """``simulate`` formats chunks on the calling thread and, with more than
+    one usable CPU, on one helper thread; the file must not change."""
+
+    HELPER = "ergodiag-simulate"
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The names of the threads that formatted each chunk, and that
+        printed each chunk by ``%``, keyed by the chunk's first row.  The
+        helper starts each chunk late, so the calling thread runs ahead of
+        it, into the next block when the chunk is a block's last."""
+        seen = {"format": {}, "percent": {}}
+        for name in seen:
+            original = getattr(_format, f"{name}_rows")
+
+            def spy(*args, name=name, original=original):
+                x, start, n, first = args[-4:]
+                thread = threading.current_thread().name
+                seen[name][first * n + start] = thread
+                if thread.startswith(self.HELPER):
+                    time.sleep(0.005)
+                return original(*args)
+
+            monkeypatch.setattr(_format, f"{name}_rows", spy)
+        return seen
+
+    def simulate(self, tmp_path, doc, n, replicates, name="paths.csv"):
+        out = tmp_path / name
+        code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--seed", "3", "--n", str(n), "--replicates", str(replicates)])
+        return code, out
+
+    @pytest.mark.parametrize(
+        "doc, n, replicates",
+        [
+            (AR1_DOC, 1000, 200),
+            (AR1_DOC, 200_000, 1),
+            # Every value below the window: each chunk is printed by % alone.
+            ({"process": {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1e-12}}}, 1000, 50),
+            # Mostly zeros, and chunks that end inside a replicate.
+            (SPIKE_DOC, 997, 131),
+            # Blocks of 1024 one-value rows: one chunk each.
+            (AR1_DOC, 1, 20_000),
+            # One-row blocks of five chunks in one buffer: the helper's last
+            # chunk of a block is pending while the next block is sampled.
+            (AR1_DOC, 40_000, 3),
+        ],
+        ids=["AR1", "long_path", "percent_route", "spikes", "n1", "odd_chunks"],
+    )
+    def test_same_bytes_at_every_worker_count(
+        self, tmp_path, monkeypatch, threads, doc, n, replicates
+    ):
+        config = ProcessConfig(doc["process"]["family"], doc["process"]["params"])
+        paths = []
+        processes.sample_blocks(
+            config, n, 3, replicates, lambda first, block: paths.append(block.copy()),
+            max_workers=1,
+        )
+        chunks = sum(-(-block.size // cli._WRITE_CHUNK) for block in paths)
+        values = np.concatenate(paths).reshape(-1).tolist()
+        want = "t,replicate,x\n" + "".join(
+            "%d,%d,%.17g\n" % (i % n + 1, i // n, x) for i, x in enumerate(values)
+        )
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(processes, "worker_count", lambda: cpus)
+            for seen in threads.values():
+                seen.clear()
+            code, out = self.simulate(tmp_path, doc, n, replicates, name=f"w{cpus}.csv")
+            assert code == 0
+            assert out.read_bytes() == want.encode("ascii"), cpus
+            formatted = threads["format"].values()
+            helped = sum(name.startswith(self.HELPER) for name in formatted)
+            assert len(formatted) == chunks
+            # The helper takes every other chunk, from the first, and only
+            # when there is one.
+            assert helped == ((chunks + 1) // 2 if cpus > 1 else 0)
+            # Chunks left to % are printed on the calling thread only.
+            percent = threads["percent"].values()
+            assert all(name == threading.main_thread().name for name in percent)
+            assert len(percent) == (chunks if doc["process"]["params"].get("gamma0") == 1e-12
+                                    else 0)
+
+    @pytest.mark.parametrize(
+        "chunk, thread, error, code",
+        [(2, "helper", MemoryError, 2), (2, "helper", OSError, 3), (3, "caller", OSError, 3)],
+    )
+    def test_a_failing_chunk_leaves_no_file_and_no_thread(
+        self, tmp_path, monkeypatch, capsys, chunk, thread, error, code
+    ):
+        monkeypatch.setattr(processes, "worker_count", lambda: 2)
+        original = _format.format_rows
+        raised = []
+
+        def failing(x, start, n, first):
+            if first * n + start == chunk * cli._WRITE_CHUNK:
+                raised.append(threading.current_thread().name)
+                raise error("chunk failed")
+            return original(x, start, n, first)
+
+        monkeypatch.setattr(_format, "format_rows", failing)
+        before = set(threading.enumerate())
+        assert self.simulate(tmp_path, AR1_DOC, 1000, 200)[0] == code
+        assert raised and raised[0].startswith(self.HELPER) == (thread == "helper")
+        assert "chunk failed" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        assert set(threading.enumerate()) == before
 
 
 def write_path_csv(tmp_path, values, name="path.csv", header="x", with_t=False):

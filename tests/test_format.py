@@ -1,4 +1,4 @@
-"""``_format.write_rows`` writes the bytes of ``"%d,%d,%.17g\\n"``, value by value.
+"""``_format`` writes the bytes of ``"%d,%d,%.17g\\n"``, value by value.
 
 Every test compares the kernel's text for one chunk with the ``%`` writer
 on the same rows.  Chunks hold at most half their values outside the
@@ -13,15 +13,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ergodiag._format import write_rows
+from ergodiag._format import format_rows, percent_rows
 
 RNG_SEED = 2016
 
 
 def rows(x, start, n, first) -> str:
-    out = io.StringIO()
-    write_rows(out, np.asarray(x, dtype=float), start, n, first)
-    return out.getvalue()
+    """The chunk's lines as ``simulate`` writes them: ``format_rows``'s bytes,
+    or ``percent_rows`` for a chunk it leaves to ``%``."""
+    x = np.asarray(x, dtype=float)
+    text = format_rows(x, start, n, first)
+    if text is None:
+        out = io.BytesIO()
+        percent_rows(out, x, start, n, first)
+        return out.getvalue().decode("ascii")
+    assert text.dtype == np.uint8 and text.ndim == 1
+    return text.tobytes().decode("ascii")
 
 
 def reference(x, start, n, first) -> str:
@@ -156,3 +163,16 @@ def test_chunks_mostly_outside_the_window_across_rows():
     assert_same(x, start=0, n=1, first=5)
     assert_same([1e17, np.inf, -np.inf, np.nan, 5.0])
     assert_same([1e17, -1e-5, np.nan, 5.0], n=3)
+
+
+@pytest.mark.parametrize("inside", [0.0, 0.25, 0.49, 0.5, 0.9, 8191 / 8192])
+def test_any_share_of_values_in_the_window(inside):
+    # Below half in the window only those values are given digits; from half
+    # on every value is, and the masks hide the digits of the rest.  The
+    # rest are zeros and values printed by %.17g, in equal numbers.
+    rng = np.random.default_rng(RNG_SEED + 9)
+    x = in_window(rng, 8192)
+    rest = rng.permutation(8192)[: round((1 - inside) * 8192)]
+    x[rest[::2]] = rng.choice([0.0, -0.0], rest[::2].size)
+    x[rest[1::2]] = rng.choice([1e-300, -3e-5, 2e17, np.inf, np.nan], rest[1::2].size)
+    assert_same(x, start=500, n=1000, first=3)
