@@ -163,15 +163,17 @@ def _digits(x: np.ndarray, ax: np.ndarray, window: np.ndarray, other: np.ndarray
     matrix of 24 columns, or None.
     """
     inside = np.count_nonzero(window)
-    if 2 * inside < x.size:
-        rows = np.flatnonzero(window)
-        a = ax[rows]
-    else:
-        # At least half in the window: every value is given digits, those
-        # outside it the digits of 2.0, which their masks hide, so that
-        # whole columns are written, with no index.
-        rows = slice(None)
-        a = ax if inside == x.size else np.where(window, ax, 2.0)
+    # Digits for every value, so that whole columns are written with no
+    # index, once at least 7/8 of the chunk is in the window; below that
+    # only for the values in it.  The crossover: on 8192-value chunks whose
+    # other values were zeros or below the window, digits for every value
+    # took 1.2-1.6x the time at shares of 0-1/2, 1.02-1.04x at 3/4, -0.36 to
+    # +0.14 ms at 4/5-7/8, and 0.91-0.97x at 9/10 up to all in the window
+    # (medians of 60-80 interleaved calls, 2-vCPU Xeon).
+    rows = slice(None) if 8 * inside >= 7 * x.size else np.flatnonzero(window)
+    # Values outside the window that are given digits get those of 2.0,
+    # which their masks hide.
+    a =ax[rows] if inside == x.size else np.where(window, ax, 2.0)[rows]
     k = np.floor(np.log10(a)).astype(np.int64)
     np.clip(k, -4, 15, out=k)
     hi, lo = _two_product(a, _POW10[16 - k])
@@ -199,14 +201,11 @@ def _digits(x: np.ndarray, ax: np.ndarray, window: np.ndarray, other: np.ndarray
             zeros = np.where(group[ends] == 0, 4 + zeros, _TRAILING[group[ends]])
         trailing[ends] = zeros
     negative = np.signbit(x)
-    code = ((k + 4) * 18 + (17 - trailing)) * 2 + negative[rows]
+    code = np.empty(x.size, np.int64)
+    code[rows] = ((k + 4) * 18 + (17 - trailing)) * 2 + negative[rows]
     if inside < x.size:
-        if isinstance(rows, slice):
-            outside = np.flatnonzero(~window)
-            code[outside] = _ZERO_CODE + negative[outside]
-        else:
-            code, inside_code = _ZERO_CODE + negative.astype(np.int64), code
-            code[rows] = inside_code
+        outside = ~window
+        code[outside] = _ZERO_CODE + negative[outside]
     texts = None
     if other.size:
         # Left-justified in 24 bytes, so the texts form a matrix.

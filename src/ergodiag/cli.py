@@ -199,12 +199,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # The helper formats every other chunk while this thread formats the
         # next one; this thread writes both, in row order, and prints every
         # chunk left to %.  Only the helper's chunk is ever pending.
-        pending: list = []
+        pending = None  # (future, x, start, first)
 
         def flush() -> None:
-            for future, *chunk in pending:
+            nonlocal pending
+            if pending is not None:
+                future, *chunk = pending
+                pending = None
                 put(future.result(), *chunk)
-            pending.clear()
 
         if processes.worker_count() > 1:
             helper = ThreadPoolExecutor(1, thread_name_prefix="ergodiag-simulate")
@@ -214,13 +216,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with helper or nullcontext():
 
             def write(first: int, block) -> None:
+                nonlocal pending
                 values = block.reshape(-1)  # replicate-major, as the rows go
                 for start in range(0, values.size, _WRITE_CHUNK):
                     x = values[start : start + _WRITE_CHUNK]
-                    if helper is not None and not pending:
+                    if helper is not None and pending is None:
                         x = x.copy()  # the block is reused once write returns
                         future = helper.submit(format_rows, x, start, n, first)
-                        pending.append((future, x, start, first))
+                        pending = (future, x, start, first)
                     else:
                         text = format_rows(x, start, n, first)
                         flush()

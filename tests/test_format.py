@@ -165,9 +165,9 @@ def test_chunks_mostly_outside_the_window_across_rows():
     assert_same([1e17, -1e-5, np.nan, 5.0], n=3)
 
 
-@pytest.mark.parametrize("inside", [0.0, 0.25, 0.49, 0.5, 0.9, 8191 / 8192])
+@pytest.mark.parametrize("inside", [0.0, 0.25, 0.5, 0.87, 0.875, 0.9, 8191 / 8192])
 def test_any_share_of_values_in_the_window(inside):
-    # Below half in the window only those values are given digits; from half
+    # Below 7/8 in the window only those values are given digits; from 7/8
     # on every value is, and the masks hide the digits of the rest.  The
     # rest are zeros and values printed by %.17g, in equal numbers.
     rng = np.random.default_rng(RNG_SEED + 9)
