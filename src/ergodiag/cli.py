@@ -16,7 +16,12 @@ Subcommands
 ``analyze --input F [--max-lag INT] [--window-c REAL] [--target-mean REAL]``
     Estimate autocovariances, correlation time, effective sample size, and
     Chebyshev bounds from a single observed path; JSON on stdout, with
-    ``tau_floored`` only when the correlation time was floored.
+    ``tau_floored`` only when the correlation time was floored.  The file
+    is read as bytes in 64 KB chunks; ``_parse`` turns every field into the
+    float64 ``float()`` gives it, with NumPy for plain decimals and one
+    field at a time for the rest, and accepts the fields ``np.loadtxt``
+    accepts, except NaN and infinities.  A fault names the file, the line
+    (the header is line 1) and the column.
 ``experiment --config F --out-dir D``
     Run the Monte Carlo verification harness and write ``report.json`` plus
     the plot-ready ``curves.csv``.
@@ -36,7 +41,6 @@ import math
 import os
 import sys
 import tempfile
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -238,42 +242,55 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _read_single_path(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # The number reader builds its power table on import; no other command needs it.
+    from ._parse import read_rows
+
+    with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
             raise ConfigError(f"{path} is empty")
-        header = [h.strip() for h in next(csv.reader([first]), [])]
+        # The header ends at its first CR or LF, as a text-mode readline ends it.
+        cr = first.find(b"\r")
+        if cr != -1 and first[cr + 1 : cr + 2] not in (b"\n", b""):
+            fh.seek(cr + 1 - len(first), os.SEEK_CUR)
+            first = first[: cr + 1]
+        try:
+            text = first.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}, line 1: {first!r} is not UTF-8 text") from None
+        header = [h.strip() for h in next(csv.reader([text]), [])]
         if tuple(header) not in {("x",), ("t", "x"), ("t", "replicate", "x")}:
             raise ConfigError(
                 f"unsupported CSV header {header!r}; expected 'x', 't,x', "
                 "or 't,replicate,x'"
             )
-        # numpy's C parser: every column numeric, one column count for all
-        # rows, blank lines skipped, '#' not a comment.
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:
-            # numpy's hint names a loadtxt argument this command does not take.
-            message = str(exc).split("; use `usecols`")[0]
-            raise ConfigError(f"{path}: malformed data row: {message}") from None
-    if table.size == 0:
-        return np.empty(0)
-    if table.shape[1] != len(header):
+        column = header.index("x")
+        replicate = header.index("replicate") if "replicate" in header else None
+        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
+        x = np.empty(0)
+        rows = 0
+        label = None  # the first row's replicate
+        mixed = False
+        for block in read_rows(fh, path, header, 2):
+            if replicate is not None and len(block):
+                if label is None:
+                    label = block[0, replicate]
+                mixed = mixed or not np.all(block[:, replicate] == label)
+            need = rows + len(block)
+            if need > x.size:
+                # Room for the rest of the file at the bytes per row so far.
+                guess = need * size // fh.tell() + need // 16 if size else 0
+                x.resize(max(guess, 2 * x.size, need), refcheck=False)
+            x[rows:need] = block[:, column]
+            rows = need
+    if mixed:
         raise ConfigError(
-            f"{path}: expected {len(header)} columns, got {table.shape[1]}"
+            f"{path} holds multiple replicates; analyze expects a "
+            "single path (re-run simulate with --replicates 1 or "
+            "split the file)"
         )
-    if "replicate" in header:
-        replicates = table[:, header.index("replicate")]
-        if not np.all(replicates == replicates[0]):
-            raise ConfigError(
-                f"{path} holds multiple replicates; analyze expects a "
-                "single path (re-run simulate with --replicates 1 or "
-                "split the file)"
-            )
-    # A copy of the one column, so the parsed table can be freed.
-    return np.ascontiguousarray(table[:, header.index("x")])
+    x.resize(rows, refcheck=False)
+    return x
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -101,3 +101,39 @@ print(json.dumps(stages))
 """
     stages = run_fresh(code, str(values), str(config), str(tmp_path / "paths.csv"))
     assert stages == [False, False, True]
+
+
+def test_only_analyze_loads_the_number_reader(tmp_path):
+    """``ergodiag._parse`` builds its power table on import: ``experiment``
+    and ``simulate`` leave it unloaded, and ``analyze`` loads it without the
+    row writer."""
+    values = tmp_path / "path.csv"
+    values.write_text("x\n" + "\n".join(str((7 * t) % 11 - 5) for t in range(200)) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "process": {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1.0}},
+        "experiment": {"base_seed": 3, "n_grid": [10, 100], "replicates": 200,
+                       "epsilons": [0.5]},
+    }))
+    loaded = "['ergodiag._parse' in sys.modules, 'ergodiag._format' in sys.modules]"
+    code = f"""
+import json, sys
+import ergodiag, ergodiag.cli
+stages = [{loaded}]
+assert ergodiag.cli.main(["experiment", "--config", sys.argv[2], "--out-dir", sys.argv[4]]) == 0
+stages.append({loaded})
+assert ergodiag.cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3],
+                          "--seed", "5", "--n", "50", "--replicates", "3"]) == 0
+stages.append({loaded})
+print(json.dumps(stages))
+"""
+    stages = run_fresh(code, str(values), str(config), str(tmp_path / "paths.csv"),
+                       str(tmp_path / "out"))
+    assert stages == [[False, False], [False, False], [False, True]]
+    code = f"""
+import json, sys
+import ergodiag.cli
+assert ergodiag.cli.main(["analyze", "--input", sys.argv[1], "--max-lag", "20"]) == 0
+print(json.dumps({loaded}))
+"""
+    assert run_fresh(code, str(values)) == [True, False]
