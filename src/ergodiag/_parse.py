@@ -211,8 +211,9 @@ def _kernel(
         mantissa_end = np.where(has_exp, marks[at], end)
         at += has_exp
         exp_lead = values[at]
-        exp_negative = has_exp & (exp_lead == _MINUS)
-        exp_signed = exp_negative | (has_exp & (exp_lead == _PLUS))
+        right_after = has_exp & (marks[at] == mantissa_end + 1)
+        exp_negative = right_after & (exp_lead == _MINUS)
+        exp_signed = exp_negative | (right_after & (exp_lead == _PLUS))
         marked += has_exp
         marked += exp_signed
         exp_digits = np.where(has_exp, end - mantissa_end - 1 - exp_signed, 0)
@@ -256,8 +257,7 @@ def _field(raw: bytes) -> float:
     except UnicodeDecodeError:
         raise ValueError(f"{raw!r} is not UTF-8 text") from None
     number = text.strip()  # more than float() strips: \x1c to \x1f too
-    # A CR inside a line is a line end np.loadtxt rejects.
-    if "\r" in text or not _LITERAL.fullmatch(number):
+    if not _LITERAL.fullmatch(number):
         raise ValueError(f"cannot read {text!r} as a number")
     value = float(number)
     if not np.isfinite(value):
@@ -272,10 +272,11 @@ def read_rows(
     as CSV rows of ``len(names)`` numbers, and yield them in order as float64
     blocks of shape ``(rows, len(names))``.
 
-    Lines end in LF or CR LF, or at the end of the file; blank lines are
-    skipped.  A row with another field count, a field ``np.loadtxt`` would
-    not read, and NaN or an infinity raise ValueError naming the file, the
-    line and the column.
+    Lines end in LF, CR LF or CR, or at the end of the file, as a text-mode
+    ``readline`` with ``newline=""`` ends them; blank lines are skipped.  A
+    row with another field count, a field ``np.loadtxt`` would not read, and
+    NaN or an infinity raise ValueError naming the file, the line and the
+    column.
     """
     buf = np.zeros(_PAD + _CHUNK + _PAD, np.uint8)
     held = 0  # bytes of an unfinished line at the head of the chunk
@@ -294,13 +295,17 @@ def read_rows(
         values = buf[marks]
         line_ends = np.flatnonzero(values == _LF)
         if line_ends.size == 0:
+            # Lines that end in CR alone; the last CR may yet have its LF.
+            line_ends = np.flatnonzero((values == _CR) & (marks < end - 1))
+        if line_ends.size == 0:
             # A line longer than the buffer: make room and read on.
             buf = np.concatenate((buf, np.zeros(buf.size, np.uint8)))
             held = end - _PAD
             continue
         cut = line_ends[-1] + 1
-        yield _block(buf, marks[:cut], values[:cut], path, names, line)
-        line += line_ends.size
+        block, lines = _block(buf, marks[:cut], values[:cut], path, names, line)
+        yield block
+        line += lines
         tail = marks[cut - 1] + 1
         held = end - tail
         buf[_PAD : _PAD + held] = buf[tail:end]
@@ -312,17 +317,21 @@ def _block(
     buf: np.ndarray, marks: np.ndarray, values: np.ndarray,
     path: str, names: Sequence[str], line: int,
 ) -> np.ndarray:
-    """The rows of the lines from ``buf[_PAD]`` to the LF at ``marks[-1]``,
-    the first of them line ``line``.  ``marks`` are the positions of the
-    bytes in them that are not digits, and ``values`` those bytes."""
+    """The rows of the lines from ``buf[_PAD]`` to the line end at
+    ``marks[-1]``, the first of them line ``line``, and the count of those
+    lines.  ``marks`` are the positions of the bytes in them that are not
+    digits, and ``values`` those bytes."""
     width = len(names)
     crlf = (values == _CR).any()
     if crlf:
-        # A CR just before an LF belongs to the line end.
+        # A line ends in LF, CR LF or CR, as a text-mode readline ends it;
+        # the CR of a CR LF is dropped, and the LF ends the line.
         cr = np.flatnonzero(values == _CR)
         cr = cr[buf[marks[cr] + 1] == _LF]
         marks, values = np.delete(marks, cr), np.delete(values, cr)
-    line_end = values == _LF
+        line_end = (values == _LF) | (values == _CR)
+    else:
+        line_end = values == _LF
     separators = np.flatnonzero(line_end | (values == _COMMA))
     ends = marks[separators]  # of every field, and of every blank line
     starts = np.empty_like(ends)
@@ -333,7 +342,7 @@ def _block(
     firsts[1:] = separators[:-1] + 1
     closes = line_end[separators]
     if crlf:
-        ends[closes & (buf[ends - 1] == _CR)] -= 1
+        ends[(buf[ends] == _LF) & (buf[ends - 1] == _CR)] -= 1
 
     lines = np.count_nonzero(closes)
     rows = None  # the line of each row, counted from ``line``, if not all
@@ -378,4 +387,4 @@ def _block(
                 raise ValueError(f"{path}, line {at}, column {names[column]!r}: {exc}") from None
     if fault is not None:
         raise ValueError(fault)
-    return value.reshape(-1, width)
+    return value.reshape(-1, width), lines

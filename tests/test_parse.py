@@ -5,8 +5,9 @@ infinities, which the reader rejects.
 
 The NumPy kernel reads most fields; what it does not take goes to a
 per-field fallback, so the properties below cover both, and the chunk loop
-under them: lines and CR LF pairs cut by chunk ends, lines longer than a
-chunk, blank lines and a last line without its LF.
+under them: lines and CR LF pairs cut by chunk ends, lines ended by a CR
+alone, lines longer than a chunk, blank lines and a last line without its
+line end.
 """
 
 import contextlib
@@ -41,11 +42,13 @@ def bits(values) -> np.ndarray:
 
 
 def loadtxt(text: str):
-    """``np.loadtxt``'s table for ``text``, or None if it rejects it."""
+    """``np.loadtxt``'s table for ``text`` read as ``analyze`` read it before,
+    through a text handle with ``newline=""``, or None if it rejects it."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, comments=None)
+            return np.loadtxt(io.StringIO(text, newline=""), delimiter=",", ndmin=2,
+                              comments=None)
     except ValueError:
         return None
 
@@ -114,7 +117,8 @@ ODD_FIELDS = [
     "inf", "-inf", "+Infinity", "infinit", "nan", "-NaN", "NAN", "1_0", "1_000.5", "١",
     "١.٥", "1٠", '"1"', "'1'", "", " ", "#", "#1", "1#", "0x10", "0X1p3", "1e-320",
     "-1e-320", "1e309", "-1e309", "1e-400", "-0", "-0.0", "-0e999", "007", "00.100", "1e",
-    "e5", "1e+", ".", "-.", "..5", "1.2.3", "1e5e5", "--1", "1-", "+-1", "1 2", "1\x00",
+    "e5", "1e+", "5e0+", "1e5-", "1e+5-", "1e-+5", "1-e5", "1.5-", "1.-5", "-1.5e3+", ".", "-.",
+    "..5", "1.2.3", "1e5e5", "--1", "1-", "+-1", "1 2", "1\x00",
     "1d5", "½", "﻿1", "１", "1" * 30, "0." + "0" * 30 + "1",
     "123456789012345678901234567890e-10", "9" * 19, "9" * 20, "1" + "0" * 310, "4.9e-324",
     "2.2250738585072011e-308", "2.2250738585072014e-308", "1.7976931348623157e308",
@@ -139,13 +143,17 @@ def test_odd_field_read_as_loadtxt_reads_it(field, where):
 
 
 @pytest.mark.parametrize(
-    "text", ["1\r2\n", "1\r,2\n", "1,2\r3\n", "1\r\r\n", "1,2\r\r\n"],
-    ids=["cr-in-field", "cr-before-comma", "cr-in-last", "cr-cr-lf", "cr-cr-lf-last"],
+    "text",
+    ["1,2\r3,4\r", "1,2\r3,4", "1,2\r\r\n3,4\n", "\r1,2\n\r\n\r3,4\r\n", "1\r,2\n", "1,2\r3\n"],
+    ids=["cr", "cr-no-end", "cr-crlf", "blank-cr-lines", "cr-before-comma", "cr-short-row"],
 )
-def test_cr_not_before_lf_is_rejected_as_loadtxt_rejects_it(text):
-    assert loadtxt(text) is None
-    with pytest.raises(ValueError, match="line 2"):
-        read(text, names=("a", "b") if "," in text else ("a",))
+def test_lone_cr_ends_a_line_as_text_mode_ended_it(text):
+    table = loadtxt(text)
+    if table is None:
+        with pytest.raises(ValueError, match="expected 2 columns, got 1"):
+            read(text, names=("a", "b"))
+    else:
+        assert np.array_equal(bits(read(text, names=("a", "b"))), bits(table))
 
 
 @contextlib.contextmanager
@@ -158,7 +166,7 @@ def chunk_size(size: int):
         _parse._CHUNK = saved
 
 
-line_ends = st.sampled_from(["\n", "\r\n"])
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
 numbers = st.one_of(
     finite.map(repr), finite.map(lambda v: "%.17g" % v), st.integers(-10**25, 10**25).map(str),
     st.sampled_from([" 1.5", "+2", "-0", ".5", "7.", "1e-320"]),
@@ -172,7 +180,7 @@ numbers = st.one_of(
     chunk=st.integers(1, 48),
     final=st.booleans(),
 )
-def test_chunk_ends_anywhere_in_lines_and_crlf_pairs(rows, chunk, final):
+def test_chunk_ends_anywhere_in_lines_and_line_ends(rows, chunk, final):
     text = "".join(f"{a},{b},{c}{end}" + (end if blank else "") for a, b, c, end, blank in rows)
     if not final:
         text = text.rstrip("\r\n")
@@ -186,7 +194,7 @@ def test_chunk_ends_anywhere_in_lines_and_crlf_pairs(rows, chunk, final):
 
 
 def test_last_line_without_lf_is_read():
-    for text in ["1,2\n3,4", "1,2\r\n3,4\r", "1,2\n3,4\r\n", "\n\n1,2\n\n3,4"]:
+    for text in ["1,2\n3,4", "1,2\r\n3,4\r", "1,2\n3,4\r\n", "\n\n1,2\n\n3,4", "1,2\r3,4"]:
         for chunk in (1, 3, 1 << 16):
             with chunk_size(chunk):
                 assert read(text, names=("a", "b")).tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -195,6 +203,8 @@ def test_last_line_without_lf_is_read():
 def test_blank_lines_count_in_line_numbers():
     with pytest.raises(ValueError, match=r"f\.csv, line 5, column 'b': cannot read 'x'"):
         read("1,2\n\r\n\n3,x\n", names=("a", "b"))
+    with pytest.raises(ValueError, match=r"f\.csv, line 6, column 'b': cannot read 'x'"):
+        read("1,2\r\r\n\r3,4\r5,x\n", names=("a", "b"))
     with pytest.raises(ValueError, match=r"f\.csv, line 4: expected 2 columns, got 3"):
         read("1,2\n\n1,2,3\n", names=("a", "b"))
 
