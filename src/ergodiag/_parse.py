@@ -137,7 +137,8 @@ def _eight_digits(w: np.ndarray) -> np.ndarray:
 
 def _integers(buf: np.ndarray, end: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The integers of the ``count`` (0 to 8) ASCII digits before ``end``."""
-    return _eight_digits(_loads(buf, 8)[end - 8].view("<u8") & np.take(_TAIL8, count, mode="clip"))
+    words = _loads(buf, 8)[end - 8].view("<u8")
+    return _eight_digits(words & np.take(_TAIL8, count, mode="clip"))
 
 
 def _mantissa(
@@ -316,14 +317,14 @@ def read_rows(
 def _block(
     buf: np.ndarray, marks: np.ndarray, values: np.ndarray,
     path: str, names: Sequence[str], line: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """The rows of the lines from ``buf[_PAD]`` to the line end at
     ``marks[-1]``, the first of them line ``line``, and the count of those
     lines.  ``marks`` are the positions of the bytes in them that are not
     digits, and ``values`` those bytes."""
     width = len(names)
-    crlf = (values == _CR).any()
-    if crlf:
+    has_cr = (values == _CR).any()
+    if has_cr:
         # A line ends in LF, CR LF or CR, as a text-mode readline ends it;
         # the CR of a CR LF is dropped, and the LF ends the line.
         cr = np.flatnonzero(values == _CR)
@@ -341,7 +342,7 @@ def _block(
     firsts[0] = 0
     firsts[1:] = separators[:-1] + 1
     closes = line_end[separators]
-    if crlf:
+    if has_cr:
         ends[(buf[ends] == _LF) & (buf[ends - 1] == _CR)] -= 1
 
     lines = np.count_nonzero(closes)

@@ -257,7 +257,8 @@ class TestAnalyzeMessages:
     def test_line_numbers_count_from_1_with_the_header(self, tmp_path, capsys):
         code, err = self.analyze(tmp_path, capsys, b"t,replicate,x\n1,0,0.5\n2,0,abc\n")
         assert code == 2
-        assert err == f"error: {tmp_path / 'path.csv'}, line 3, column 'x': cannot read 'abc' as a number\n"
+        assert err == (f"error: {tmp_path / 'path.csv'}, line 3, column 'x': "
+                       "cannot read 'abc' as a number\n")
 
     def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, capsys):
         code, err = self.analyze(tmp_path, capsys, b"t,replicate,x\n1,0,\xff\xfe\n")
@@ -281,4 +282,5 @@ class TestAnalyzeMessages:
     def test_nan_or_infinity_in_any_column_exits_2(self, tmp_path, capsys, body, where, field):
         code, err = self.analyze(tmp_path, capsys, body.encode())
         assert code == 2
-        assert err == f"error: {tmp_path / 'path.csv'}, {where}: {field!r} is not a finite number\n"
+        assert err == (f"error: {tmp_path / 'path.csv'}, {where}: "
+                       f"{field!r} is not a finite number\n")
