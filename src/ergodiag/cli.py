@@ -85,8 +85,6 @@ def _reject_unknown_keys(section: dict, allowed: set[str], where: str) -> None:
 
 
 def _load_config_file(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}
         for key, value in pairs:
@@ -96,8 +94,12 @@ def _load_config_file(path: str) -> dict:
         return obj
 
     try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    except ConfigError:
+        raise
+    # Besides JSONDecodeError: UnicodeDecodeError, a ValueError past the int
+    # digit limit, and RecursionError on nesting deeper than the stack.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must contain a JSON object at top level")

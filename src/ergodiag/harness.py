@@ -21,7 +21,9 @@ Checks
     shrink across the grid.
 ``WLLN``
     Tail frequencies ``P(|A_n - m_n| >= eps)`` decrease across the grid for
-    every configured eps.
+    every configured eps.  For the sparse-spike family, tails shrinking at
+    eps = 0.1 while ``Var(A_n) -> 1/2`` show convergence in probability
+    without mean square convergence.
 ``NONCONVERGENCE``
     Common-shock only: the MSE stays bounded away from zero and the final
     tail frequency respects the Paley-Zygmund lower bound computed from
@@ -29,21 +31,14 @@ Checks
 ``BOUNDS``
     Every tail frequency sits below its Chebyshev bound and above its
     Paley-Zygmund bound (where applicable), within Monte Carlo noise.
-``FOURTH_MOMENT``
-    Sparse-spike only: tails at ``eps = 0.1`` keep shrinking across the grid,
-    while the exact variance tends to 1/2 -- convergence in probability
-    without mean square convergence.  The closed forms behind it depend on
-    no run, so the tests, not the check, pin them: ``V_n = n(n+1)/2``
-    exactly, and ``Var(A_n^2)`` against exhaustive enumeration, with
-    ``Var(A_n^2) / Var(A_n)^2`` diverging.
 
 Seed discipline
 ---------------
 All sampling derives from ``base_seed`` through the stream derivation of
 :mod:`ergodiag.processes`.  An experiment samples one ensemble and its
-checks draw nothing: each is a function of that ensemble's statistics and
-the exact moments.  The ensemble is sampled at the longest grid length
-``N``, from the base ``derive_stream(base_seed, N)``:
+checks draw nothing: each is a function of the report, that is of the
+ensemble's statistics and the exact moments.  The ensemble is sampled at the
+longest grid length ``N``, from the base ``derive_stream(base_seed, N)``:
 replicate ``r`` uses stream index ``r``, and grid point ``n`` averages the
 first ``n`` values of each replicate's path.  The sampler is
 prefix-consistent, so that average is bit for bit the time average of the
@@ -76,7 +71,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -145,7 +140,6 @@ class Check(str, Enum):
     WLLN = "WLLN"
     NONCONVERGENCE = "NONCONVERGENCE"
     BOUNDS = "BOUNDS"
-    FOURTH_MOMENT = "FOURTH_MOMENT"
 
 
 _CHECK_ORDER = tuple(Check)
@@ -186,7 +180,10 @@ def _integer(value: object, name: str) -> int:
 def _number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -403,20 +400,9 @@ def _growth_for(spec: ProcessSpec, n_grid: tuple[int, ...]) -> GrowthReport | No
     return classify_growth(list(grid), vn_values)
 
 
-@dataclass
-class _RunData:
-    """Per-grid-point raw material the checks consume."""
-
-    config: ExperimentConfig
-    per_n: list[PerNStats] = field(default_factory=list)
-    averages: list[np.ndarray] = field(default_factory=list)
-    means: list[float] = field(default_factory=list)
-    growth: GrowthReport | None = None
-
-
-def _check_variance_identity(data: _RunData) -> Verdict:
+def _check_variance_identity(report: ConvergenceReport) -> Verdict:
     worst = 0.0
-    for stats in data.per_n:
+    for stats in report.per_n:
         gap = abs(stats.empirical_mse - stats.exact_var_an)
         se = stats.mc_standard_error
         if se == 0.0:
@@ -435,28 +421,28 @@ def _check_variance_identity(data: _RunData) -> Verdict:
     )
 
 
-def _check_l2_convergence(data: _RunData) -> Verdict:
-    if len(data.per_n) < 2:
+def _check_l2_convergence(report: ConvergenceReport) -> Verdict:
+    if len(report.per_n) < 2:
         return Verdict("SKIPPED", "needs at least 2 grid points to see a trend")
-    if data.growth is None:
+    if report.growth is None:
         return Verdict("SKIPPED", "growth unavailable: n_grid spans less than a decade")
-    if data.growth.classification is not GrowthClass.SUBQUADRATIC:
+    if report.growth.classification is not GrowthClass.SUBQUADRATIC:
         return Verdict(
             "FAIL",
-            f"V_n growth classified {data.growth.classification.value} "
-            f"(slope {data.growth.fitted_slope:.3f}); mean square convergence "
+            f"V_n growth classified {report.growth.classification.value} "
+            f"(slope {report.growth.fitted_slope:.3f}); mean square convergence "
             "not established",
         )
-    exact = [s.exact_var_an for s in data.per_n]
+    exact = [s.exact_var_an for s in report.per_n]
     if any(b >= a for a, b in zip(exact, exact[1:])):
         return Verdict("FAIL", "exact Var(A_n) is not strictly decreasing over n_grid")
-    first, last = data.per_n[0], data.per_n[-1]
+    first, last = report.per_n[0], report.per_n[-1]
     slack = _Z_DEFAULT * math.hypot(first.mc_standard_error, last.mc_standard_error)
     if last.empirical_mse > first.empirical_mse + slack:
         return Verdict("FAIL", "empirical MSE did not decrease over n_grid")
     return Verdict(
         "PASS",
-        f"subquadratic growth (slope {data.growth.fitted_slope:.3f}), "
+        f"subquadratic growth (slope {report.growth.fitted_slope:.3f}), "
         f"MSE {first.empirical_mse:.3g} -> {last.empirical_mse:.3g}",
     )
 
@@ -474,45 +460,43 @@ def _tail_trend_ok(tails: list[float], replicates: int) -> tuple[bool, str]:
     return True, ""
 
 
-def _check_wlln(data: _RunData) -> Verdict:
-    if len(data.per_n) < 2:
+def _check_wlln(report: ConvergenceReport) -> Verdict:
+    if len(report.per_n) < 2:
         return Verdict("SKIPPED", "needs at least 2 grid points to see a trend")
-    replicates = data.config.replicates
-    for eps in data.config.epsilons:
-        tails = [s.empirical_tails[eps] for s in data.per_n]
-        ok, why = _tail_trend_ok(tails, replicates)
+    for eps in report.epsilons:
+        tails = [s.empirical_tails[eps] for s in report.per_n]
+        ok, why = _tail_trend_ok(tails, report.replicates)
         if not ok:
             return Verdict("FAIL", f"eps={eps:g}: {why}")
     return Verdict("PASS", "tail frequencies decrease across n_grid for every eps")
 
 
-def _check_nonconvergence(data: _RunData) -> Verdict:
-    if data.config.process.family is not Family.COMMON_SHOCK:
+def _check_nonconvergence(report: ConvergenceReport) -> Verdict:
+    if report.process.family is not Family.COMMON_SHOCK:
         return Verdict("SKIPPED", "only meaningful for the COMMON_SHOCK family")
-    if data.growth is None:
+    if report.growth is None:
         return Verdict("SKIPPED", "growth unavailable: n_grid spans less than a decade")
-    liminf = data.growth.liminf_estimate
+    liminf = report.growth.liminf_estimate
     floor = 0.9 * liminf
-    for stats in data.per_n:
+    for stats in report.per_n:
         if stats.empirical_mse < floor:
             return Verdict(
                 "FAIL",
                 f"n={stats.n}: empirical MSE {stats.empirical_mse:.4g} fell below "
                 f"0.9 * liminf estimate {liminf:.4g}",
             )
-    last = data.per_n[-1]
-    valid = [e for e in data.config.epsilons if e * e < liminf]
+    last = report.per_n[-1]
+    valid = [e for e in report.epsilons if e * e < liminf]
     if not valid:
         return Verdict(
             "SKIPPED", f"no configured eps satisfies eps^2 < liminf ({liminf:.4g})"
         )
-    replicates = data.config.replicates
     for eps in valid:
         tail = last.empirical_tails[eps]
         pz = last.pz_lower[eps]
         if pz is None:
             continue
-        if tail < pz - _Z_DEFAULT * _binom_se(tail, replicates):
+        if tail < pz - _Z_DEFAULT * _binom_se(tail, report.replicates):
             return Verdict(
                 "FAIL",
                 f"n={last.n}, eps={eps:g}: tail {tail:.4g} fell below the exact-moment "
@@ -525,12 +509,11 @@ def _check_nonconvergence(data: _RunData) -> Verdict:
     )
 
 
-def _check_bounds(data: _RunData) -> Verdict:
-    replicates = data.config.replicates
-    for stats in data.per_n:
-        for eps in data.config.epsilons:
+def _check_bounds(report: ConvergenceReport) -> Verdict:
+    for stats in report.per_n:
+        for eps in report.epsilons:
             tail = stats.empirical_tails[eps]
-            se = _binom_se(tail, replicates)
+            se = _binom_se(tail, report.replicates)
             cheb = stats.chebyshev_bounds[eps]
             if tail > cheb + _Z_DEFAULT * se:
                 return Verdict(
@@ -548,31 +531,12 @@ def _check_bounds(data: _RunData) -> Verdict:
     return Verdict("PASS", "all tails sit inside their bound sandwich")
 
 
-def _check_fourth_moment(data: _RunData) -> Verdict:
-    if data.config.process.family is not Family.SPARSE_SPIKES:
-        return Verdict("SKIPPED", "only meaningful for the SPARSE_SPIKES family")
-    if len(data.per_n) < 2:
-        return Verdict("SKIPPED", "needs at least 2 grid points to see a trend")
-
-    eps = 0.1
-    tails = [empirical_tail(a, m, eps) for a, m in zip(data.averages, data.means)]
-    ok, why = _tail_trend_ok(tails, data.config.replicates)
-    if not ok:
-        return Verdict("FAIL", f"eps={eps:g}: {why}")
-    return Verdict(
-        "PASS",
-        f"tails shrink ({tails[0]:.4g} -> {tails[-1]:.4g}) while Var(A_n) stays "
-        f"near {data.per_n[-1].exact_var_an:.4g}",
-    )
-
-
-_CHECKS: dict[Check, Callable[[_RunData], Verdict]] = {
+_CHECKS: dict[Check, Callable[[ConvergenceReport], Verdict]] = {
     Check.VARIANCE_IDENTITY: _check_variance_identity,
     Check.L2_CONVERGENCE: _check_l2_convergence,
     Check.WLLN: _check_wlln,
     Check.NONCONVERGENCE: _check_nonconvergence,
     Check.BOUNDS: _check_bounds,
-    Check.FOURTH_MOMENT: _check_fourth_moment,
 }
 
 
@@ -603,12 +567,12 @@ def run_experiment(
     """
     spec = build_spec(config.process)
     definition = _FAMILIES[config.process.family]
-    data = _RunData(config=config)
     base = derive_stream(config.base_seed, config.n_grid[-1])
     ensemble = _ensemble_averages(
         config.process, config.n_grid, base, config.replicates, max_workers
     )
 
+    per_n = []
     for n, averages in zip(config.n_grid, ensemble):
         m_n, mse, se, exact_var = _statistics(spec, n, averages)
         var_sq = definition.squared_deviation_variance(n, exact_var)
@@ -629,7 +593,7 @@ def run_experiment(
                 else None
             )
 
-        data.per_n.append(
+        per_n.append(
             PerNStats(
                 n=n,
                 exact_var_an=exact_var,
@@ -640,24 +604,20 @@ def run_experiment(
                 pz_lower=pzs,
             )
         )
-        data.averages.append(averages)
-        data.means.append(m_n)
 
-    data.growth = _growth_for(spec, config.n_grid)
-
-    verdicts = {check: _CHECKS[check](data) for check in config.ordered_checks()}
-
-    return ConvergenceReport(
+    report = ConvergenceReport(
         process=config.process,
         n_grid=config.n_grid,
         replicates=config.replicates,
         base_seed=config.base_seed,
         epsilons=config.epsilons,
         checks=config.ordered_checks(),
-        per_n=tuple(data.per_n),
-        growth=data.growth,
-        verdicts=verdicts,
+        per_n=tuple(per_n),
+        growth=_growth_for(spec, config.n_grid),
+        verdicts={},
     )
+    # Each check reads the report alone, so a verdict follows from report.json.
+    return replace(report, verdicts={c: _CHECKS[c](report) for c in report.checks})
 
 
 def verify_variance_identity(

@@ -540,8 +540,26 @@ EXPERIMENT_DOC = {
         "n_grid": [100, 1000],
         "replicates": 2000,
         "epsilons": [0.1, 0.05],
-        "checks": ["VARIANCE_IDENTITY", "WLLN", "FOURTH_MOMENT"],
+        "checks": ["VARIANCE_IDENTITY", "WLLN"],
     },
+}
+
+
+def config_with(gamma0: str = "1", epsilons: str = "[0.1]") -> bytes:
+    return (
+        '{"process": {"family": "AR1", "params": {"phi": 0.5, "gamma0": %s}}, '
+        '"experiment": {"base_seed": 1, "epsilons": %s}}' % (gamma0, epsilons)
+    ).encode()
+
+
+# Config bytes that json or float() cannot take, and what the error names:
+# the field, or None for the config file.
+CONFIG_FAULTS = {
+    "nested_100000_deep": (b'{"process": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", None),
+    "not_utf8": (b'{"process": {"family": "AR1"}}\xff', None),
+    "5001_digit_integer": (config_with(gamma0="1" * 5001), None),
+    "401_digit_gamma0": (config_with(gamma0="1" + "0" * 400), "gamma0"),
+    "401_digit_eps": (config_with(epsilons="[1%s]" % ("0" * 400)), "epsilons entry"),
 }
 
 
@@ -562,7 +580,7 @@ class TestExperiment:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "VARIANCE_IDENTITY: PASS" in stdout
-        assert "FOURTH_MOMENT: PASS" in stdout
+        assert "WLLN: PASS" in stdout
 
         report = json.loads((out_dir / "report.json").read_text())
         jsonschema.validate(report, load_report_schema())
@@ -623,7 +641,7 @@ class TestExperiment:
         assert code == 2
         assert "analyze" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["STATIONARITY", "VECTOR"])
+    @pytest.mark.parametrize("name", ["STATIONARITY", "VECTOR", "FOURTH_MOMENT"])
     def test_unknown_check_name_exits_2(self, tmp_path, capsys, name):
         doc = {**SPIKE_DOC, "experiment": {"base_seed": 1, "checks": [name]}}
         code, out_dir = self.run_experiment_cmd(tmp_path, doc)
@@ -772,6 +790,29 @@ class TestExperiment:
         assert code == 2
         assert "duplicate key 'base_seed'" in err and "Traceback" not in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "fault"),
+        [("experiment", fault) for fault in CONFIG_FAULTS]
+        + [("simulate", "nested_100000_deep")],
+    )
+    def test_unreadable_config_exits_2_naming_the_file_or_field(
+        self, tmp_path, capsys, command, fault
+    ):
+        text, field = CONFIG_FAULTS[fault]
+        config = tmp_path / "config.json"
+        config.write_bytes(text)
+        out = tmp_path / "out"
+        if command == "experiment":
+            extra = ["--out-dir", str(out)]
+        else:
+            extra = ["--out", str(out), "--seed", "1", "--n", "5", "--replicates", "1"]
+        code = main([command, "--config", str(config), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (field or str(config)) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         ("eps", "tail", "bound"), [(1e-170, 1.0, 1.0), (1e200, 0.0, 0.0)]

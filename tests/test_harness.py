@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -10,6 +11,7 @@ import pytest
 from conftest import ENGINE_CONFIGS, reference_path
 from ergodiag import (
     Check,
+    ConvergenceReport,
     ExperimentConfig,
     derive_stream,
     RngSeed,
@@ -17,6 +19,8 @@ from ergodiag import (
     Verdict,
     Family,
     GrowthClass,
+    GrowthReport,
+    PerNStats,
     ProcessConfig,
     ProcessSpec,
     build_spec,
@@ -129,7 +133,6 @@ class TestExperimentConfig:
         self, ar1_config, spike_config, shock_config, drift_config
     ):
         assert Check.L2_CONVERGENCE in default_checks(ar1_config.family)
-        assert Check.FOURTH_MOMENT in default_checks(spike_config.family)
         assert Check.NONCONVERGENCE in default_checks(shock_config.family)
         assert Check.L2_CONVERGENCE not in default_checks(shock_config.family)
         config = ExperimentConfig(process=spike_config, base_seed=0)
@@ -140,7 +143,7 @@ class TestExperimentConfig:
         assert default_checks(ar1_config.family) == convergent
         assert default_checks(drift_config.family) == convergent
         assert default_checks(spike_config.family) == {
-            Check.VARIANCE_IDENTITY, Check.WLLN, Check.BOUNDS, Check.FOURTH_MOMENT
+            Check.VARIANCE_IDENTITY, Check.WLLN, Check.BOUNDS
         }
         assert default_checks(shock_config.family) == {
             Check.VARIANCE_IDENTITY, Check.NONCONVERGENCE, Check.BOUNDS
@@ -364,6 +367,24 @@ class TestWllnCheck:
         report = run_experiment(config)
         assert report.verdicts[Check.WLLN].status == "FAIL"
 
+    def test_short_grid_tails_that_stay_at_one_fail(self, spike_config):
+        # X_1 = +-1, so |A_n| >= 1/n > 0.1 for n <= 9 unless larger spikes
+        # cancel it: the eps = 0.1 tail is 1 at both grid points, with a
+        # binomial SE of 0, and a tail that did not fall is no shrinking tail.
+        config = ExperimentConfig(
+            process=spike_config,
+            base_seed=5,
+            n_grid=(2, 9),
+            replicates=1000,
+            epsilons=(0.1,),
+            checks=frozenset({Check.WLLN}),
+        )
+        report = run_experiment(config)
+        assert [s.empirical_tails[0.1] for s in report.per_n] == [1.0, 1.0]
+        verdict = report.verdicts[Check.WLLN]
+        assert verdict.status == "FAIL", verdict.message
+        assert verdict.message == "eps=0.1: no net decrease (1 -> 1)"
+
 
 class TestBoundsCheck:
     @pytest.mark.parametrize("fixture", ["ar1_config", "spike_config", "shock_config"])
@@ -418,63 +439,6 @@ class TestL2ConvergenceCheck:
         )
         report = run_experiment(config)
         assert report.verdicts[Check.L2_CONVERGENCE].status == "SKIPPED"
-
-
-class TestFourthMomentCheck:
-    def test_standalone_passes(self, spike_config):
-        config = ExperimentConfig(
-            process=spike_config,
-            base_seed=0,
-            n_grid=(50, 500),
-            replicates=5000,
-            epsilons=(0.1,),
-            checks=frozenset({Check.FOURTH_MOMENT}),
-        )
-        verdict = run_experiment(config).verdicts[Check.FOURTH_MOMENT]
-        assert verdict.status == "PASS", verdict.message
-
-    def test_in_experiment_passes(self, spike_config):
-        config = ExperimentConfig(
-            process=spike_config,
-            base_seed=23,
-            n_grid=(100, 1000),
-            replicates=5000,
-            epsilons=(0.25,),  # 0.1 not configured; the check adds it internally
-            checks=frozenset({Check.FOURTH_MOMENT}),
-        )
-        report = run_experiment(config)
-        assert report.verdicts[Check.FOURTH_MOMENT].status == "PASS"
-
-    def test_short_grid_tails_that_stay_at_one_fail(self, spike_config):
-        # X_1 = +-1, so |A_n| >= 1/n > 0.1 for n <= 9 unless larger spikes
-        # cancel it: the eps = 0.1 tail is 1 at both grid points, with a
-        # binomial SE of 0, and a tail that did not fall is no shrinking tail.
-        config = ExperimentConfig(
-            process=spike_config,
-            base_seed=5,
-            n_grid=(2, 9),
-            replicates=1000,
-            epsilons=(0.1,),
-            checks=frozenset({Check.FOURTH_MOMENT, Check.WLLN}),
-        )
-        report = run_experiment(config)
-        assert [s.empirical_tails[0.1] for s in report.per_n] == [1.0, 1.0]
-        for check in (Check.FOURTH_MOMENT, Check.WLLN):
-            verdict = report.verdicts[check]
-            assert verdict.status == "FAIL", verdict.message
-            assert verdict.message == "eps=0.1: no net decrease (1 -> 1)"
-
-    def test_skipped_for_other_families(self, ar1_config):
-        config = ExperimentConfig(
-            process=ar1_config,
-            base_seed=23,
-            n_grid=(100, 1000),
-            replicates=1000,
-            epsilons=(0.25,),
-            checks=frozenset({Check.FOURTH_MOMENT}),
-        )
-        report = run_experiment(config)
-        assert report.verdicts[Check.FOURTH_MOMENT].status == "SKIPPED"
 
 
 class TestDeterminism:
@@ -658,6 +622,54 @@ class TestCheckDispatch:
         serial = run_experiment(config, max_workers=1)
         assert tuple(serial.verdicts) == tuple(Check) == serial.checks
         assert serial.to_dict() == run_experiment(config, max_workers=2).to_dict()
+
+    @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
+    def test_verdicts_follow_from_the_report_json(self, family):
+        # every check reads only what report.json holds: rebuilt from the
+        # parsed JSON, the report gets the same verdict from every check
+        config = ExperimentConfig(
+            process=ENGINE_CONFIGS[family], base_seed=61, n_grid=(10, 100, 1000),
+            replicates=200, epsilons=(0.25, 0.05), checks=frozenset(Check),
+        )
+        report = run_experiment(config)
+        doc = json.loads(json.dumps(report.to_dict()))
+
+        def by_eps(values: dict) -> dict:
+            return {float(eps): v for eps, v in values.items()}
+
+        growth = doc["growth"]
+        rebuilt = ConvergenceReport(
+            process=ProcessConfig(**doc["process"]),
+            n_grid=tuple(doc["n_grid"]),
+            replicates=doc["replicates"],
+            base_seed=doc["base_seed"],
+            epsilons=tuple(doc["epsilons"]),
+            checks=tuple(Check(c) for c in doc["checks"]),
+            per_n=tuple(
+                PerNStats(
+                    n=p["n"],
+                    exact_var_an=p["exact_var_an"],
+                    empirical_mse=p["empirical_mse"],
+                    mc_standard_error=p["mc_standard_error"],
+                    empirical_tails=by_eps(p["empirical_tails"]),
+                    chebyshev_bounds=by_eps(p["chebyshev_bounds"]),
+                    pz_lower=by_eps(p["pz_lower"]),
+                )
+                for p in doc["per_n"]
+            ),
+            growth=GrowthReport(
+                n_grid=tuple(growth["n_grid"]),
+                vn_values=tuple(growth["vn_values"]),
+                vn_over_n2=tuple(growth["vn_over_n2"]),
+                fitted_slope=growth["fitted_slope"],
+                liminf_estimate=growth["liminf_estimate"],
+                classification=GrowthClass(growth["classification"]),
+            ),
+            verdicts={},
+        )
+        verdicts = {c: harness._CHECKS[c](rebuilt) for c in rebuilt.checks}
+        assert verdicts == report.verdicts
+        assert dataclasses.replace(rebuilt, verdicts=verdicts).to_dict() == doc
 
     def test_variance_identity_uses_the_experiment_statistics(self, shock_config):
         config = ExperimentConfig(
