@@ -47,7 +47,7 @@ replicates, as in a common-random-numbers design.
 :func:`verify_variance_identity` uses the base ``derive_stream(base_seed, n)``
 of its one length.  Replicates are sampled by
 :func:`~ergodiag.processes.sample_blocks` in blocks sized by element count
-(at most 65 536 values, so short paths share each NumPy call), in work
+(at most 131 072 values, so paths share each NumPy call), in work
 units of 1024 replicates spread over the workers, and each block is reduced
 to its rows' prefix averages, written by replicate index.  Each total is
 NumPy's pairwise sum of that prefix, the sum

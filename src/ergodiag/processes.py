@@ -81,11 +81,15 @@ draws it (:func:`sample_blocks` picks the worker count).  NEP 19 fixes both
 the ``SeedSequence`` and the PCG64 streams, and the tests compare the
 derived states against ``np.random.PCG64`` itself.
 
-A block holds up to 65 536 values (512 KiB), so the rows of short paths
-share each NumPy call; larger blocks were not faster at short lengths.  By
-default paths of 1000 or more steps are sampled on one thread per usable
-CPU and shorter ones on one thread, because their per-row Python holds the
-interpreter lock.  Both numbers were measured; see their constants.
+A block holds up to 131 072 values (1 MiB), so the rows of paths up to
+that length share each NumPy call of the transform, the finite check and
+the reduction: on two threads every call hands the interpreter lock to the
+other thread, and fewer calls per value keep both drawing.  Each engine
+thread reuses one block and the AR1 scan's work arrays for all its blocks.
+By default paths of 1000 or more steps are sampled on one thread per
+usable CPU and shorter ones on one thread, because their per-row Python
+holds the interpreter lock.  Both numbers were measured; see their
+constants.
 
 The AR1 filter
 --------------
@@ -94,11 +98,13 @@ which :func:`lfilter` runs in place on the whole block with NumPy alone, so
 no family needs scipy.  Each row is cut into segments of ``L`` steps.  The
 local recursion of every segment, started from zero, runs for all segments
 of all rows at once, one step per NumPy call, on a transposed copy of the
-block.  The segment ends are then turned into the true ends by doubling
-(Hillis-Steele) with coefficient ``phi**L``, ``phi**(2L)``, ... .  One
-fix-up pass adds ``phi**(j+1)`` times the previous segment's end to step
-``j`` of each segment.  Two rules keep every row bit for bit the path
-:func:`sample_path` draws:
+block; AR1's start and innovation scales are multiplied in as the block is
+copied, and the copy and the scan's other work arrays can be kept from
+block to block (``_Scratch``).  The segment ends are then turned into the
+true ends by doubling (Hillis-Steele) with coefficient ``phi**L``,
+``phi**(2L)``, ... .  One fix-up pass adds ``phi**(j+1)`` times the
+previous segment's end to step ``j`` of each segment.  Two rules keep every
+row bit for bit the path :func:`sample_path` draws:
 
 * ``L`` depends on ``n`` only (``min(10, n)``), never on the rows, block
   size or worker count, so a row goes through the same operations in every
@@ -116,6 +122,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -146,30 +153,36 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Replicates per work unit: one generator and one vectorized stream
-# derivation each.  Results do not depend on it, nor on the worker count.
+# Replicates per work unit: one vectorized stream derivation each.  Results
+# do not depend on it, nor on the worker count.
 _WORK_UNIT = 1024
-# Values per block (512 KiB); paths longer than this take one row per block.
-# Each transform and reduction call covers more rows (6 at n = 10 000, where
-# 8192-value blocks held 1).  Sampling and reducing (``block.sum(axis=1)``)
-# the four families at 10 000 replicates, n = 100, 300, 1000, 3000 and
-# 10 000 (2-vCPU Xeon, 2 MiB L2 per core; medians of 7 alternating
-# repeats), 8192-value blocks took 1.06-1.13x the time on one thread and
-# 1.14-1.55x on two; 262 144-value blocks, the size of the L2, took
-# 0.99-1.15x and 0.97-1.07x.  In a fresh process the block and its
-# temporaries lie above glibc's mmap threshold, so they are faulted in
-# afresh: about 3900-4100 minor faults for 4 x 10 000 paths of n = 100, 1000
-# or 10 000 on one thread, against 160-220 with 8192-value blocks.  The
-# times above were taken in one process, where freed larger blocks had
-# raised glibc's dynamic threshold, so they do not include these faults.
-_BLOCK_ELEMENTS = 65536
+# Values per block (1 MiB); paths longer than this take one row per block.
+# Each transform, check and reduction call covers more rows: 13 at
+# n = 10 000, against 6 with 65 536-value blocks and 1 with 8192.  On two
+# threads every NumPy call hands the interpreter lock to the other thread.
+# The four default ensembles (10 000 replicates, n = 10 000; 2-vCPU Xeon,
+# 2 MiB L2 per core; fresh processes, 5 alternating pairs, medians), with
+# the AR1 scan's arrays reused from block to block, took 3.72 s on two
+# threads against 3.81 s with 65 536-value blocks and per-block arrays (AR1
+# 1.20 s against 1.48 s), and 6.26 s against 6.71 s on one thread.  Each
+# engine thread allocates its block and work arrays once per call: two
+# rounds of the four fault in about 3400 pages on two threads and 2000 on
+# one, against 6000 and 5000 with per-block arrays.  Measured earlier with
+# per-block arrays, 8192-value blocks took 1.06-1.13x the time of 65 536 on
+# one thread and 1.14-1.55x on two, and 262 144-value blocks, the size of
+# the L2, 0.99-1.15x and 0.97-1.07x.
+_BLOCK_ELEMENTS = 131072
 # Shortest path sampled on more than one thread by default.  Shorter rows
 # spend their time in per-row Python that holds the interpreter lock.
 # Measured as above, two threads took 1.28-1.60x the time of one at n = 100.
 # Measured again with the AR1 scan and flat spike indices, they took
 # 1.04-2.01x at n = 300, 0.75-0.83x at n = 1000 (1.15x for SPARSE_SPIKES),
 # 0.59-0.68x at n = 3000 (1.03x for SPARSE_SPIKES) and 0.54-0.72x at
-# n = 10 000.
+# n = 10 000.  With 131 072-value blocks (10 000 replicates, medians of 7
+# alternating repeats) they took 0.72-0.81x at n = 1000 and 0.60-0.70x at
+# n = 3000, except SPARSE_SPIKES: 1.11x and 1.13x, against 1.58x and 1.47x
+# with 65 536-value blocks on the same day.  One threshold serves every
+# family until the stages of each are timed apart.
 _THREADED_LENGTH = 1000
 
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -182,7 +195,7 @@ _SS_POOL = 4
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-# Steps per segment of the AR1 scan.  On the engine's blocks ((rows, n) =
+# Steps per segment of the AR1 scan.  On 65 536-value blocks ((rows, n) =
 # (655, 100), (65, 1000), (6, 10 000)) and on one 2e5-step row, the scan took
 # 0.59-0.89x the time per value of scipy.signal.lfilter (medians of 300
 # interleaved calls, 2-vCPU Xeon).  In the same kind of run 8, 12, 16 and 24
@@ -235,47 +248,95 @@ def _scan_powers(phi: float, n: int) -> tuple[np.ndarray, tuple[np.float64, ...]
     return table, tuple(doubling)
 
 
-def lfilter(block: np.ndarray, phi: float) -> None:
+class _Scratch:
+    """Float64 work arrays that one caller reuses from block to block.
+
+    ``take(key, shape)`` returns a C-contiguous view of ``shape`` at the
+    front of the array kept under ``key``, which grows to the largest size
+    asked of it.  The view holds whatever the last block left there.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        array = self._arrays.get(key)
+        if array is None or array.size < size:
+            array = self._arrays[key] = np.empty(size)
+        return array[:size].reshape(shape)
+
+
+def lfilter(
+    block: np.ndarray,
+    phi: float,
+    scale: tuple[float, float] = (1.0, 1.0),
+    scratch: _Scratch | None = None,
+) -> None:
     """Run ``block[:, t] = phi * block[:, t-1] + block[:, t]`` for ``t >= 1``
-    on every row, in place, as the blocked scan of the module docstring."""
+    on every row, in place, as the blocked scan of the module docstring.
+
+    The recursion's input is ``scale[0]`` times step 0 and ``scale[1]``
+    times every later step, multiplied in as the block is copied into the
+    scan (a factor of 1.0 changes no bit).  ``scratch`` holds the scan's
+    work arrays; by default they are allocated for this call.
+    """
+    first, rest = scale
     rows, n = block.shape
     if n == 1:
+        np.multiply(block, first, out=block)
         return
     powers, doubling = _scan_powers(phi, n)
     length = len(powers)
-    segments = -(-n // length)
+    whole, tail = divmod(n, length)
+    segments = whole + (tail > 0)
     cells = rows * segments
-    # padded[i, s * L + j] is step j of segment s of row i; scan[j, i * S + s]
-    # holds the same value, so each step of the recursion is one row of scan.
-    padded = block
-    if segments * length != n or not block.flags.c_contiguous:
-        padded = np.zeros((rows, segments * length))
-        padded[:, :n] = block
-    scan = padded.reshape(cells, length).T.copy()
-    step = np.empty(cells)
+    if scratch is None:
+        scratch = _Scratch()
+    # scan[j, i * S + s] = grid[j, i, s] is step j of segment s of row i, so
+    # each step of the recursion is one row of scan.  Splitting the last
+    # axis of block makes views of it, also of a strided block.
+    scan = scratch.take("scan", (length, cells))
+    grid = scan.reshape(length, rows, segments)
+    pieces = [(
+        block[:, : whole * length].reshape(rows, whole, length).transpose(2, 0, 1),
+        grid[:, :, :whole],
+    )]
+    if tail:
+        # The last segment is padded with zeros, which reach no step of the row.
+        pieces.append((block[:, whole * length :].T, grid[:tail, :, whole]))
+        grid[tail:, :, whole] = 0.0
+    for source, target in pieces:
+        np.multiply(source, rest, out=target)
+    np.multiply(block[:, 0], first, out=grid[0, :, 0])
+    step = scratch.take("step", (cells,))
     for j in range(1, length):
         np.multiply(scan[j - 1], phi, out=step)
         np.add(scan[j], step, out=scan[j])
     if segments > 1:
         # carry[s, i]: the local end of segment s - 1 of row i (0 for s = 0),
-        # which the doubling turns into the true end in place.
-        carry = np.empty((segments, rows))
+        # which the doubling turns into the true end in place.  Doubling
+        # along the rows of this flat layout took a third of the time of
+        # doubling along the segments of a (rows, segments) one.
+        carry = scratch.take("carry", (segments, rows))
         carry[0] = 0.0
-        carry[1:] = scan[-1].reshape(rows, segments)[:, :-1].T
+        carry[1:] = grid[-1, :, :-1].T
         ends = carry[1:].reshape(-1)
-        shifted = np.empty_like(ends)
+        shifted = step[: ends.size]  # step is not read again until the fix-up
         shift = rows
         for coefficient in doubling:
             np.multiply(ends[:-shift], coefficient, out=shifted[:-shift])
             np.add(ends[shift:], shifted[:-shift], out=ends[shift:])
             shift *= 2
-        carry = np.ascontiguousarray(carry.T).reshape(cells)
+        # The carries in the cell order of scan.
+        carried = scratch.take("carried", (rows, segments))
+        carried[...] = carry.T
+        carried = carried.reshape(cells)
         for j in range(length):
-            np.multiply(carry, powers[j], out=step)
+            np.multiply(carried, powers[j], out=step)
             np.add(scan[j], step, out=scan[j])
-    padded.reshape(cells, length)[...] = scan.T
-    if padded is not block:
-        block[...] = padded[:, :n]
+    for source, target in pieces:
+        source[...] = target
 
 
 def derive_stream(base_seed: int, index: int) -> int:
@@ -496,13 +557,10 @@ class _AR1(_Definition):
         x1_scale = math.sqrt(gamma0)
         innov_scale = math.sqrt(gamma0 * (1.0 - phi * phi))
 
-        def draw(rngs, block):
+        def draw(rngs, block, scratch):
             for row, rng in zip(block, rngs):
                 rng.standard_normal(out=row)
-            x1 = x1_scale * block[:, 0]
-            block *= innov_scale
-            block[:, 0] = x1
-            lfilter(block, phi)
+            lfilter(block, phi, (x1_scale, innov_scale), scratch)
 
         return draw
 
@@ -528,7 +586,7 @@ class _SparseSpikes(_Definition):
     def draw(self, p: dict, n: int) -> Callable:
         half_prob, prob, magnitude = _spike_tables(n)
 
-        def draw(rngs, block):
+        def draw(rngs, block, scratch):
             for row, rng in zip(block, rngs):
                 rng.random(out=row)
             # A row has about sum(t**-2) < 1.65 steps below p: scatter their
@@ -565,7 +623,7 @@ class _CommonShock(_Definition):
         return np.where(np.equal(np.asarray(h), 0), z2 + e2, z2)
 
     def draw(self, p: dict, n: int) -> Callable:
-        def draw(rngs, block):
+        def draw(rngs, block, scratch):
             shock = np.empty(block.shape[0])
             for i, (row, rng) in enumerate(zip(block, rngs)):
                 shock[i] = rng.standard_normal()
@@ -625,7 +683,7 @@ class _DriftingMean(_Definition):
     def draw(self, p: dict, n: int) -> Callable:
         trend = self.mean(p, np.arange(1, n + 1, dtype=np.int64))
 
-        def draw(rngs, block):
+        def draw(rngs, block, scratch):
             for row, rng in zip(block, rngs):
                 rng.standard_normal(out=row)
             block *= p["noise_sd"]
@@ -678,22 +736,24 @@ def build_spec(config: ProcessConfig) -> ProcessSpec:
 
 def _block_sampler(
     config: ProcessConfig, n: int
-) -> Callable[[Iterable[np.random.Generator], np.ndarray], None]:
+) -> Callable[..., None]:
     """The family's sampler for blocks of paths of length ``n``.
 
-    ``sample(rngs, block)`` draws row ``i`` of ``block`` from the ``i``-th
-    generator of ``rngs``, in the documented order, then applies the family
-    transform to the whole block in place.  The tables it needs are built
-    here, once.  Values out of the float range raise one ``ValueError``
-    naming the family and ``n``, with no numpy warning before it.
+    ``sample(rngs, block, scratch=None)`` draws row ``i`` of ``block`` from
+    the ``i``-th generator of ``rngs``, in the documented order, then
+    applies the family transform to the whole block in place, with its work
+    arrays in ``scratch`` (allocated for the call by default).  The tables
+    it needs are built here, once.  Values out of the float range raise one
+    ``ValueError`` naming the family and ``n``, with no numpy warning before
+    it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         draw = _FAMILIES[config.family].draw(config.params, n)
 
-    def sample(rngs, block):
+    def sample(rngs, block, scratch=None):
         # errstate is per thread, so it is set in the thread that draws.
         with np.errstate(over="ignore", invalid="ignore"):
-            draw(rngs, block)
+            draw(rngs, block, scratch)
         if not np.isfinite(block).all():
             raise ValueError(
                 f"{config.family.value} paths of length n={n}: values must be "
@@ -744,11 +804,13 @@ def sample_blocks(
 
     Calls ``consume(first, block)`` once per block: row ``i`` of ``block``
     is the path of ``RngSeed(base_seed, first + i)``, bit for bit what
-    :func:`sample_path` returns for it.  A block holds at most 65 536
+    :func:`sample_path` returns for it.  A block holds at most 131 072
     values (one row when ``n`` is longer) and is reused once ``consume``
     returns, so ``consume`` must copy or reduce it.  Replicates are split
-    into work units of 1024 indices, each with its own generator, run on
-    ``min(max_workers, work units)`` threads.  By default ``max_workers`` is
+    into work units of 1024 indices, which ``min(max_workers, work units)``
+    threads take in turn; each thread keeps one generator, one block and
+    the transform's work arrays for all its units, and frees them before
+    this function returns.  By default ``max_workers`` is
     :func:`worker_count` for ``n >= 1000`` and 1 for shorter rows, where two
     threads ran slower than one (see ``_THREADED_LENGTH``).  With more than
     one thread ``consume`` runs on them, for disjoint replicate ranges; with
@@ -765,25 +827,36 @@ def sample_blocks(
     sample = _block_sampler(config, n)
     rows = max(1, _BLOCK_ELEMENTS // n)
 
-    def unit(lo: int) -> None:
-        states = _stream_states(base_seed, lo, min(lo + _WORK_UNIT, replicates) - lo)
-        rng = np.random.Generator(np.random.PCG64(0))  # re-seeded for every row
-        buffer = np.empty((min(rows, len(states)), n), dtype=float)
-        for offset in range(0, len(states), rows):
-            chunk = states[offset : offset + rows]
-            block = buffer[: len(chunk)]
-            sample(_reseeded(rng, chunk), block)
-            consume(lo + offset, block)
-
     # Work unit k holds replicates [1024 k, 1024 (k + 1)), clipped to the range.
     units = range(0, replicates, _WORK_UNIT)
+    pending = deque(units)
+
+    def work() -> None:
+        # Runs work units until none is left.  The block and the transform's
+        # work arrays are reused for every block of them, and freed when
+        # sample_blocks returns.
+        rng = np.random.Generator(np.random.PCG64(0))  # re-seeded for every row
+        buffer = np.empty((min(rows, _WORK_UNIT, replicates), n), dtype=float)
+        scratch = _Scratch()
+        while True:
+            try:
+                lo = pending.popleft()  # thread-safe
+            except IndexError:
+                return
+            states = _stream_states(base_seed, lo, min(lo + _WORK_UNIT, replicates) - lo)
+            for offset in range(0, len(states), rows):
+                chunk = states[offset : offset + rows]
+                block = buffer[: len(chunk)]
+                sample(_reseeded(rng, chunk), block, scratch)
+                consume(lo + offset, block)
+
     workers = min(max_workers, len(units))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(unit, units))
+            for done in [pool.submit(work) for _ in range(workers)]:
+                done.result()
     else:
-        for lo in units:
-            unit(lo)
+        work()
 
 
 def sparse_spike_squared_average_variance(n: int) -> float:

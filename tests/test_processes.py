@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -287,6 +288,36 @@ def loop_filter(x: np.ndarray, phi: float) -> np.ndarray:
     return np.array(y)
 
 
+def plain_scan(x: np.ndarray, phi: float) -> np.ndarray:
+    """The blocked scan of ``processes.lfilter`` written plainly, on a copy:
+    a zero-padded, transposed copy of ``x`` and a fresh array for every
+    intermediate, with the same multiplications and additions."""
+    rows, n = x.shape
+    if n == 1:
+        return x.copy()
+    powers, doubling = processes._scan_powers(phi, n)
+    length = len(powers)
+    segments = -(-n // length)
+    cells = rows * segments
+    padded = np.zeros((rows, segments * length))
+    padded[:, :n] = x
+    scan = padded.reshape(cells, length).T.copy()
+    for j in range(1, length):
+        scan[j] = scan[j] + scan[j - 1] * phi
+    if segments > 1:
+        carry = np.zeros((segments, rows))
+        carry[1:] = scan[-1].reshape(rows, segments)[:, :-1].T
+        ends, shift = carry[1:].reshape(-1), rows
+        for coefficient in doubling:
+            ends[shift:] = ends[shift:] + ends[:-shift] * coefficient
+            shift *= 2
+        carry = carry.T.reshape(cells)
+        for j in range(length):
+            scan[j] = scan[j] + carry * powers[j]
+    padded.reshape(cells, length)[...] = scan.T
+    return padded[:, :n].copy()
+
+
 class TestAr1Filter:
     @pytest.mark.parametrize("n", FILTER_LENGTHS)
     @pytest.mark.parametrize("phi", [-0.999, -0.7, 0.0, 0.5, 0.999])
@@ -319,6 +350,41 @@ class TestAr1Filter:
         ]
         with pytest.raises(ValueError, match="read-only"):
             powers[0] = 1.0
+
+
+SCRATCH_LENGTHS = [1, 2, 9, 10, 11, 1003]
+
+
+class TestScanScratch:
+    @pytest.mark.parametrize("phi", [-0.999, 0.0, 0.5])
+    def test_reused_scratch_gives_the_bits_of_fresh_arrays(self, phi):
+        # One scratch, as one engine worker holds it, runs through blocks of
+        # changing shape: at each length a full block, then a partial last
+        # block, then the next length, up the lengths and back down, so its
+        # arrays are reused at larger, smaller and differently padded
+        # shapes.  Each block is a strided view with some -0.0 values, also
+        # at step 0.  Every result must be, bit for bit, the plain scan of a
+        # fresh copy, scaled as the AR1 draw scales it or by 1.0.
+        x1_scale, innov_scale = 1.3, 0.7
+        scratch = processes._Scratch()
+        rng = np.random.default_rng(11)
+        for n in SCRATCH_LENGTHS + SCRATCH_LENGTHS[::-1]:
+            full = max(1, processes._BLOCK_ELEMENTS // n)
+            for rows in (full, full // 3 + 1):
+                for scale in ((x1_scale, innov_scale), (1.0, 1.0)):
+                    wide = rng.standard_normal((rows, n + 2))
+                    wide[::3, 1::4] = -0.0
+                    edges = wide[:, [0, -1]].copy()
+                    block = wide[:, 1 : n + 1]
+                    scaled = block * scale[1]
+                    scaled[:, 0] = scale[0] * block[:, 0]
+                    expected = plain_scan(scaled, phi).tobytes()
+                    fresh = block.copy()
+                    processes.lfilter(fresh, phi, scale)
+                    assert fresh.tobytes() == expected, (n, rows, scale)
+                    processes.lfilter(block, phi, scale, scratch)
+                    assert block.tobytes() == expected, (n, rows, scale)
+                    assert np.array_equal(wide[:, [0, -1]], edges)
 
 
 ZERO_LAG_PHIS = [0.0, -0.0, 0.5, -0.5, 0.93, -0.93, 0.999, -0.999,
@@ -473,6 +539,33 @@ class TestSampleBlocks:
             seed = RngSeed(2**64 - 1, 2**32)
             assert np.array_equal(sample_path(config, n, seed).values,
                                   reference_path(config, n, seed))
+
+
+class TestEngineMemory:
+    # Peak traced memory of a threaded ensemble at n = 10 000, in blocks of
+    # 8 * BLOCK bytes per worker.  An AR1 worker holds its block (1), the
+    # scan's transposed copy of it (1), the scan's step, carry and
+    # transposed carry (0.1 each) and the finite check's booleans (0.125):
+    # about 2.5, as measured.  A SPARSE_SPIKES worker holds its block and
+    # two arrays of booleans: about 1.4 measured.  One more block-sized
+    # array per worker, kept or made per block, measured 3.4-3.5 and
+    # 2.1-2.2, above these bounds.  Once the call returns, nothing of a
+    # block's size may be left.
+    PER_WORKER = {"AR1": 3.0, "SPARSE_SPIKES": 1.75}
+
+    @pytest.mark.parametrize("family", list(PER_WORKER))
+    def test_peak_per_worker_and_nothing_kept(self, family):
+        workers = 2
+        args = (ENGINE_CONFIGS[family], (10_000,), 3, 2048, workers)
+        _ensemble_averages(*args)  # builds the caches and thread state once
+        tracemalloc.start()
+        try:
+            _ensemble_averages(*args)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PER_WORKER[family] * workers * 8 * BLOCK
+        assert kept < 8 * BLOCK
 
 
 def spike_moment(f, *times: int) -> float:
