@@ -4,6 +4,9 @@
 ``report.json``, ``curves.csv`` and stdout, and ``analyze``'s stdout, for
 every family at seeds 101-103, an AR1 whose values all lie below the row
 writer's NumPy window, and an ``analyze`` of a CSV this file writes itself.
+The ``verdicts/`` digests are of ``report.json`` and stdout of experiments
+that request all five checks: every family at seeds 101-103, and three short
+configs whose verdict texts no default run prints.
 
 NumPy keeps a bit generator's stream stable across versions, but not the
 ``Generator`` methods that turn it into normals and uniforms (NEP 19).  So
@@ -50,6 +53,17 @@ PROCESSES = {
 }
 # Two work units of 1024 replicates at n = 1000, so the threaded engine runs.
 EXPERIMENT = {"n_grid": [10, 100, 1000], "replicates": 2048}
+ALL_CHECKS = ["VARIANCE_IDENTITY", "L2_CONVERGENCE", "WLLN", "NONCONVERGENCE", "BOUNDS"]
+# All five checks at seed 101, on experiments that reach verdict texts no
+# default run prints.
+SHORT = {
+    # the eps = 0.1 tail is 1 at both points: WLLN's "no net decrease"
+    "SPARSE_SPIKES_2_9": ("SPARSE_SPIKES", {"n_grid": [2, 9]}),
+    # one grid point: "needs at least 2 grid points"
+    "AR1_100": ("AR1", {"n_grid": [100]}),
+    # eps^2 above the liminf: NONCONVERGENCE's "no configured eps satisfies"
+    "COMMON_SHOCK_EPS_2": ("COMMON_SHOCK", {"epsilons": [2.0]}),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -100,7 +114,26 @@ def sampled_digests(tmp: Path) -> dict[str, str]:
             for output in ("report.json", "curves.csv"):
                 digests[f"experiment/{key}/{output}"] = _sha((out_dir / output).read_bytes())
             digests[f"experiment/{key}/stdout"] = _sha(stdout)
+            digests.update(_verdict_digests(tmp, key, process, seed, {}))
+    for key, (name, experiment) in SHORT.items():
+        digests.update(_verdict_digests(tmp, key, PROCESSES[name], 101, experiment))
     return digests
+
+
+def _verdict_digests(
+    tmp: Path, key: str, process: dict, seed: int, experiment: dict
+) -> dict[str, str]:
+    """Digests of an experiment that requests all five checks."""
+    experiment = {"base_seed": seed, **EXPERIMENT, "checks": ALL_CHECKS, **experiment}
+    config = tmp / "verdicts.json"
+    config.write_text(json.dumps({"process": process, "experiment": experiment}),
+                      encoding="utf-8")
+    out_dir = tmp / "verdicts"
+    stdout = _run(["experiment", "--config", str(config), "--out-dir", str(out_dir)])
+    return {
+        f"verdicts/{key}/report.json": _sha((out_dir / "report.json").read_bytes()),
+        f"verdicts/{key}/stdout": _sha(stdout),
+    }
 
 
 def test_outputs_match_golden_digests(tmp_path):

@@ -671,6 +671,69 @@ class TestCheckDispatch:
         assert verdicts == report.verdicts
         assert dataclasses.replace(rebuilt, verdicts=verdicts).to_dict() == doc
 
+    # Rows are (n, exact Var(A_n), MSE, MC SE, tail, Chebyshev, Paley-Zygmund)
+    # at eps = 0.1 and 10 000 replicates, so a tail of 0.5 has a binomial SE
+    # of 0.005.  Each case reaches a verdict text no seeded run prints.
+    @pytest.mark.parametrize("check, family, rows, liminf, expected", [
+        (Check.VARIANCE_IDENTITY, "AR1", [(10, 0.5, 0.25, 0.0, 0.5, 1.0, None)], 0.0,
+         Verdict("FAIL", "n=10: gap 0.25 with zero MC error")),
+        (Check.VARIANCE_IDENTITY, "AR1",
+         [(10, 0.5, 0.5, 0.0, 0.5, 1.0, None), (100, 0.05, 0.1, 0.01, 0.5, 1.0, None)],
+         0.0, Verdict("FAIL", "n=100: |MSE - exact Var(A_n)| = 5.00 MC standard "
+                              "errors exceeds 4")),
+        # the zero-SE point matches exactly and leaves the worst deviation alone
+        (Check.VARIANCE_IDENTITY, "AR1",
+         [(10, 0.5, 0.5, 0.0, 0.5, 1.0, None), (100, 0.05, 0.07, 0.01, 0.5, 1.0, None)],
+         0.0, Verdict("PASS", "max deviation 2.00 MC standard errors (<= 4)")),
+        (Check.L2_CONVERGENCE, "AR1",
+         [(10, 0.1, 0.1, 0.01, 0.5, 1.0, None), (100, 0.1, 0.01, 0.01, 0.5, 1.0, None)],
+         0.0, Verdict("FAIL", "exact Var(A_n) is not strictly decreasing over n_grid")),
+        (Check.L2_CONVERGENCE, "AR1",
+         [(10, 0.1, 0.1, 0.01, 0.5, 1.0, None), (100, 0.01, 0.2, 0.01, 0.5, 1.0, None)],
+         0.0, Verdict("FAIL", "empirical MSE did not decrease over n_grid")),
+        (Check.WLLN, "AR1",
+         [(10, 0.1, 0.1, 0.01, 0.1, 1.0, None), (100, 0.01, 0.01, 0.01, 0.5, 1.0, None)],
+         0.0, Verdict("FAIL", "eps=0.1: tail rose 0.1 -> 0.5")),
+        (Check.NONCONVERGENCE, "COMMON_SHOCK",
+         [(10, 1.0, 1.0, 0.01, 0.9, 1.0, 0.5), (100, 1.0, 0.5, 0.01, 0.9, 1.0, 0.5)],
+         1.0, Verdict("FAIL", "n=100: empirical MSE 0.5 fell below 0.9 * liminf "
+                              "estimate 1")),
+        # eps^2 = 0.01 is above the liminf, but the floor is judged first
+        (Check.NONCONVERGENCE, "COMMON_SHOCK",
+         [(10, 1.0, 1.0, 0.01, 0.9, 1.0, 0.5), (100, 1.0, 0.001, 0.01, 0.9, 1.0, 0.5)],
+         0.005, Verdict("FAIL", "n=100: empirical MSE 0.001 fell below 0.9 * liminf "
+                                "estimate 0.005")),
+        (Check.NONCONVERGENCE, "COMMON_SHOCK",
+         [(10, 1.0, 1.0, 0.01, 0.9, 1.0, 0.5), (100, 1.0, 1.0, 0.01, 0.1, 1.0, 0.5)],
+         1.0, Verdict("FAIL", "n=100, eps=0.1: tail 0.1 fell below the exact-moment "
+                              "lower bound 0.5")),
+        (Check.BOUNDS, "AR1", [(10, 0.5, 0.5, 0.01, 0.5, 0.1, None)], 0.0,
+         Verdict("FAIL", "n=10, eps=0.1: tail 0.5 exceeds Chebyshev bound 0.1")),
+        (Check.BOUNDS, "AR1", [(10, 0.5, 0.5, 0.01, 0.1, 1.0, 0.5)], 0.0,
+         Verdict("FAIL", "n=10, eps=0.1: tail 0.1 below Paley-Zygmund bound 0.5")),
+    ])
+    def test_hand_built_report_verdicts(self, check, family, rows, liminf, expected):
+        grid = tuple(row[0] for row in rows)
+        report = ConvergenceReport(
+            process=ENGINE_CONFIGS[family], n_grid=grid, replicates=10_000,
+            base_seed=1, epsilons=(0.1,), checks=(check,),
+            per_n=tuple(
+                PerNStats(
+                    n=n, exact_var_an=exact, empirical_mse=mse, mc_standard_error=se,
+                    empirical_tails={0.1: tail}, chebyshev_bounds={0.1: cheb},
+                    pz_lower={0.1: pz},
+                )
+                for n, exact, mse, se, tail, cheb, pz in rows
+            ),
+            growth=GrowthReport(
+                n_grid=grid, vn_values=(), vn_over_n2=(), fitted_slope=1.0,
+                liminf_estimate=liminf,
+                classification=GrowthClass.QUADRATIC if liminf else GrowthClass.SUBQUADRATIC,
+            ),
+            verdicts={},
+        )
+        assert harness._CHECKS[check](report) == expected
+
     def test_variance_identity_uses_the_experiment_statistics(self, shock_config):
         config = ExperimentConfig(
             process=shock_config, base_seed=43, n_grid=(50,), replicates=1000,
