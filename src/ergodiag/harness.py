@@ -5,32 +5,40 @@ at the longest of a grid of series lengths and, for each length, compares the
 empirical mean squared error of the time average over that prefix against the
 exact ``V_n / n^2``, tabulates tail frequencies against Chebyshev upper and
 Paley-Zygmund lower bounds, classifies the exact growth of ``V_n``, and issues
-a PASS / FAIL / SKIPPED verdict per requested check.  Pass thresholds are
-expressed in Monte Carlo standard errors (default 4), so they scale with the
-replicate budget.
+a PASS / FAIL / SKIPPED verdict per requested check.
 The two things it takes from a family, the exact ``Var((A_n - m_n)^2)``
 behind the Paley-Zygmund bounds and the default checks, come from the
 family's definition in :mod:`ergodiag.processes`.
 
 Checks
 ------
-``VARIANCE_IDENTITY``
-    Empirical MSE matches exact ``Var(A_n)`` at every grid point.
-``L2_CONVERGENCE``
-    ``V_n`` growth is sub-quadratic and both the exact and empirical MSE
-    shrink across the grid.
-``WLLN``
-    Tail frequencies ``P(|A_n - m_n| >= eps)`` decrease across the grid for
-    every configured eps.  For the sparse-spike family, tails shrinking at
-    eps = 0.1 while ``Var(A_n) -> 1/2`` show convergence in probability
-    without mean square convergence.
-``NONCONVERGENCE``
-    Common-shock only: the MSE stays bounded away from zero and the final
-    tail frequency respects the Paley-Zygmund lower bound computed from
-    exact moments.
-``BOUNDS``
-    Every tail frequency sits below its Chebyshev bound and above its
-    Paley-Zygmund bound (where applicable), within Monte Carlo noise.
+Each check lists its legs, comparisons of a sampled statistic with an exact
+reference; :func:`_judge` FAILs it at the first leg to fail (:data:`_FAILS`).
+
+=================  ===============  ==================  =====  =  =======
+leg                statistic        reference           se     z  side
+=================  ===============  ==================  =====  =  =======
+VARIANCE_IDENTITY  MSE at n         exact ``Var(A_n)``  MC     4  apart
+L2_CONVERGENCE     last MSE         first MSE           hypot  4  above
+WLLN rise          tail at next n   tail at n           hypot  2  above
+WLLN net drop      last tail        first tail          hypot  2  no drop
+NONCONV floor      MSE at n         0.9 * liminf        none   -  below
+NONCONV PZ         last tail        Paley-Zygmund       bin    4  below
+BOUNDS Chebyshev   tail at n        Chebyshev           bin    4  above
+BOUNDS PZ          tail at n        Paley-Zygmund       bin    4  below
+=================  ===============  ==================  =====  =  =======
+
+``MC`` is the plug-in Monte Carlo SE of the MSE, ``bin`` the binomial SE
+``sqrt(t (1 - t) / R)`` of a tail ``t`` over ``R`` replicates, and ``hypot``
+combines the SEs of the two grid points compared.  They share replicates, so
+``hypot`` overstates the noise of their difference: it is conservative for
+``above``, and asks ``no drop`` for a larger drop than needed.  A PZ leg is
+listed where ``eps^2 <= Var(A_n)`` (for NONCONVERGENCE, ``eps^2 < liminf``
+too), so the legs depend on the config and the exact moments only.
+L2_CONVERGENCE first FAILs, with no legs, on ``V_n`` growth that is not
+sub-quadratic or an exact ``Var(A_n)`` that does not shrink.  For the
+sparse-spike family, WLLN tails shrinking at eps = 0.1 while
+``Var(A_n) -> 1/2`` show convergence in probability but not in mean square.
 
 Seed discipline
 ---------------
@@ -57,14 +65,6 @@ from the usable CPUs and the path length: threads from
 n = 1000, where two of them measured faster than one, and one thread below
 (``max_workers`` overrides it).  No result depends on the block size or the
 worker count, so reports are identical for any worker count.
-
-Because the grid points share replicates, their statistics are positively
-correlated.  The trend legs of ``L2_CONVERGENCE`` and ``WLLN`` allow
-``hypot`` of the two points' standard errors, the noise of a difference of
-independent points; a positive correlation makes that difference less
-noisy, so the slack is conservative for the legs that FAIL when a statistic
-rose, and the net-drop leg of ``WLLN`` asks for a larger drop than the
-noise needs.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -127,8 +127,7 @@ DEFAULT_EPSILONS = (0.1, 0.05, 0.01)
 DEFAULT_REPLICATES = 10_000
 
 _Z_DEFAULT = 4.0
-# Tail frequencies below this are treated as "already converged" when judging
-# whether a tail sequence decreased; below it a further decrease is noise.
+# A tail below this needs no net drop: it has converged, and a drop is noise.
 _TINY_TAIL = 0.02
 
 
@@ -400,25 +399,50 @@ def _growth_for(spec: ProcessSpec, n_grid: tuple[int, ...]) -> GrowthReport | No
     return classify_growth(list(grid), vn_values)
 
 
+class _Leg(NamedTuple):
+    """A comparison of a sampled statistic with its exact reference; see Checks."""
+
+    stat: float
+    ref: float
+    se: float
+    z: float
+    side: str
+    fail: str
+
+
+# Whether a leg fails, from its statistic, its reference and its slack z * se.
+_FAILS: dict[str, Callable[[float, float, float], bool]] = {
+    "above": lambda stat, ref, slack: stat > ref + slack,
+    "below": lambda stat, ref, slack: stat < ref - slack,
+    "apart": lambda stat, ref, slack: abs(stat - ref) > slack,
+    "no drop": lambda stat, ref, slack: stat >= ref - slack and stat >= _TINY_TAIL,
+}
+
+
+def _judge(legs: list[_Leg], held: Verdict) -> Verdict:
+    """The FAIL text of the first leg that fails, else the verdict ``held``."""
+    for leg in legs:
+        if _FAILS[leg.side](leg.stat, leg.ref, leg.z * leg.se):
+            return Verdict("FAIL", leg.fail)
+    return held
+
+
 def _check_variance_identity(report: ConvergenceReport) -> Verdict:
-    worst = 0.0
+    legs, worst = [], 0.0
     for stats in report.per_n:
         gap = abs(stats.empirical_mse - stats.exact_var_an)
         se = stats.mc_standard_error
         if se == 0.0:
-            if gap > 0.0:
-                return Verdict("FAIL", f"n={stats.n}: gap {gap:.6g} with zero MC error")
-            continue
-        worst = max(worst, gap / se)
-        if gap > _Z_DEFAULT * se:
-            return Verdict(
-                "FAIL",
-                f"n={stats.n}: |MSE - exact Var(A_n)| = {gap / se:.2f} MC standard "
-                f"errors exceeds {_Z_DEFAULT:g}",
-            )
-    return Verdict(
+            fail = f"n={stats.n}: gap {gap:.6g} with zero MC error"
+        else:
+            worst = max(worst, gap / se)
+            fail = (f"n={stats.n}: |MSE - exact Var(A_n)| = {gap / se:.2f} MC standard "
+                    f"errors exceeds {_Z_DEFAULT:g}")
+        legs.append(_Leg(stats.empirical_mse, stats.exact_var_an, se, _Z_DEFAULT,
+                         "apart", fail))
+    return _judge(legs, Verdict(
         "PASS", f"max deviation {worst:.2f} MC standard errors (<= {_Z_DEFAULT:g})"
-    )
+    ))
 
 
 def _check_l2_convergence(report: ConvergenceReport) -> Verdict:
@@ -437,38 +461,32 @@ def _check_l2_convergence(report: ConvergenceReport) -> Verdict:
     if any(b >= a for a, b in zip(exact, exact[1:])):
         return Verdict("FAIL", "exact Var(A_n) is not strictly decreasing over n_grid")
     first, last = report.per_n[0], report.per_n[-1]
-    slack = _Z_DEFAULT * math.hypot(first.mc_standard_error, last.mc_standard_error)
-    if last.empirical_mse > first.empirical_mse + slack:
-        return Verdict("FAIL", "empirical MSE did not decrease over n_grid")
-    return Verdict(
+    se = math.hypot(first.mc_standard_error, last.mc_standard_error)
+    leg = _Leg(last.empirical_mse, first.empirical_mse, se, _Z_DEFAULT, "above",
+               "empirical MSE did not decrease over n_grid")
+    return _judge([leg], Verdict(
         "PASS",
         f"subquadratic growth (slope {report.growth.fitted_slope:.3f}), "
         f"MSE {first.empirical_mse:.3g} -> {last.empirical_mse:.3g}",
-    )
-
-
-def _tail_trend_ok(tails: list[float], replicates: int) -> tuple[bool, str]:
-    """Decreasing within 2 binomial standard errors, with a real net drop."""
-    ses = [_binom_se(t, replicates) for t in tails]
-    for k in range(len(tails) - 1):
-        slack = 2.0 * math.hypot(ses[k], ses[k + 1])
-        if tails[k + 1] > tails[k] + slack:
-            return False, f"tail rose {tails[k]:.4g} -> {tails[k + 1]:.4g}"
-    net_slack = 2.0 * math.hypot(ses[0], ses[-1])
-    if tails[-1] >= tails[0] - net_slack and tails[-1] >= _TINY_TAIL:
-        return False, f"no net decrease ({tails[0]:.4g} -> {tails[-1]:.4g})"
-    return True, ""
+    ))
 
 
 def _check_wlln(report: ConvergenceReport) -> Verdict:
     if len(report.per_n) < 2:
         return Verdict("SKIPPED", "needs at least 2 grid points to see a trend")
+    legs = []
     for eps in report.epsilons:
         tails = [s.empirical_tails[eps] for s in report.per_n]
-        ok, why = _tail_trend_ok(tails, report.replicates)
-        if not ok:
-            return Verdict("FAIL", f"eps={eps:g}: {why}")
-    return Verdict("PASS", "tail frequencies decrease across n_grid for every eps")
+        ses = [_binom_se(t, report.replicates) for t in tails]
+        for k in range(len(tails) - 1):
+            se = math.hypot(ses[k], ses[k + 1])
+            rose = f"eps={eps:g}: tail rose {tails[k]:.4g} -> {tails[k + 1]:.4g}"
+            legs.append(_Leg(tails[k + 1], tails[k], se, 2.0, "above", rose))
+        se = math.hypot(ses[0], ses[-1])
+        flat = f"eps={eps:g}: no net decrease ({tails[0]:.4g} -> {tails[-1]:.4g})"
+        legs.append(_Leg(tails[-1], tails[0], se, 2.0, "no drop", flat))
+    held = Verdict("PASS", "tail frequencies decrease across n_grid for every eps")
+    return _judge(legs, held)
 
 
 def _check_nonconvergence(report: ConvergenceReport) -> Verdict:
@@ -478,57 +496,44 @@ def _check_nonconvergence(report: ConvergenceReport) -> Verdict:
         return Verdict("SKIPPED", "growth unavailable: n_grid spans less than a decade")
     liminf = report.growth.liminf_estimate
     floor = 0.9 * liminf
-    for stats in report.per_n:
-        if stats.empirical_mse < floor:
-            return Verdict(
-                "FAIL",
-                f"n={stats.n}: empirical MSE {stats.empirical_mse:.4g} fell below "
-                f"0.9 * liminf estimate {liminf:.4g}",
-            )
+    legs = [
+        _Leg(stats.empirical_mse, floor, 0.0, 0.0, "below",
+             f"n={stats.n}: empirical MSE {stats.empirical_mse:.4g} fell below "
+             f"0.9 * liminf estimate {liminf:.4g}")
+        for stats in report.per_n
+    ]
     last = report.per_n[-1]
     valid = [e for e in report.epsilons if e * e < liminf]
-    if not valid:
-        return Verdict(
-            "SKIPPED", f"no configured eps satisfies eps^2 < liminf ({liminf:.4g})"
-        )
     for eps in valid:
-        tail = last.empirical_tails[eps]
-        pz = last.pz_lower[eps]
-        if pz is None:
-            continue
-        if tail < pz - _Z_DEFAULT * _binom_se(tail, report.replicates):
-            return Verdict(
-                "FAIL",
-                f"n={last.n}, eps={eps:g}: tail {tail:.4g} fell below the exact-moment "
-                f"lower bound {pz:.4g}",
-            )
-    return Verdict(
-        "PASS",
-        f"MSE stayed >= {floor:.4g} across n_grid and final tails respect the "
-        "lower bound",
-    )
+        tail, pz = last.empirical_tails[eps], last.pz_lower[eps]
+        if pz is not None:
+            fail = (f"n={last.n}, eps={eps:g}: tail {tail:.4g} fell below the "
+                    f"exact-moment lower bound {pz:.4g}")
+            se = _binom_se(tail, report.replicates)
+            legs.append(_Leg(tail, pz, se, _Z_DEFAULT, "below", fail))
+    held = Verdict("PASS", f"MSE stayed >= {floor:.4g} across n_grid and final tails "
+                           "respect the lower bound")
+    if not valid:
+        # judged after the floor legs, so an MSE below the floor still FAILs
+        held = Verdict("SKIPPED",
+                       f"no configured eps satisfies eps^2 < liminf ({liminf:.4g})")
+    return _judge(legs, held)
 
 
 def _check_bounds(report: ConvergenceReport) -> Verdict:
+    legs = []
     for stats in report.per_n:
         for eps in report.epsilons:
             tail = stats.empirical_tails[eps]
             se = _binom_se(tail, report.replicates)
-            cheb = stats.chebyshev_bounds[eps]
-            if tail > cheb + _Z_DEFAULT * se:
-                return Verdict(
-                    "FAIL",
-                    f"n={stats.n}, eps={eps:g}: tail {tail:.4g} exceeds Chebyshev "
-                    f"bound {cheb:.4g}",
-                )
-            pz = stats.pz_lower[eps]
-            if pz is not None and tail < pz - _Z_DEFAULT * se:
-                return Verdict(
-                    "FAIL",
-                    f"n={stats.n}, eps={eps:g}: tail {tail:.4g} below Paley-Zygmund "
-                    f"bound {pz:.4g}",
-                )
-    return Verdict("PASS", "all tails sit inside their bound sandwich")
+            at = f"n={stats.n}, eps={eps:g}: tail {tail:.4g}"
+            cheb, pz = stats.chebyshev_bounds[eps], stats.pz_lower[eps]
+            legs.append(_Leg(tail, cheb, se, _Z_DEFAULT, "above",
+                             f"{at} exceeds Chebyshev bound {cheb:.4g}"))
+            if pz is not None:
+                legs.append(_Leg(tail, pz, se, _Z_DEFAULT, "below",
+                                 f"{at} below Paley-Zygmund bound {pz:.4g}"))
+    return _judge(legs, Verdict("PASS", "all tails sit inside their bound sandwich"))
 
 
 _CHECKS: dict[Check, Callable[[ConvergenceReport], Verdict]] = {
@@ -641,14 +646,9 @@ def verify_variance_identity(
     _, mse, se, exact = _statistics(spec, n, averages)
     gap = abs(mse - exact)
     if se == 0.0:
-        status = "PASS" if gap == 0.0 else "FAIL"
-        return Verdict(status, f"n={n}: gap {gap:.6g} with zero MC error")
-    if gap > _Z_DEFAULT * se:
-        return Verdict(
-            "FAIL",
-            f"n={n}: |MSE - exact| = {gap / se:.2f} MC standard errors "
-            f"(exact {exact:.6g}, MSE {mse:.6g})",
-        )
-    return Verdict(
-        "PASS", f"n={n}: |MSE - exact| = {gap / se:.2f} MC standard errors"
-    )
+        held = fail = f"n={n}: gap {gap:.6g} with zero MC error"
+    else:
+        held = f"n={n}: |MSE - exact| = {gap / se:.2f} MC standard errors"
+        fail = f"{held} (exact {exact:.6g}, MSE {mse:.6g})"
+    leg = _Leg(mse, exact, se, _Z_DEFAULT, "apart", fail)
+    return _judge([leg], Verdict("PASS", held))

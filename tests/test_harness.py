@@ -734,6 +734,40 @@ class TestCheckDispatch:
         )
         assert harness._CHECKS[check](report) == expected
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("fixture, counts", [
+        ("ar1_config", {"VARIANCE_IDENTITY": 3, "L2_CONVERGENCE": 1, "WLLN": 9,
+                        "BOUNDS": 15}),
+        ("spike_config", {"VARIANCE_IDENTITY": 3, "WLLN": 9, "BOUNDS": 18}),
+        # NONCONVERGENCE: 3 MSE-floor legs and 3 Paley-Zygmund legs
+        ("shock_config", {"VARIANCE_IDENTITY": 3, "NONCONVERGENCE": 6, "BOUNDS": 18}),
+        ("drift_config", {"VARIANCE_IDENTITY": 3, "L2_CONVERGENCE": 1, "WLLN": 9,
+                          "BOUNDS": 13}),
+    ])
+    def test_default_reports_list_legs_fixed_by_the_config(
+        self, fixture, counts, seed, request, monkeypatch
+    ):
+        # each family's default grid and epsilons: the legs each check hands
+        # to the judge depend on the config and the exact moments, not on
+        # the seed
+        config = ExperimentConfig(
+            process=request.getfixturevalue(fixture), base_seed=seed, replicates=200
+        )
+        report = run_experiment(config)
+        judge, judged = harness._judge, []
+
+        def counting_judge(legs, held):
+            judged.extend(legs)
+            return judge(legs, held)
+
+        monkeypatch.setattr(harness, "_judge", counting_judge)
+        listed = {}
+        for check in report.checks:
+            judged.clear()
+            assert harness._CHECKS[check](report) == report.verdicts[check]
+            listed[check.value] = len(judged)
+        assert listed == counts
+
     def test_variance_identity_uses_the_experiment_statistics(self, shock_config):
         config = ExperimentConfig(
             process=shock_config, base_seed=43, n_grid=(50,), replicates=1000,
