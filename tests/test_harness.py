@@ -673,7 +673,8 @@ class TestCheckDispatch:
 
     # Rows are (n, exact Var(A_n), MSE, MC SE, tail, Chebyshev, Paley-Zygmund)
     # at eps = 0.1 and 10 000 replicates, so a tail of 0.5 has a binomial SE
-    # of 0.005.  Each case reaches a verdict text no seeded run prints.
+    # of 0.005.  The growth is QUADRATIC at a nonzero liminf, else
+    # SUBQUADRATIC.  Each case reaches a verdict text no seeded run prints.
     @pytest.mark.parametrize("check, family, rows, liminf, expected", [
         (Check.VARIANCE_IDENTITY, "AR1", [(10, 0.5, 0.25, 0.0, 0.5, 1.0, None)], 0.0,
          Verdict("FAIL", "n=10: gap 0.25 with zero MC error")),
