@@ -53,7 +53,9 @@ from .bounds import chebyshev_bound
 from .estimators import SamplePath, estimate_tau, sample_autocovariance
 from .harness import ExperimentConfig, run_experiment
 from .model import DegenerateSeriesError, effective_sample_size
-from .processes import ProcessConfig, _require_in_memory, sample_blocks, sample_path
+from .processes import (
+    ProcessConfig, _require_in_memory, _Scratch, sample_blocks, sample_path,
+)
 
 # ``simulate`` no longer calls ``sample_path``; it stays importable from this
 # module because bench/spans.py wraps it by name.
@@ -66,7 +68,7 @@ _ANALYZE_EPSILONS = (0.1, 0.05, 0.01)
 # temporaries stay this small however long a path is.  Each of the two
 # formatting threads needs that much at once, in its own malloc arena, so a
 # larger chunk would double both working sets for fewer NumPy calls a value.
-_WRITE_CHUNK = 8192
+_WRITE_CHUNK = 16384
 _MIN_ANALYZE_OBSERVATIONS = 10
 
 _TOP_LEVEL_KEYS = {"process", "experiment"}
@@ -218,6 +220,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             helper = ThreadPoolExecutor(1, thread_name_prefix="ergodiag-simulate")
         else:
             helper = None
+        # Each formatting thread reuses one working set for all its chunks,
+        # and the helper one copy of its chunk: the block is reused once
+        # write returns.  Both are freed when the body returns.
+        work, helper_work = _Scratch(), _Scratch()
         # Leaving the block waits for the helper, also when a chunk failed.
         with helper or nullcontext():
 
@@ -227,11 +233,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 for start in range(0, values.size, _WRITE_CHUNK):
                     x = values[start : start + _WRITE_CHUNK]
                     if helper is not None and pending is None:
-                        x = x.copy()  # the block is reused once write returns
-                        future = helper.submit(format_rows, x, start, n, first)
+                        chunk = helper_work.take("chunk", x.shape)
+                        np.copyto(chunk, x)
+                        x = chunk
+                        future = helper.submit(format_rows, x, start, n, first, scratch=helper_work)
                         pending = (future, x, start, first)
                     else:
-                        text = format_rows(x, start, n, first)
+                        text = format_rows(x, start, n, first, scratch=work)
                         flush()
                         put(text, x, start, first)
 

@@ -633,7 +633,9 @@ def verify_variance_identity(
     Samples ``config.replicates`` paths (at least 1000) and compares the
     empirical MSE against the exact variance from ``spec`` (defaults to the
     exact spec of the configured family; pass a deliberately wrong spec to
-    confirm the check can fail).  It fails beyond 4 MC standard errors.
+    confirm the check can fail).  It fails beyond 4 MC standard errors.  An
+    exact variance, MSE or standard error outside the float range raises
+    OverflowError, as in :func:`run_experiment`: no comparison can judge it.
     """
     if config.replicates < 1000:
         raise ValueError(
@@ -644,6 +646,7 @@ def verify_variance_identity(
     base = derive_stream(config.base_seed, n)
     (averages,) = _ensemble_averages(config.process, (n,), base, config.replicates, None)
     _, mse, se, exact = _statistics(spec, n, averages)
+    _require_finite(n, {"Var(A_n)": exact, "empirical MSE": mse, "MC standard error": se})
     gap = abs(mse - exact)
     if se == 0.0:
         held = fail = f"n={n}: gap {gap:.6g} with zero MC error"

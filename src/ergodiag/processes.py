@@ -218,6 +218,34 @@ def _two_product(a, b) -> tuple:
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
+def _split(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's halves of the doubles ``b``, as :func:`_two_product` splits
+    a factor, for tables of factors."""
+    cb = _SPLIT * b
+    hi = cb - (cb - b)
+    return hi, b - hi
+
+
+def _exact_product(
+    a: np.ndarray, b: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
+    p: np.ndarray, e: np.ndarray, a_hi: np.ndarray, a_lo: np.ndarray,
+) -> None:
+    """:func:`_two_product` of the arrays ``a`` and ``b`` into ``p`` and
+    ``e``, given the halves of ``b`` from :func:`_split`: the same operations
+    in the same order, into the caller's arrays.  ``a_hi``, ``a_lo``,
+    ``b_hi`` and ``b_lo`` are overwritten, and ``b`` may be ``e``."""
+    np.multiply(a, b, out=p)
+    np.multiply(_SPLIT, a, out=a_hi)
+    np.subtract(a_hi, a, out=a_lo)
+    np.subtract(a_hi, a_lo, out=a_hi)
+    np.subtract(a, a_hi, out=a_lo)
+    np.multiply(a_hi, b_hi, out=e)
+    e -= p
+    e += np.multiply(a_hi, b_lo, out=a_hi)
+    e += np.multiply(a_lo, b_hi, out=b_hi)
+    e += np.multiply(a_lo, b_lo, out=a_lo)
+
+
 def _dd_mul(x: tuple, y: tuple) -> tuple:
     """Product of two double-double numbers ``(hi, lo)``, with Dekker's exact
     product of the high parts: float64 multiplications and additions only."""
@@ -249,22 +277,27 @@ def _scan_powers(phi: float, n: int) -> tuple[np.ndarray, tuple[np.float64, ...]
 
 
 class _Scratch:
-    """Float64 work arrays that one caller reuses from block to block.
+    """Work arrays that one caller reuses from block to block.
 
-    ``take(key, shape)`` returns a C-contiguous view of ``shape`` at the
-    front of the array kept under ``key``, which grows to the largest size
-    asked of it.  The view holds whatever the last block left there.
+    ``take(key, shape, dtype)`` returns a C-contiguous ``dtype`` view of
+    ``shape`` (float64 by default) at the front of the bytes kept under
+    ``key``, which grow to the largest size asked of them.  The view holds
+    whatever the last block left there, and one key may serve arrays of
+    different dtypes whose uses do not overlap.
     """
 
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
 
-    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
+    def take(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         array = self._arrays.get(key)
-        if array is None or array.size < size:
-            array = self._arrays[key] = np.empty(size)
-        return array[:size].reshape(shape)
+        if array is not None:
+            try:
+                return np.ndarray(shape, dtype, array)
+            except TypeError:  # the bytes kept are too few
+                pass
+        array = self._arrays[key] = np.empty(math.prod(shape) * np.dtype(dtype).itemsize, np.uint8)
+        return np.ndarray(shape, dtype, array)
 
 
 def lfilter(

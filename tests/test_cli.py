@@ -5,6 +5,7 @@ import os
 import stat
 import threading
 import time
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -205,13 +206,13 @@ class TestSimulateWriterThreads:
         for name in seen:
             original = getattr(_format, f"{name}_rows")
 
-            def spy(*args, name=name, original=original):
+            def spy(*args, name=name, original=original, **kwargs):
                 x, start, n, first = args[-4:]
                 thread = threading.current_thread().name
                 seen[name][first * n + start] = thread
                 if thread.startswith(self.HELPER):
                     time.sleep(0.005)
-                return original(*args)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(_format, f"{name}_rows", spy)
         return seen
@@ -233,11 +234,18 @@ class TestSimulateWriterThreads:
             (SPIKE_DOC, 997, 131),
             # Blocks of 1024 one-value rows: one chunk each.
             (AR1_DOC, 1, 20_000),
-            # One-row blocks of five chunks in one buffer: the helper's last
+            # One-row blocks of a few chunks in one buffer: the helper's last
             # chunk of a block is pending while the next block is sampled.
             (AR1_DOC, 40_000, 3),
+            # Rows one value shorter than a chunk, as long and one longer:
+            # each replicate ends one value before, on or after a chunk edge,
+            # and the next ends further from it.
+            (AR1_DOC, cli._WRITE_CHUNK - 1, 3),
+            (AR1_DOC, cli._WRITE_CHUNK, 3),
+            (AR1_DOC, cli._WRITE_CHUNK + 1, 3),
         ],
-        ids=["AR1", "long_path", "percent_route", "spikes", "n1", "odd_chunks"],
+        ids=["AR1", "long_path", "percent_route", "spikes", "n1", "odd_chunks",
+             "chunk-1", "chunk", "chunk+1"],
     )
     def test_same_bytes_at_every_worker_count(
         self, tmp_path, monkeypatch, threads, doc, n, replicates
@@ -283,11 +291,11 @@ class TestSimulateWriterThreads:
         original = _format.format_rows
         raised = []
 
-        def failing(x, start, n, first):
+        def failing(x, start, n, first, **kwargs):
             if first * n + start == chunk * cli._WRITE_CHUNK:
                 raised.append(threading.current_thread().name)
                 raise error("chunk failed")
-            return original(x, start, n, first)
+            return original(x, start, n, first, **kwargs)
 
         monkeypatch.setattr(_format, "format_rows", failing)
         before = set(threading.enumerate())
@@ -296,6 +304,42 @@ class TestSimulateWriterThreads:
         assert "chunk failed" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
         assert set(threading.enumerate()) == before
+
+
+class TestWriterMemory:
+    # Peak traced memory of a 200 x 1000 AR1 simulate beyond that of
+    # sampling its paths alone, in chunk working sets per formatting thread.
+    # A thread's working set is about 250 bytes for each value of a chunk:
+    # the byte matrix and its mask (60 each, for lines of 15 words), the
+    # work arrays of the digits (about 85), the chunk's text (about 27) and
+    # arange (8), and the helper's copy of its chunk (8).  Measured: 1.02 on
+    # one thread, 0.99 on each of two.  One more working set kept per
+    # thread, or one made per chunk and kept, passes 1.25.  Once simulate
+    # returns, nothing of a chunk's size may be left.
+    SET = 250 * cli._WRITE_CHUNK
+
+    @staticmethod
+    def traced(run):
+        run()  # builds the tables and caches once
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_per_thread_and_nothing_kept(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(processes, "worker_count", lambda: cpus)
+        config = ProcessConfig(AR1_DOC["process"]["family"], AR1_DOC["process"]["params"])
+        _, engine = self.traced(lambda: processes.sample_blocks(
+            config, 1000, 3, 200, lambda first, block: None, max_workers=1))
+        argv = ["simulate", "--config", write_config(tmp_path, AR1_DOC),
+                "--out", str(tmp_path / "paths.csv"), "--seed", "3", "--n", "1000",
+                "--replicates", "200"]
+        kept, peak = self.traced(lambda: main(argv))
+        assert peak - engine <= 1.25 * cpus * self.SET, (peak - engine) / (cpus * self.SET)
+        assert kept < 8 * cli._WRITE_CHUNK
 
 
 def write_path_csv(tmp_path, values, name="path.csv", header="x", with_t=False):

@@ -13,16 +13,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ergodiag import cli
 from ergodiag._format import format_rows, percent_rows
+from ergodiag.processes import _Scratch
 
 RNG_SEED = 2016
 
 
-def rows(x, start, n, first) -> str:
+def rows(x, start, n, first, scratch=None) -> str:
     """The chunk's lines as ``simulate`` writes them: ``format_rows``'s bytes,
     or ``percent_rows`` for a chunk it leaves to ``%``."""
     x = np.asarray(x, dtype=float)
-    text = format_rows(x, start, n, first)
+    text = format_rows(x, start, n, first, scratch=scratch)
     if text is None:
         out = io.BytesIO()
         percent_rows(out, x, start, n, first)
@@ -38,12 +40,12 @@ def reference(x, start, n, first) -> str:
     )
 
 
-def assert_same(x, start=0, n=None, first=0):
+def assert_same(x, start=0, n=None, first=0, scratch=None):
     """The kernel's lines for ``x`` equal the ``%`` writer's; by default
     ``x`` is one row from step 1 of replicate 0."""
     x = np.asarray(x, dtype=float)
     n = x.size if n is None else n
-    got, want = rows(x, start, n, first), reference(x, start, n, first)
+    got, want = rows(x, start, n, first, scratch), reference(x, start, n, first)
     if got != want:
         bad = next(i for i, (g, w) in enumerate(zip(got.splitlines(), want.splitlines())) if g != w)
         pytest.fail(f"row {bad}: {got.splitlines()[bad]!r} != {want.splitlines()[bad]!r}")
@@ -176,3 +178,37 @@ def test_any_share_of_values_in_the_window(inside):
     x[rest[::2]] = rng.choice([0.0, -0.0], rest[::2].size)
     x[rest[1::2]] = rng.choice([1e-300, -3e-5, 2e17, np.inf, np.nan], rest[1::2].size)
     assert_same(x, start=500, n=1000, first=3)
+
+
+def mixed(rng, size, inside):
+    """``size`` values, the share ``inside`` in the window, the rest zeros
+    and values printed by ``%.17g`` in equal numbers."""
+    x = in_window(rng, size)
+    rest = rng.permutation(size)[: round((1 - inside) * size)]
+    x[rest[::2]] = rng.choice([0.0, -0.0], rest[::2].size)
+    x[rest[1::2]] = rng.choice([1e-300, -3e-5, 2e17, np.inf, np.nan], rest[1::2].size)
+    return x
+
+
+@pytest.mark.parametrize("inside", [0.5, 0.9, 1.0])
+def test_a_whole_write_chunk_of_window_values_fallbacks_and_zeros(inside):
+    # The chunk simulate formats at once, across rows of 1000 steps, with
+    # both ways of giving digits (below and from 7/8 in the window).
+    x = mixed(np.random.default_rng(RNG_SEED + 10), cli._WRITE_CHUNK, inside)
+    assert_same(x, start=999, n=1000, first=9998)
+
+
+def test_one_working_set_serves_chunks_of_every_kind():
+    # What one chunk leaves in the working set must not show in the next:
+    # chunks of the write size and smaller, every share of values in the
+    # window, %-only chunks, and t and r of one to three words, in turn.
+    rng = np.random.default_rng(RNG_SEED + 11)
+    scratch = _Scratch()
+    chunk = cli._WRITE_CHUNK
+    cases = [
+        (chunk, 1.0, 0, 1000, 0), (chunk, 0.3, 5, 7, 10**5), (100, 0.9, 0, 10**9, 3),
+        (chunk, 0.1, 17, 20_000, 10**9), (chunk - 1, 0.875, 3, 1, 0), (chunk, 0.95, 0, 12345, 7),
+        (1, 1.0, 0, 1, 0), (chunk, 0.6, chunk, 10**5, 99),
+    ]
+    for size, inside, start, n, first in cases:
+        assert_same(mixed(rng, size, inside), start, n, first, scratch)

@@ -260,6 +260,29 @@ class TestVarianceIdentityCheck:
         verdict = verify_variance_identity(config, n=100, spec=corrupted)
         assert verdict.status == "FAIL"
 
+    @pytest.mark.parametrize(
+        "config_name, n, held",
+        [("ar1_config", 50, "n=50: |MSE - exact| = 0.01 MC standard errors"),
+         # Every spike term at n = 1 is +-1: every squared deviation is 1,
+         # so the MSE equals the exact 1 and the SE is 0.
+         ("spike_config", 1, "n=1: gap 0 with zero MC error")],
+        ids=["ar1", "spikes-zero-se"],
+    )
+    def test_a_nan_exact_variance_is_rejected_not_passed(self, request, config_name, n, held):
+        # Every comparison with NaN is false, so no leg could FAIL it.
+        process = request.getfixturevalue(config_name)
+        config = ExperimentConfig(process=process, base_seed=11, replicates=1000,
+                                  checks=NO_CHECKS)
+        assert verify_variance_identity(config, n=n) == Verdict("PASS", held)
+        honest = build_spec(process)
+        nan_cov = ProcessSpec(
+            mean_fn=honest.mean_fn,
+            cov_fn=lambda t, s: np.full(np.broadcast(t, s).shape, np.nan),
+        )
+        with pytest.raises(OverflowError, match=rf"^n={n}: outside the float range: "
+                                                r"Var\(A_n\) = nan;"):
+            verify_variance_identity(config, n=n, spec=nan_cov)
+
     def test_rejects_small_replicates(self, ar1_config):
         config = ExperimentConfig(
             process=ar1_config, base_seed=11, replicates=500, checks=NO_CHECKS

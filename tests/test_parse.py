@@ -217,6 +217,40 @@ def test_first_fault_of_a_chunk_is_reported():
         read("1,2\n4\n3,x\n", names=("a", "b"))
 
 
+@pytest.mark.parametrize("edge", ["cr", "lf", "number", "comma"])
+def test_lines_across_the_buffer_edge_and_a_fault_past_it(edge):
+    # Rows as simulate writes them, with CR LF line ends, placed so that the
+    # first read of _parse._CHUNK bytes ends on the CR of a line end, on its
+    # LF, inside a number or on a comma: the next read holds the rest of that
+    # line.  A bad field in a line past the first chunk names that line.
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal(2 * _parse._CHUNK // 20)
+    lines = [f"{t},0,{x!r}\r\n" for t, x in enumerate(values.tolist(), start=1)]
+    offsets = np.cumsum([0] + [len(line) for line in lines])
+    at = {"cr": -2, "lf": -1, "number": -6, "comma": None}
+    # Line j's chosen byte, moved onto the last byte of the first read by
+    # rewriting line 1 as "1,0,0.5000...".
+    def byte(j):
+        i = at[edge]
+        return offsets[j] + (lines[j].rindex(",") if i is None else len(lines[j]) + i)
+    j = max(j for j in range(1, len(lines)) if byte(j) <= _parse._CHUNK - 1)
+    length = len(lines[0]) + _parse._CHUNK - 1 - byte(j)
+    lines[0] = "1,0,0.5".ljust(length - 2, "0") + "\r\n"
+    offsets = np.cumsum([0] + [len(line) for line in lines])
+    values[0] = 0.5
+    text = "".join(lines)
+    assert text[_parse._CHUNK - 1] == {"cr": "\r", "lf": "\n", "number": lines[j][-6],
+                                       "comma": ","}[edge]
+    got = read(text, names=("t", "r", "x"))
+    assert np.array_equal(got[:, 0], np.arange(1, len(lines) + 1))
+    assert np.array_equal(bits(got[:, 2]), bits(values))
+    bad = len(lines) - 3  # past the first chunk
+    assert offsets[bad] > _parse._CHUNK
+    lines[bad] = f"{bad + 1},0,12x\r\n"
+    with pytest.raises(ValueError, match=rf"^f\.csv, line {bad + 2}, column 'x': cannot read '12x'"):
+        read("".join(lines), names=("t", "r", "x"))
+
+
 def write_path(tmp_path, n: int):
     out = tmp_path / "path.csv"
     config = tmp_path / "config.json"
