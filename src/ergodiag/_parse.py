@@ -129,17 +129,6 @@ def _loads(buf: np.ndarray, size: int) -> np.ndarray:
     return np.ndarray((buf.size - size + 1,), f"V{size}", buffer=buf, strides=(1,))
 
 
-def _eight_digits(w: np.ndarray) -> np.ndarray:
-    """Turn the 8 ASCII digits, the first the most significant, in each
-    little-endian word of ``w`` into their value, in place; 0 for a byte
-    that is 0."""
-    for keep, factor, shift in _SWAR:
-        w &= keep
-        w *= factor
-        w >>= shift
-    return w
-
-
 # Each step adds pairs of neighbouring digit groups, the left one scaled.
 _SWAR = [
     (np.uint64(keep), np.uint64(factor), np.uint64(shift))
@@ -149,6 +138,17 @@ _SWAR = [
         (0x0000FFFF0000FFFF, 42949672960001, 32),
     )
 ]
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """Turn the 8 ASCII digits, the first the most significant, in each
+    little-endian word of ``w`` into their value, in place; 0 for a byte
+    that is 0."""
+    for keep, factor, shift in _SWAR:
+        w &= keep
+        w *= factor
+        w >>= shift
+    return w
 
 
 def _integers(
@@ -260,7 +260,7 @@ def _kernel(
     # The marks of a field the kernel takes: sign, point, e, exponent sign,
     # each one optional, in this order.
     np.add(first, signed, out=at)
-    mark = np.take(values, at, out=lead, mode="clip")
+    mark = np.take(values, at, out=lead, mode="clip")  # lead is used up
     np.equal(mark, _DOT, out=has_dot)
     np.take(marks, at, out=dot, mode="clip")
     at += has_dot
@@ -373,7 +373,8 @@ def read_rows(
         marked = np.bitwise_xor(data, 0x30, out=scratch.take("marked", (data.size,), np.uint8))
         marks = np.flatnonzero(np.greater(marked, 9, out=marked.view(bool)))
         marks += _PAD  # the bytes not digits
-        values = np.take(buf, marks, out=scratch.take("values", (marks.size,), np.uint8), mode="clip")
+        values = scratch.take("values", (marks.size,), np.uint8)
+        np.take(buf, marks, out=values, mode="clip")
         line_end = np.equal(values, _LF, out=scratch.take("line_end", (values.size,), bool))
         if line_end.any():
             cut = values.size - np.argmax(line_end[::-1])  # one past the last LF
@@ -478,7 +479,7 @@ def _block(
     special |= np.greater(length, 8, out=take("closes", ends.size, bool))
     rest = np.flatnonzero(special)
     if rest.size:
-        start, end, first, other = (take(key, rest.size) for key in ("start", "end", "first", "other"))
+        start, end, first, other = (take(k, rest.size) for k in ("start", "end", "first", "other"))
         np.take(ends, rest, out=end, mode="clip")
         np.subtract(end, np.take(length, rest, out=start, mode="clip"), out=start)
         np.take(others, rest, out=other, mode="clip")

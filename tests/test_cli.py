@@ -309,11 +309,11 @@ class TestSimulateWriterThreads:
 class TestWriterMemory:
     # Peak traced memory of a 200 x 1000 AR1 simulate beyond that of
     # sampling its paths alone, in chunk working sets per formatting thread.
-    # A thread's working set is about 250 bytes for each value of a chunk:
-    # the byte matrix and its mask (60 each, for lines of 15 words), the
-    # work arrays of the digits (about 85), the chunk's text (about 27) and
-    # arange (8), and the helper's copy of its chunk (8).  Measured: 1.02 on
-    # one thread, 0.99 on each of two.  One more working set kept per
+    # A thread's working set is at most about 250 bytes for each value of a
+    # chunk: the byte matrix and its mask (60 each, for lines of 15 words),
+    # the digits' work arrays (73), the chunk's text (about 27) and step
+    # numbers (8), and the helper's copy of its chunk (8).  Measured: 0.97 on
+    # one thread, 0.94 on each of two.  One more working set kept per
     # thread, or one made per chunk and kept, passes 1.25.  Once simulate
     # returns, nothing of a chunk's size may be left.
     SET = 250 * cli._WRITE_CHUNK

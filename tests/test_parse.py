@@ -247,7 +247,8 @@ def test_lines_across_the_buffer_edge_and_a_fault_past_it(edge):
     bad = len(lines) - 3  # past the first chunk
     assert offsets[bad] > _parse._CHUNK
     lines[bad] = f"{bad + 1},0,12x\r\n"
-    with pytest.raises(ValueError, match=rf"^f\.csv, line {bad + 2}, column 'x': cannot read '12x'"):
+    message = rf"^f\.csv, line {bad + 2}, column 'x': cannot read '12x'"
+    with pytest.raises(ValueError, match=message):
         read("".join(lines), names=("t", "r", "x"))
 
 
