@@ -347,7 +347,7 @@ def _layout(
     # then the other digits of the number, and t and r.
     row_words, row_masks = _row_tables(t_words, r_words)
     np.take(row_masks, code, out=_items(used), mode="clip")
-    if lead.size < size:
+    if m < size:
         # Zeros and %.17g texts use only the bytes ",-0" and "\n" of the
         # number's words: any leading digit serves them.  code is free now.
         index = code
@@ -356,12 +356,12 @@ def _layout(
     else:
         index = lead
     np.take(row_words, index, out=_items(words), mode="clip")
-    # The leading digits are done with: t and r reuse "product".
     number = words[:, cols[3] :]
     number[rows, 1:5] = number[rows, 7:11] = gathered
     if texts is not None:
         words.view(np.uint8)[other, 4 * cols[3] + 1 : 4 * cols[3] + 25] = texts
 
+    # The number is written: t and r reuse "product".
     t, r, head, part = scratch.take("product", (4, size), np.int64)
     _divmod(np.arange(start, start + size), n, r, t)
     t += 1
