@@ -20,10 +20,9 @@ digits come from float64 arithmetic alone:
 
 ``0.0`` and ``-0.0`` print as ``0`` and ``-0``.  Any other value (outside the
 window, or not finite) is printed by ``%.17g`` itself, all such values of a
-chunk in one ``%`` call.  A chunk with more than three quarters of its
-values outside the window is left to :func:`percent_rows`, which prints it
-by ``%`` alone, one call per replicate: past about that share the byte
-matrix below costs more than the digits it saves.
+chunk in one ``%`` call, and its text goes into the byte matrix below with
+the rest.  Every chunk takes this one route, whatever share of it lies
+outside the window.
 
 Each line is one row of a byte matrix, written four bytes at a time from
 tables of digit groups, with a mask of the bytes in use; the masked bytes,
@@ -46,22 +45,18 @@ interpreter lock, and threads with their own working sets share nothing but
 read-only tables, so ``simulate`` runs it on two threads at once.  Two
 threads took 0.69x the time of one on 16 384-value chunks and 0.89x on
 8192-value chunks, which make twice as many NumPy calls a value (196 608
-values of a 200 x 1000 AR1 ensemble, 2-vCPU Xeon).  :func:`percent_rows`
-holds the lock nearly all the time, and ``simulate`` calls it on the
-calling thread only.
+values of a 200 x 1000 AR1 ensemble, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from typing import BinaryIO
 
 import numpy as np
 
 from .processes import _Scratch, _exact_product, _split, _two_product
 
-__all__ = ["format_rows", "percent_rows"]
+__all__ = ["format_rows"]
 
 # 10**q for q = 0 .. 20, exact doubles, and their halves in Dekker's split.
 _POW10 = np.array([float(10**q) for q in range(21)])
@@ -375,19 +370,18 @@ def _layout(
 
 def format_rows(
     x: np.ndarray, start: int, n: int, first: int, scratch: _Scratch | None = None
-) -> np.ndarray | None:
+) -> np.ndarray:
     """The CSV lines ``t,r,x`` of values ``start .. start + len(x) - 1`` of
     replicate-major paths of length ``n``, the first of replicate ``first``,
-    as ASCII bytes in a uint8 array; None for a chunk left to
-    :func:`percent_rows`.
+    as ASCII bytes in a uint8 array.
 
     Value ``i`` of ``x`` is step ``t = (start + i) % n + 1`` of replicate
     ``r = first + (start + i) // n``, and its line is ``"%d,%d,%.17g\\n" %
     (t, r, x[i])``.  ``x`` is kept to some thousands of values, so the byte
-    matrix stays small.  ``scratch`` holds the chunk's working set, which
-    one thread reuses from chunk to chunk; by default it is allocated for
-    this call.  Calls with their own ``scratch`` share only read-only
-    tables, so threads may make them at once.
+    matrix stays small, and is only read.  ``scratch`` holds the chunk's
+    working set, which one thread reuses from chunk to chunk; by default it
+    is allocated for this call.  Calls with their own ``scratch`` share only
+    read-only tables, so threads may make them at once.
     """
     if scratch is None:
         scratch = _Scratch()
@@ -399,28 +393,8 @@ def format_rows(
     printed = np.not_equal(ax, 0.0, out=scratch.take("flags", (size,), bool))
     printed &= outside
     other = np.flatnonzero(printed)
-    if 4 * other.size > 3 * size:
-        # Mostly printed by %.17g anyway: % for every line costs less.  On
-        # 8192-value chunks of rows of 100 and 1000 steps, values below and
-        # above the window, the byte matrix took 0.89-1.00x the time of %
-        # alone at three quarters outside, 0.94-1.04x at 0.8 and 1.01-1.16x
-        # with every value outside (medians of 40-80 interleaved calls in
-        # each of three runs, 2-vCPU Xeon).
-        return None
     words, used = _layout(x, ax, window, outside, other, start, n, first, scratch)
     # A boolean index copies the bytes in use; np.compress would first list
     # their positions, 8 bytes for each byte of text.
     return words.view(np.uint8).reshape(-1)[used.reshape(-1)]
 
-
-def percent_rows(out: BinaryIO, x: np.ndarray, start: int, n: int, first: int) -> None:
-    """Write the lines :func:`format_rows` describes to ``out`` by ``%``
-    alone.  One call and one write per replicate: joining them into one
-    string per chunk faulted in fresh pages for it on every chunk.  Bytes
-    ``%`` prints floats as ``str`` ``%`` does, and took 0.93x its time with
-    the encode (1000-value rows)."""
-    values = iter(x.tolist())
-    for row in range(start // n, (start + x.size - 1) // n + 1):
-        lo, hi = max(start - row * n, 0), min(start + x.size - row * n, n)
-        rows = chain.from_iterable(zip(range(lo + 1, hi + 1), values))
-        out.write((b"%%d,%d,%%.17g\n" % (first + row)) * (hi - lo) % tuple(rows))

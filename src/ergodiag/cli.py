@@ -6,14 +6,15 @@ Subcommands
     Sample an ensemble of the configured process and write it as CSV with
     header ``t,replicate,x``: replicate-major rows, each value in the bytes
     ``"%.17g"`` gives it, so values round-trip exactly.  ``_format`` computes
-    those digits with NumPy for ``1e-4 <= |x| < 1e16`` and zeros, and leaves
-    other values to ``%``.  Rows are formatted as bytes, in chunks of
-    ``_WRITE_CHUNK`` values, and written straight to the file.  With more
-    than one usable CPU a helper thread formats every other chunk while the
-    calling thread formats the next; the calling thread writes every chunk,
-    in row order, and prints by ``%`` each chunk that ``_format`` leaves to
-    it.  With one CPU the calling thread does it all.  Each formatting
-    thread reuses one working set from chunk to chunk.
+    those digits with NumPy for ``1e-4 <= |x| < 1e16`` and zeros, and prints
+    the other values of a chunk by ``%`` into the same bytes.  Rows are
+    formatted as bytes, in chunks of ``_WRITE_CHUNK`` values, and written
+    straight to the file.  With more than one usable CPU the chunks of a
+    block go in pairs: a helper thread formats the first of each pair while
+    the calling thread formats the second, and the calling thread writes
+    both, in row order, and formats a block's lone last chunk itself.  With
+    one CPU the calling thread does it all.  Each formatting thread reuses
+    one working set from chunk to chunk.
 ``analyze --input F [--max-lag INT] [--window-c REAL] [--target-mean REAL]``
     Estimate autocovariances, correlation time, effective sample size, and
     Chebyshev bounds from a single observed path; JSON on stdout, with
@@ -196,61 +197,47 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {args.replicates}")
     # The row writer builds its digit tables on import; no other command needs it.
-    from ._format import format_rows, percent_rows
+    from ._format import format_rows
 
     n = args.n
 
     def body(fh) -> None:
         fh.write(b"t,replicate,x\n")
-
-        def put(text, x, start: int, first: int) -> None:
-            if text is None:
-                percent_rows(fh, x, start, n, first)
-            else:
-                fh.write(text)
-
-        # The helper formats every other chunk while this thread formats the
-        # next one; this thread writes both, in row order, and prints every
-        # chunk left to %.  Only the helper's chunk is ever pending.
-        pending = None  # (future, x, start, first)
-
-        def flush() -> None:
-            nonlocal pending
-            if pending is not None:
-                future, *chunk = pending
-                pending = None
-                put(future.result(), *chunk)
-
         if processes.worker_count() > 1:
             helper = ThreadPoolExecutor(1, thread_name_prefix="ergodiag-simulate")
         else:
             helper = None
-        # Each formatting thread reuses one working set for all its chunks,
-        # and the helper one copy of its chunk: the block is reused once
-        # write returns.  Both are freed when the body returns.
+        # Each formatting thread reuses one working set for all its chunks;
+        # both are freed when the body returns.
         work, helper_work = _Scratch(), _Scratch()
         # Leaving the block waits for the helper, also when a chunk failed.
         with helper or nullcontext():
 
             def write(first: int, block) -> None:
-                nonlocal pending
                 values = block.reshape(-1)  # replicate-major, as the rows go
-                for start in range(0, values.size, _WRITE_CHUNK):
+
+                def rows(start: int, scratch: _Scratch) -> np.ndarray:
                     x = values[start : start + _WRITE_CHUNK]
-                    if helper is not None and pending is None:
-                        chunk = helper_work.take("chunk", x.shape)
-                        np.copyto(chunk, x)
-                        x = chunk
-                        future = helper.submit(format_rows, x, start, n, first, scratch=helper_work)
-                        pending = (future, x, start, first)
+                    return format_rows(x, start, n, first, scratch=scratch)
+
+                # The helper formats the first chunk of each pair while this
+                # thread formats the second; a lone last chunk, or every
+                # chunk with no helper, is formatted here.  Both of a pair
+                # are written before the next, so nothing outlives the
+                # block and the helper reads it in place.
+                step = _WRITE_CHUNK if helper is None else 2 * _WRITE_CHUNK
+                for start in range(0, values.size, step):
+                    second = start + _WRITE_CHUNK
+                    if helper is None or second >= values.size:
+                        fh.write(rows(start, work))
                     else:
-                        text = format_rows(x, start, n, first, scratch=work)
-                        flush()
-                        put(text, x, start, first)
+                        future = helper.submit(rows, start, helper_work)
+                        text = rows(second, work)
+                        fh.write(future.result())
+                        fh.write(text)
 
             # One worker: blocks arrive in replicate order, as the rows are written.
             sample_blocks(process, n, args.seed, args.replicates, write, max_workers=1)
-            flush()
 
     _atomic_write(Path(args.out), body, binary=True)
     return 0

@@ -122,7 +122,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -851,8 +851,9 @@ def sample_blocks(
     result depends on the block size, the work unit or the worker count.
     """
     n = _check_n(n)
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    # Replicate indices are u64.
+    if not 1 <= replicates <= 1 << 64:
+        raise ValueError(f"replicates must be in [1, 2**64], got {replicates}")
     if max_workers is None:
         max_workers = worker_count() if n >= _THREADED_LENGTH else 1
     elif max_workers < 1:
@@ -861,8 +862,10 @@ def sample_blocks(
     rows = max(1, _BLOCK_ELEMENTS // n)
 
     # Work unit k holds replicates [1024 k, 1024 (k + 1)), clipped to the range.
+    # The threads take them in turn from one iterator, in O(1) memory.
     units = range(0, replicates, _WORK_UNIT)
-    pending = deque(units)
+    pending = iter(units)
+    lock = threading.Lock()
 
     def work() -> None:
         # Runs work units until none is left.  The block and the transform's
@@ -872,9 +875,9 @@ def sample_blocks(
         buffer = np.empty((min(rows, _WORK_UNIT, replicates), n), dtype=float)
         scratch = _Scratch()
         while True:
-            try:
-                lo = pending.popleft()  # thread-safe
-            except IndexError:
+            with lock:
+                lo = next(pending, None)
+            if lo is None:
                 return
             states = _stream_states(base_seed, lo, min(lo + _WORK_UNIT, replicates) - lo)
             for offset in range(0, len(states), rows):

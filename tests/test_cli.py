@@ -176,6 +176,15 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_more_replicates_than_u64_indices_exits_2(self, tmp_path, capsys):
+        # Replicate indices are u64: one replicate more than 2**64 is rejected
+        # before any block is sampled, and the temporary file is removed.
+        code, _ = self.run_simulate(tmp_path, AR1_DOC, replicates=str(2**64 + 1))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "replicates" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_missing_config_file_exits_3(self, tmp_path):
         code = main(
             [
@@ -198,23 +207,21 @@ class TestSimulateWriterThreads:
 
     @pytest.fixture
     def threads(self, monkeypatch):
-        """The names of the threads that formatted each chunk, and that
-        printed each chunk by ``%``, keyed by the chunk's first row.  The
-        helper starts each chunk late, so the calling thread runs ahead of
-        it, into the next block when the chunk is a block's last."""
-        seen = {"format": {}, "percent": {}}
-        for name in seen:
-            original = getattr(_format, f"{name}_rows")
+        """The names of the threads that formatted each chunk, keyed by the
+        chunk's first row.  The helper starts each chunk late, so the
+        calling thread finishes its own chunk first: a helper that read its
+        chunk after the block was reused would write other values."""
+        seen = {}
+        original = _format.format_rows
 
-            def spy(*args, name=name, original=original, **kwargs):
-                x, start, n, first = args[-4:]
-                thread = threading.current_thread().name
-                seen[name][first * n + start] = thread
-                if thread.startswith(self.HELPER):
-                    time.sleep(0.005)
-                return original(*args, **kwargs)
+        def spy(x, start, n, first, **kwargs):
+            thread = threading.current_thread().name
+            seen[first * n + start] = thread
+            if thread.startswith(self.HELPER):
+                time.sleep(0.005)
+            return original(x, start, n, first, **kwargs)
 
-            monkeypatch.setattr(_format, f"{name}_rows", spy)
+        monkeypatch.setattr(_format, "format_rows", spy)
         return seen
 
     def simulate(self, tmp_path, doc, n, replicates, name="paths.csv"):
@@ -228,15 +235,17 @@ class TestSimulateWriterThreads:
         [
             (AR1_DOC, 1000, 200),
             (AR1_DOC, 200_000, 1),
-            # Every value below the window: each chunk is printed by % alone.
+            # Every value below the window, or above it in exponent form:
+            # each value is printed by %.17g into the chunk's bytes.
             ({"process": {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1e-12}}}, 1000, 50),
+            ({"process": {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1e40}}}, 1000, 50),
             # Mostly zeros, and chunks that end inside a replicate.
             (SPIKE_DOC, 997, 131),
             # Blocks of 1024 one-value rows: one chunk each.
             (AR1_DOC, 1, 20_000),
-            # One-row blocks of a few chunks in one buffer: the helper's last
-            # chunk of a block is pending while the next block is sampled.
-            (AR1_DOC, 40_000, 3),
+            # Three blocks of two rows in one buffer, seven chunks each:
+            # three pairs, then a lone last chunk on the calling thread.
+            (AR1_DOC, 50_000, 6),
             # Rows one value shorter than a chunk, as long and one longer:
             # each replicate ends one value before, on or after a chunk edge,
             # and the next ends further from it.
@@ -244,7 +253,7 @@ class TestSimulateWriterThreads:
             (AR1_DOC, cli._WRITE_CHUNK, 3),
             (AR1_DOC, cli._WRITE_CHUNK + 1, 3),
         ],
-        ids=["AR1", "long_path", "percent_route", "spikes", "n1", "odd_chunks",
+        ids=["AR1", "long_path", "below_window", "above_window", "spikes", "n1", "odd_chunks",
              "chunk-1", "chunk", "chunk+1"],
     )
     def test_same_bytes_at_every_worker_count(
@@ -256,29 +265,22 @@ class TestSimulateWriterThreads:
             config, n, 3, replicates, lambda first, block: paths.append(block.copy()),
             max_workers=1,
         )
-        chunks = sum(-(-block.size // cli._WRITE_CHUNK) for block in paths)
+        chunks = [-(-block.size // cli._WRITE_CHUNK) for block in paths]
         values = np.concatenate(paths).reshape(-1).tolist()
         want = "t,replicate,x\n" + "".join(
             "%d,%d,%.17g\n" % (i % n + 1, i // n, x) for i, x in enumerate(values)
         )
         for cpus in (1, 2, 4):
             monkeypatch.setattr(processes, "worker_count", lambda: cpus)
-            for seen in threads.values():
-                seen.clear()
+            threads.clear()
             code, out = self.simulate(tmp_path, doc, n, replicates, name=f"w{cpus}.csv")
             assert code == 0
             assert out.read_bytes() == want.encode("ascii"), cpus
-            formatted = threads["format"].values()
-            helped = sum(name.startswith(self.HELPER) for name in formatted)
-            assert len(formatted) == chunks
-            # The helper takes every other chunk, from the first, and only
-            # when there is one.
-            assert helped == ((chunks + 1) // 2 if cpus > 1 else 0)
-            # Chunks left to % are printed on the calling thread only.
-            percent = threads["percent"].values()
-            assert all(name == threading.main_thread().name for name in percent)
-            assert len(percent) == (chunks if doc["process"]["params"].get("gamma0") == 1e-12
-                                    else 0)
+            helped = sum(name.startswith(self.HELPER) for name in threads.values())
+            assert len(threads) == sum(chunks)
+            # The helper takes the first chunk of each pair in a block, and
+            # only when there is one.
+            assert helped == (sum(count // 2 for count in chunks) if cpus > 1 else 0)
 
     @pytest.mark.parametrize(
         "chunk, thread, error, code",
@@ -312,10 +314,10 @@ class TestWriterMemory:
     # A thread's working set is at most about 250 bytes for each value of a
     # chunk: the byte matrix and its mask (60 each, for lines of 15 words),
     # the digits' work arrays (73), the chunk's text (about 27) and step
-    # numbers (8), and the helper's copy of its chunk (8).  Measured: 0.97 on
-    # one thread, 0.94 on each of two.  One more working set kept per
-    # thread, or one made per chunk and kept, passes 1.25.  Once simulate
-    # returns, nothing of a chunk's size may be left.
+    # numbers (8); the helper reads its chunk in place in the block.
+    # Measured: 0.89 on one thread, 0.93 on each of two.  One more working
+    # set kept per thread, or one made per chunk and kept, passes 1.25.
+    # Once simulate returns, nothing of a chunk's size may be left.
     SET = 250 * cli._WRITE_CHUNK
 
     @staticmethod

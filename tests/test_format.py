@@ -6,7 +6,6 @@ window ``1e-4 <= |x| < 1e16`` unless a test says otherwise, so the NumPy
 digits and the in-chunk ``%.17g`` texts are both exercised.
 """
 
-import io
 import math
 from fractions import Fraction
 
@@ -14,21 +13,15 @@ import numpy as np
 import pytest
 
 from ergodiag import cli
-from ergodiag._format import format_rows, percent_rows
+from ergodiag._format import format_rows
 from ergodiag.processes import _Scratch
 
 RNG_SEED = 2016
 
 
 def rows(x, start, n, first, scratch=None) -> str:
-    """The chunk's lines as ``simulate`` writes them: ``format_rows``'s bytes,
-    or ``percent_rows`` for a chunk it leaves to ``%``."""
-    x = np.asarray(x, dtype=float)
-    text = format_rows(x, start, n, first, scratch=scratch)
-    if text is None:
-        out = io.BytesIO()
-        percent_rows(out, x, start, n, first)
-        return out.getvalue().decode("ascii")
+    """The chunk's lines as ``simulate`` writes them: ``format_rows``'s bytes."""
+    text = format_rows(np.asarray(x, dtype=float), start, n, first, scratch=scratch)
     assert text.dtype == np.uint8 and text.ndim == 1
     return text.tobytes().decode("ascii")
 
@@ -156,8 +149,8 @@ def test_a_chunk_spanning_rows():
 
 
 def test_chunks_mostly_outside_the_window_across_rows():
-    # More than three quarters of the values are printed by %.17g: the
-    # whole chunk is.  At three quarters the kernel still lays it out.
+    # Four fifths and all of the values printed by %.17g, laid out in the
+    # byte matrix with the rest, as every chunk is.
     rng = np.random.default_rng(RNG_SEED + 8)
     x = 1e-12 * rng.standard_normal(500)
     x[::5] = rng.standard_normal(100)
@@ -190,6 +183,17 @@ def mixed(rng, size, inside):
     return x
 
 
+def outside(rng, size):
+    """``size`` values, each printed by ``%.17g``: below the window, above
+    it, or not finite."""
+    below = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-320, -4, size)
+    above = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(16, 308, size)
+    x = np.where(rng.random(size) < 0.5, below, above)
+    x[rng.permutation(size)[: size // 10]] = rng.choice([np.inf, -np.inf, np.nan], size // 10)
+    x[x == 0.0] = 5e-324
+    return x
+
+
 @pytest.mark.parametrize("inside", [0.5, 0.9, 1.0])
 def test_a_whole_write_chunk_of_window_values_fallbacks_and_zeros(inside):
     # The chunk simulate formats at once, across rows of 1000 steps, with
@@ -198,17 +202,28 @@ def test_a_whole_write_chunk_of_window_values_fallbacks_and_zeros(inside):
     assert_same(x, start=999, n=1000, first=9998)
 
 
+def test_a_whole_write_chunk_outside_the_window():
+    # No value of the chunk is given digits: every line's number is a
+    # %.17g text, in fixed and exponent form.
+    x = outside(np.random.default_rng(RNG_SEED + 12), cli._WRITE_CHUNK)
+    assert not np.any((np.abs(x) >= 1e-4) & (np.abs(x) < 1e16))
+    assert_same(x, start=999, n=1000, first=9998)
+
+
 def test_one_working_set_serves_chunks_of_every_kind():
     # What one chunk leaves in the working set must not show in the next:
     # chunks of the write size and smaller, every share of values in the
-    # window, %-only chunks, and t and r of one to three words, in turn.
+    # window, chunks with none in it, and t and r of one to three words, in
+    # turn.
     rng = np.random.default_rng(RNG_SEED + 11)
     scratch = _Scratch()
     chunk = cli._WRITE_CHUNK
     cases = [
         (chunk, 1.0, 0, 1000, 0), (chunk, 0.3, 5, 7, 10**5), (100, 0.9, 0, 10**9, 3),
-        (chunk, 0.1, 17, 20_000, 10**9), (chunk - 1, 0.875, 3, 1, 0), (chunk, 0.95, 0, 12345, 7),
+        (chunk, None, 3, 1000, 0), (chunk, 0.1, 17, 20_000, 10**9),
+        (chunk - 1, 0.875, 3, 1, 0), (chunk, 0.95, 0, 12345, 7), (1, None, 0, 1, 0),
         (1, 1.0, 0, 1, 0), (chunk, 0.6, chunk, 10**5, 99),
     ]
     for size, inside, start, n, first in cases:
-        assert_same(mixed(rng, size, inside), start, n, first, scratch)
+        x = outside(rng, size) if inside is None else mixed(rng, size, inside)
+        assert_same(x, start, n, first, scratch)

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -494,6 +496,25 @@ class TestSampleBlocks:
         assert sorted(covered) == list(range(replicates))
         assert built == ([] if pool is None else [pool])
 
+    def test_each_work_unit_is_taken_once_by_many_threads(self, ar1_config):
+        # Eight threads, more than the cores, take 65 work units from one
+        # iterator with the interpreter switching threads as often as it
+        # can: a unit handed out twice, or lost, shows in the replicates.
+        covered = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(target=sample_blocks, args=(
+                ar1_config, 2, 5, 65 * 1024 - 7,
+                lambda first, block: covered.extend(range(first, first + len(block))),
+            ), kwargs={"max_workers": 8})
+            run.start()
+            run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive()
+        assert sorted(covered) == list(range(65 * 1024 - 7))
+
     def test_spike_tables_are_read_only(self):
         # the cache hands the same arrays to every caller and thread
         for table in processes._spike_tables(10):
@@ -531,6 +552,41 @@ class TestSampleBlocks:
             sample_blocks(ar1_config, 0, 1, 10, lambda first, block: None)
         with pytest.raises(ValueError, match="replicates"):
             sample_blocks(ar1_config, 5, 1, 0, lambda first, block: None)
+
+    def test_work_units_are_handed_out_in_constant_memory(self, ar1_config):
+        # 2**30 replicates are 2**20 work units: listing them all before the
+        # first block would take about 41 MB, and 2**64 replicates all the
+        # memory there is.  The first block of 1024 ten-value rows takes
+        # about 0.5 MB.  Only once that holds are the u64 edges tried:
+        # 2**64 replicates are accepted, one more is rejected before any
+        # block.
+        class Stop(Exception):
+            pass
+
+        def first_block(replicates):
+            firsts = []
+
+            def stop(first, block):
+                firsts.append(first)
+                raise Stop
+
+            with pytest.raises(Stop):
+                sample_blocks(ar1_config, 10, 1, replicates, stop, max_workers=1)
+            return firsts
+
+        first_block(2**30)  # builds the caches once
+        tracemalloc.start()
+        try:
+            assert first_block(2**30) == [0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert first_block(2**64) == [0]
+        blocks = []
+        with pytest.raises(ValueError, match="replicates"):
+            sample_blocks(ar1_config, 10, 1, 2**64 + 1, lambda first, block: blocks.append(first))
+        assert blocks == []
 
     @pytest.mark.parametrize("family", list(ENGINE_CONFIGS))
     def test_sample_path_equals_reference(self, family):
