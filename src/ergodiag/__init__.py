@@ -21,7 +21,6 @@ from .bounds import (
     chebyshev_bound,
     markov_bound,
     paley_zygmund_lower,
-    paley_zygmund_theta,
 )
 from .estimators import (
     AutocovEstimate,
@@ -30,10 +29,8 @@ from .estimators import (
     empirical_tail,
     ensemble_mse,
     estimate_tau,
-    running_averages,
     sample_autocovariance,
     time_average,
-    vector_norm_gap,
 )
 from .harness import (
     Check,
@@ -97,17 +94,14 @@ __all__ = [
     "AutocovEstimate",
     "TauEstimate",
     "time_average",
-    "running_averages",
     "sample_autocovariance",
     "estimate_tau",
     "ensemble_mse",
     "empirical_tail",
-    "vector_norm_gap",
     # bounds
     "markov_bound",
     "chebyshev_bound",
     "paley_zygmund_lower",
-    "paley_zygmund_theta",
     # processes
     "Family",
     "ProcessConfig",

@@ -3,8 +3,7 @@
 Upper bounds: Markov (``P(Z >= eps) <= E[Z]/eps`` for ``Z >= 0``) and
 Chebyshev (``P(|Z - E[Z]| >= eps) <= Var(Z)/eps^2``).  Lower bound:
 Paley-Zygmund (``P(Z >= eps) >= (E[Z] - eps)^2 / (Var(Z) + E[Z]^2)`` for
-``Z >= 0`` and ``eps <= E[Z]``), in both the epsilon form and the
-``theta * E[Z]`` form.
+``Z >= 0`` and ``eps <= E[Z]``).
 
 Markov and Chebyshev are clamped to 1: the raw ratios can exceed 1, where
 the bound is vacuous anyway, and clamping keeps probability semantics.
@@ -18,7 +17,6 @@ __all__ = [
     "markov_bound",
     "chebyshev_bound",
     "paley_zygmund_lower",
-    "paley_zygmund_theta",
 ]
 
 
@@ -71,20 +69,3 @@ def paley_zygmund_lower(mean: float, variance: float, eps: float) -> float:
         return 0.0
     return (mean - eps) ** 2 / denom
 
-
-def paley_zygmund_theta(mean: float, variance: float, theta: float) -> float:
-    """Lower bound on ``P(Z >= theta * E[Z])`` for ``theta`` in (0, 1).
-
-    Algebraically the same bound as :func:`paley_zygmund_lower` at
-    ``eps = theta * mean``.
-    """
-    if not 0 < theta < 1:
-        raise ValueError(f"theta must be in (0, 1), got {theta}")
-    if mean < 0 or variance < 0:
-        raise ValueError(
-            f"mean and variance must be >= 0, got mean={mean}, variance={variance}"
-        )
-    denom = variance + mean**2
-    if denom == 0.0:
-        return 0.0
-    return (1.0 - theta) ** 2 * mean**2 / denom

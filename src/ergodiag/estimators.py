@@ -1,20 +1,17 @@
 """Empirical, data-side estimators computed from sampled trajectories.
 
 Counterparts of the model-side quantities in :mod:`ergodiag.model`.  From
-one :class:`SamplePath`: its time average and running averages, biased
-sample autocovariances, and a windowed estimate of the integrated
-correlation time.  From the 1-d array of per-replicate time averages: their
-mean squared error around the target mean ``m_n`` (:func:`ensemble_mse`)
-and the frequency of misses by at least eps (:func:`empirical_tail`).  For
-vector-valued averages: the Euclidean gap to the target means.
+one :class:`SamplePath`: its time average, biased sample autocovariances,
+and a windowed estimate of the integrated correlation time.  From the 1-d
+array of per-replicate time averages: their mean squared error around the
+target mean ``m_n`` (:func:`ensemble_mse`) and the frequency of misses by
+at least eps (:func:`empirical_tail`).
 
 A path's total is NumPy's pairwise sum (``np.sum``), the rule the exact
 side uses for ``m_n`` and ``V_n``: its rounding error grows like
 ``eps * log(n) * sum|x_t|``, against ``eps * n * sum|x_t|`` for a
 left-to-right sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
-2nd ed., ch. 4).  Only the running averages, which need every prefix, sum
-left to right, so the last of them may differ from the time average in the
-last bits.  Autocovariances at every lag come from one zero-padded FFT
+2nd ed., ch. 4).  Autocovariances at every lag come from one zero-padded FFT
 (Wiener-Khinchin), O(n log n) whatever the number of lags; they agree with
 the direct lag sums to within a few ulps of ``gamma_hat(0)``, not bit for
 bit.  The padded length is the smallest ``2**a * 3**b * 5**c`` at or above
@@ -26,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,12 +33,10 @@ __all__ = [
     "AutocovEstimate",
     "TauEstimate",
     "time_average",
-    "running_averages",
     "sample_autocovariance",
     "estimate_tau",
     "ensemble_mse",
     "empirical_tail",
-    "vector_norm_gap",
 ]
 
 # Estimates of tau from strongly anticorrelated data can come out nonpositive;
@@ -100,16 +94,6 @@ def time_average(path: SamplePath) -> float:
     """Arithmetic mean of the path: its pairwise ``np.sum`` over ``n``."""
     v = path.values
     return float(np.sum(v)) / v.size
-
-
-def running_averages(path: SamplePath) -> np.ndarray:
-    """Prefix means ``(A_1, ..., A_n)``, each prefix summed left to right.
-
-    The last entry is ``time_average`` up to rounding: the two sums add the
-    same values in different orders.
-    """
-    v = path.values
-    return np.cumsum(v) / np.arange(1, v.size + 1, dtype=float)
 
 
 def _fft_length(target: int) -> int:
@@ -212,17 +196,3 @@ def empirical_tail(averages: np.ndarray, m_n: float, eps: float) -> float:
         raise ValueError(f"eps must be > 0, got {eps}")
     return int(np.count_nonzero(np.abs(averages - m_n) >= eps)) / len(averages)
 
-
-def vector_norm_gap(
-    coordinate_averages: Sequence[float], coordinate_means: Sequence[float]
-) -> float:
-    """Euclidean distance between a vector of averages and its target means."""
-    a = np.asarray(coordinate_averages, dtype=float)
-    m = np.asarray(coordinate_means, dtype=float)
-    if a.shape != m.shape or a.ndim != 1 or a.size < 1:
-        raise ValueError(
-            f"coordinate vectors must be equal-length and nonempty, "
-            f"got shapes {a.shape} and {m.shape}"
-        )
-    d = a - m
-    return float(np.sqrt(np.sum(d * d)))

@@ -209,12 +209,12 @@ def mean_average(spec: ProcessSpec, n: int) -> float:
 
 def _lag_decomposition_sum(stationary: StationaryCov, n: int) -> float:
     """``V_n`` for a stationary covariance: ``n*g(0) + 2*sum (n-h)*g(h)``."""
-    g0 = float(_eval_elementwise(stationary.gamma, np.asarray([0]))[0])
+    g = _eval_elementwise(stationary.gamma, np.arange(n, dtype=np.int64))
+    g0 = float(g[0])
     if n == 1:
         return g0
     h = np.arange(1, n, dtype=np.int64)
-    g = _eval_elementwise(stationary.gamma, h)
-    return n * g0 + 2.0 * float(np.sum((n - h) * g))
+    return n * g0 + 2.0 * float(np.sum((n - h) * g[1:]))
 
 
 def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:

@@ -126,7 +126,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -926,6 +925,8 @@ def enumerate_squared_average_variance(n: int) -> float:
     points; this is the brute-force cross-check for
     :func:`sparse_spike_squared_average_variance` and is capped at ``n <= 8``.
     """
+    from fractions import Fraction  # imported here: no command needs it
+
     if not 1 <= n <= 8:
         raise ValueError(f"enumeration supported for n in [1, 8], got {n}")
     n = int(n)

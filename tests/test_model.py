@@ -176,6 +176,25 @@ class TestCovarianceSum:
         assert sizes == [300]
         assert value == covariance_sum(spec, 300, method="double")
 
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_lag_route_calls_gamma_once(self, ar1_config, n):
+        spec = build_spec(ar1_config)
+        gamma = spec.stationary.gamma
+        lags = []
+
+        def counted(h):
+            lags.append(np.asarray(h).tolist())
+            return gamma(h)
+
+        stationary = dataclasses.replace(spec.stationary, gamma=counted)
+        value = covariance_sum(dataclasses.replace(spec, stationary=stationary), n)
+        assert lags == [list(range(n))]
+        # the float of g(0) and the lags 1..n-1 evaluated apart
+        h = np.arange(1, n)
+        g0 = float(gamma(np.asarray([0]))[0])
+        expected = g0 if n == 1 else n * g0 + 2.0 * float(np.sum((n - h) * gamma(h)))
+        assert value == expected
+
     def test_diagonal_routes_at_one_million(self):
         n = 10**6
         spikes = build_spec(ProcessConfig(Family.SPARSE_SPIKES))

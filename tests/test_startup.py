@@ -1,9 +1,12 @@
-"""No run of ergodiag loads scipy, and only ``simulate`` loads its row writer.
+"""No run of ergodiag loads scipy or fractions, and only ``simulate`` loads
+its row writer.
 
 Importing scipy.signal took most of the package's start-up, and scipy is a
 test dependency only (the reference for the AR1 filter and the FFT length).
-The row writer ``ergodiag._format`` builds its digit tables on import, which
-only ``simulate`` needs.  The test process itself has scipy loaded
+``fractions``, with the ``decimal`` it imports, serves only the spike
+family's brute-force test oracle.  The row writer ``ergodiag._format``
+builds its digit tables on import, which only ``simulate`` needs.  The test
+process itself has scipy loaded
 (``test_processes`` imports it), so each check runs in a fresh interpreter.
 """
 
@@ -17,7 +20,11 @@ import ergodiag
 
 SRC = str(Path(ergodiag.__file__).resolve().parents[1])
 
-LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+# scipy, and fractions with the decimal it imports, among the loaded modules.
+LOADED = (
+    "[m for m in sys.modules if m in ('scipy', 'fractions', 'decimal')"
+    " or m.startswith('scipy.')]"
+)
 
 
 def run_fresh(code: str, *args: str) -> list:
