@@ -115,6 +115,40 @@ class TestPaleyZygmund:
         assert all(0.0 <= v <= 1.0 for v in values)
 
 
+class TestEpsAsAFractionOfTheMean:
+    """At ``eps = theta * E[Z]`` the bound is ``(1 - theta)^2 E[Z]^2 / E[Z^2]``,
+    the form in which Paley-Zygmund is usually stated."""
+
+    @pytest.mark.parametrize("theta", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_closed_form_on_grid(self, theta):
+        rng = np.random.default_rng(int(theta * 100))
+        for m, v in zip(rng.uniform(0.1, 5, 100), rng.uniform(0, 5, 100)):
+            expected = (1 - theta) ** 2 * m**2 / (v + m**2)
+            assert paley_zygmund_lower(m, v, theta * m) == pytest.approx(
+                expected, abs=1e-12, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+    def test_zero_variance_gives_certain_mass(self, theta):
+        assert paley_zygmund_lower(2.0, 0.0, theta * 2.0) == pytest.approx((1 - theta) ** 2)
+
+    def test_eps_zero_gives_the_second_moment_ratio(self):
+        # E[Z]^2 / E[Z^2] = 4 / (4 + 4)
+        assert paley_zygmund_lower(2.0, 4.0, 0.0) == 0.5
+
+    def test_depends_on_scale_only_through_variance_over_mean_squared(self):
+        rng = np.random.default_rng(13)
+        for m, v, theta, c in zip(
+            rng.uniform(0.1, 5, 100),
+            rng.uniform(0, 5, 100),
+            rng.uniform(0.01, 0.99, 100),
+            rng.uniform(0.01, 100, 100),
+        ):
+            assert paley_zygmund_lower(c * m, c * c * v, theta * c * m) == pytest.approx(
+                paley_zygmund_lower(m, v, theta * m), abs=1e-12, rel=1e-12
+            )
+
+
 class TestSandwichOnSamples:
     """Lower and upper bounds from empirical moments hold for the sample.
 

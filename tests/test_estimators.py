@@ -53,6 +53,28 @@ class TestTimeAverage:
     def test_symmetric_pair(self):
         assert time_average(path(0.5, -0.5)) == 0.0
 
+    def test_singleton(self):
+        assert time_average(path(5)) == 5.0
+
+    def test_prefix_means(self):
+        values = (2, 4, 6)
+        assert [time_average(path(*values[:k])) for k in (1, 2, 3)] == [2.0, 3.0, 4.0]
+
+    def test_alternating_prefixes(self):
+        values = (1, -1, 1, -1)
+        means = [time_average(path(*values[:k])) for k in (1, 2, 3, 4)]
+        assert means == [1.0, 0.0, 1 / 3, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 1000, 2001])
+    def test_is_the_pairwise_total_over_n(self, n):
+        # Any order of summation is within (n - 1) * eps * sum|x_t| of the
+        # exact total, so the mean is within eps * sum|x_t| of the exact mean.
+        rng = np.random.default_rng(n)
+        p = SamplePath(rng.standard_normal(n) * rng.uniform(0.1, 100))
+        assert time_average(p) == float(np.sum(p.values)) / n
+        gap = abs(time_average(p) - math.fsum(p.values) / n)
+        assert gap <= np.finfo(float).eps * float(np.sum(np.abs(p.values)))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_pairwise_total_is_near_the_exact_mean(self, seed):
         # A large offset makes every left-to-right partial sum ~1e14, whose
