@@ -13,8 +13,8 @@ paths, whether running averages settle on the average of the means:
 * :mod:`~ergodiag.processes`: four seeded process families
   (``sample_path``) with their exact moments;
 * :mod:`~ergodiag.harness`: the Monte Carlo verification harness
-  (``run_experiment``, ``verify_variance_identity``), driven from the
-  command line by :mod:`~ergodiag.cli`.
+  (``run_experiment``), driven from the command line by
+  :mod:`~ergodiag.cli`.
 """
 
 from .bounds import (
@@ -40,8 +40,6 @@ from .harness import (
     Verdict,
     default_checks,
     run_experiment,
-    verify_variance_identity,
-    worker_count,
 )
 from .model import (
     NON_SUMMABLE,
@@ -68,6 +66,7 @@ from .processes import (
     enumerate_squared_average_variance,
     sample_path,
     sparse_spike_squared_average_variance,
+    worker_count,
 )
 
 __version__ = "0.1.0"
@@ -111,6 +110,7 @@ __all__ = [
     "sample_path",
     "sparse_spike_squared_average_variance",
     "enumerate_squared_average_variance",
+    "worker_count",
     # harness
     "Check",
     "Verdict",
@@ -118,7 +118,5 @@ __all__ = [
     "PerNStats",
     "ConvergenceReport",
     "run_experiment",
-    "verify_variance_identity",
     "default_checks",
-    "worker_count",
 ]

@@ -41,12 +41,13 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -243,19 +244,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_header(fh: BinaryIO) -> bytes:
+    """Line 1 through its first CR or LF, or CR LF, as a text-mode readline
+    ends it.  What follows is only peeked at, so a pipe, which cannot seek
+    back, reads as a file does."""
+    line = b""
+    while not line.endswith((b"\r", b"\n")) and (ahead := fh.peek()):
+        end = re.search(rb"[\r\n]", ahead)
+        line += fh.read(len(ahead) if end is None else end.start() + 1)
+    if line.endswith(b"\r") and fh.peek()[:1] == b"\n":
+        line += fh.read(1)
+    return line
+
+
 def _read_single_path(path: str) -> np.ndarray:
     # The number reader builds its power table on import; no other command needs it.
     from ._parse import read_rows
 
     with open(path, "rb") as fh:
-        first = fh.readline()
+        first = _read_header(fh)
         if not first:
             raise ConfigError(f"{path} is empty")
-        # The header ends at its first CR or LF, as a text-mode readline ends it.
-        cr = first.find(b"\r")
-        if cr != -1 and first[cr + 1 : cr + 2] not in (b"\n", b""):
-            fh.seek(cr + 1 - len(first), os.SEEK_CUR)
-            first = first[: cr + 1]
         try:
             text = first.decode("utf-8")
         except UnicodeDecodeError:

@@ -5,7 +5,8 @@ at the longest of a grid of series lengths and, for each length, compares the
 empirical mean squared error of the time average over that prefix against the
 exact ``V_n / n^2``, tabulates tail frequencies against Chebyshev upper and
 Paley-Zygmund lower bounds, classifies the exact growth of ``V_n``, and issues
-a PASS / FAIL / SKIPPED verdict per requested check.
+a PASS / FAIL / SKIPPED verdict per requested check; with ``n_grid=(n,)``
+it gives the variance-identity verdict at the one length ``n``.
 The two things it takes from a family, the exact ``Var((A_n - m_n)^2)``
 behind the Paley-Zygmund bounds and the default checks, come from the
 family's definition in :mod:`ergodiag.processes`.
@@ -51,9 +52,7 @@ replicate ``r`` uses stream index ``r``, and grid point ``n`` averages the
 first ``n`` values of each replicate's path.  The sampler is
 prefix-consistent, so that average is bit for bit the time average of the
 replicate's path sampled at length ``n`` alone; the grid points share their
-replicates, as in a common-random-numbers design.
-:func:`verify_variance_identity` uses the base ``derive_stream(base_seed, n)``
-of its one length.  Replicates are sampled by
+replicates, as in a common-random-numbers design.  Replicates are sampled by
 :func:`~ergodiag.processes.sample_blocks` in blocks sized by element count
 (at most 131 072 values, so paths share each NumPy call), in work
 units of 1024 replicates spread over the workers, and each block is reduced
@@ -102,7 +101,6 @@ from .processes import (
     sample_blocks,
     sample_path,
     sparse_spike_squared_average_variance,
-    worker_count,
 )
 
 # Nothing here calls ``sample_path``, ``time_average``,
@@ -117,9 +115,7 @@ __all__ = [
     "PerNStats",
     "ConvergenceReport",
     "run_experiment",
-    "verify_variance_identity",
     "default_checks",
-    "worker_count",
     "DEFAULT_N_GRID",
     "DEFAULT_EPSILONS",
     "DEFAULT_REPLICATES",
@@ -548,23 +544,6 @@ _CHECKS: dict[Check, Callable[[ConvergenceReport], Verdict]] = {
 }
 
 
-def _statistics(
-    spec: ProcessSpec, n: int, averages: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Sampled and exact statistics at one length from its averages.
-
-    Returns ``m_n``, the empirical MSE of the averages around ``m_n``, its
-    plug-in Monte Carlo standard error, and the exact ``Var(A_n)`` from
-    ``spec``.  A value out of the float range comes back as inf or NaN,
-    without a numpy warning, for :func:`_require_finite` to name.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_n = mean_average(spec, n)
-        mse = ensemble_mse(averages, m_n)
-        se = _mc_standard_error((averages - m_n) ** 2)
-        return m_n, mse, se, time_average_variance(spec, n)
-
-
 def run_experiment(
     config: ExperimentConfig, max_workers: int | None = None
 ) -> ConvergenceReport:
@@ -582,7 +561,13 @@ def run_experiment(
 
     per_n = []
     for n, averages in zip(config.n_grid, ensemble):
-        m_n, mse, se, exact_var = _statistics(spec, n, averages)
+        # A value out of the float range comes back as inf or NaN, without a
+        # numpy warning, for _require_finite to name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_n = mean_average(spec, n)
+            mse = ensemble_mse(averages, m_n)
+            se = _mc_standard_error((averages - m_n) ** 2)
+            exact_var = time_average_variance(spec, n)
         var_sq = definition.squared_deviation_variance(n, exact_var)
         moments = {"m_n": m_n, "Var(A_n)": exact_var, "Var((A_n - m_n)^2)": var_sq,
                    "empirical MSE": mse, "MC standard error": se}
@@ -627,34 +612,3 @@ def run_experiment(
     # Each check reads the report alone, so a verdict follows from report.json.
     return replace(report, verdicts={c: _CHECKS[c](report) for c in report.checks})
 
-
-def verify_variance_identity(
-    config: ExperimentConfig, n: int, spec: ProcessSpec | None = None
-) -> Verdict:
-    """Check ``E[(A_n - m_n)^2] == Var(A_n) == V_n / n^2`` at one length.
-
-    Samples ``config.replicates`` paths (at least 1000) and compares the
-    empirical MSE against the exact variance from ``spec`` (defaults to the
-    exact spec of the configured family; pass a deliberately wrong spec to
-    confirm the check can fail).  It fails beyond 4 MC standard errors.  An
-    exact variance, MSE or standard error outside the float range raises
-    OverflowError, as in :func:`run_experiment`: no comparison can judge it.
-    """
-    if config.replicates < 1000:
-        raise ValueError(
-            f"replicates must be >= 1000 for this check, got {config.replicates}"
-        )
-    if spec is None:
-        spec = build_spec(config.process)
-    base = derive_stream(config.base_seed, n)
-    (averages,) = _ensemble_averages(config.process, (n,), base, config.replicates, None)
-    _, mse, se, exact = _statistics(spec, n, averages)
-    _require_finite(n, {"Var(A_n)": exact, "empirical MSE": mse, "MC standard error": se})
-    gap = abs(mse - exact)
-    if se == 0.0:
-        held = fail = f"n={n}: gap {gap:.6g} with zero MC error"
-    else:
-        held = f"n={n}: |MSE - exact| = {gap / se:.2f} MC standard errors"
-        fail = f"{held} (exact {exact:.6g}, MSE {mse:.6g})"
-    leg = _Leg(mse, exact, se, _Z_DEFAULT, "apart", fail)
-    return _judge([leg], Verdict("PASS", held))

@@ -281,26 +281,27 @@ def correlation_time(
         raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
-    g0 = float(_eval_elementwise(cov.gamma, np.asarray([0]))[0])
+    # Lags are evaluated in chunks of 1024, 2048, ... (at most _BLOCK_ELEMENTS
+    # lags each); the first call also evaluates lag 0.  The carried sum is
+    # added to the chunk's first term, then np.cumsum adds in order, in
+    # place, so each partial sum is the one a lag-by-lag loop would reach.
+    # Run lengths are worked out only in a chunk with a small term; in any
+    # other chunk the run ends at 0.
+    lo, size = 1, _FIRST_LAG_CHUNK
+    g = _eval_elementwise(cov.gamma, np.arange(min(size, max_terms) + 1, dtype=np.int64))
+    g0 = float(g[0])
     if g0 <= 0:
         raise DegenerateSeriesError(f"gamma(0) must be > 0, got {g0}")
-
-    # Lags are evaluated in chunks of 1024, 2048, ... (at most _BLOCK_ELEMENTS
-    # lags each).  The carried sum is added to the chunk's first term, then
-    # np.cumsum adds in order, in place, so each partial sum is the one a
-    # lag-by-lag loop would reach.  Run lengths are worked out only in a
-    # chunk with a small term; in any other chunk the run ends at 0.
+    g = g[1:]
     acc = g0
     run = 0  # small increments in a row, carried across chunks
-    lo, size = 1, _FIRST_LAG_CHUNK
-    while lo <= max_terms:
-        h = np.arange(lo, min(lo + size, max_terms + 1), dtype=np.int64)
-        terms = 2.0 * _eval_elementwise(cov.gamma, h)
+    while True:
+        terms = 2.0 * g
         small = np.abs(terms) < abs_tol
         terms[0] += acc
         partial = np.cumsum(terms, out=terms)
         if small.any():
-            i = np.arange(h.size)
+            i = np.arange(terms.size)
             last_break = np.maximum.accumulate(np.where(small, -1, i))
             runs = np.where(last_break < 0, run + i + 1, i - last_break)
             done = np.flatnonzero(runs >= _TAIL_RUN)
@@ -310,8 +311,11 @@ def correlation_time(
         else:
             run = 0
         acc = float(partial[-1])
-        lo, size = lo + h.size, min(2 * size, _BLOCK_ELEMENTS)
-    return NON_SUMMABLE
+        lo, size = lo + terms.size, min(2 * size, _BLOCK_ELEMENTS)
+        if lo > max_terms:
+            return NON_SUMMABLE
+        h = np.arange(lo, min(lo + size, max_terms + 1), dtype=np.int64)
+        g = _eval_elementwise(cov.gamma, h)
 
 
 def effective_sample_size(n: int, tau: float | NonSummable) -> EssResult:

@@ -32,7 +32,6 @@ from ergodiag import (
     sparse_spike_squared_average_variance,
     time_average,
     time_average_variance,
-    verify_variance_identity,
 )
 from ergodiag import harness, processes
 from ergodiag.cli import main
@@ -70,9 +69,10 @@ def test_c02_variance_identity_monte_carlo_all_families():
     started = time.perf_counter()
     for process in (AR1, SPIKES, SHOCK, DRIFT):
         config = ExperimentConfig(
-            process=process, base_seed=1009, replicates=100_000, checks=frozenset()
+            process=process, base_seed=1009, n_grid=(1000,), replicates=100_000,
+            checks=["VARIANCE_IDENTITY"],
         )
-        verdict = verify_variance_identity(config, n=1000)
+        verdict = run_experiment(config).verdicts[Check.VARIANCE_IDENTITY]
         assert verdict.status == "PASS", (process.family, verdict.message)
     elapsed = time.perf_counter() - started
     assert elapsed <= 60.0

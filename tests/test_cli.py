@@ -3,11 +3,14 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -577,6 +580,53 @@ class TestReadPath:
         assert "insufficient data" in captured.err
         assert "Warning" not in captured.err
         assert caught == []
+
+
+def analyze_in_a_new_process(data: bytes, path=None) -> subprocess.CompletedProcess:
+    """``ergodiag analyze`` in a new interpreter, on the file ``path`` or,
+    without one, on ``data`` piped in through /dev/stdin."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ergodiag.cli", "analyze", "--input",
+         "/dev/stdin" if path is None else str(path)],
+        input=None if path is not None else data, capture_output=True,
+        env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+    )
+
+
+PIPE_BODY = b"1.5\n2.5\r3.5\r\n4.5\n5.5\n6.5\n7.5\n8.5\n9.5\n1.25\n2.25\n3.75\n"
+
+
+class TestAnalyzeFromAPipe:
+    """A pipe cannot seek: its header must be read as a file's is, to the byte."""
+
+    @pytest.mark.parametrize(
+        ("data", "status"),
+        [(b"x\r" + PIPE_BODY, 0),
+         (b"x\r\n" + PIPE_BODY, 0),
+         # the header ends at its first CR; the CR LF after it is a blank line
+         (b"x\r\r\n" + PIPE_BODY, 0),
+         # the CR ends the first 8192-byte read, its LF starts the next
+         (b"x".ljust(8191) + b"\r\n" + PIPE_BODY, 0),
+         # a header longer than the read buffer, padded with blanks
+         (b"x".ljust(100_000) + b"\r" + PIPE_BODY, 0),
+         (b"y\r" + PIPE_BODY, 2),
+         (b"y" * 100_000 + b"\r" + PIPE_BODY, 2),
+         (b"t,\xff\r1,2\n", 2),
+         (b"", 2)],
+        ids=["lone-cr", "crlf", "cr-then-crlf", "crlf-across-reads", "long-header",
+             "bad-header", "long-bad-header", "not-utf8", "empty"],
+    )
+    def test_stdin_pipe_prints_the_bytes_of_the_file(self, tmp_path, data, status):
+        path = tmp_path / "path.csv"
+        path.write_bytes(data)
+        from_file = analyze_in_a_new_process(data, path)
+        piped = analyze_in_a_new_process(data)
+        assert from_file.returncode == piped.returncode == status, piped.stderr
+        assert piped.stdout == from_file.stdout
+        assert piped.stderr == from_file.stderr.replace(bytes(path), b"/dev/stdin")
+        assert (piped.stdout == b"") == (status != 0)
 
 
 EXPERIMENT_DOC = {

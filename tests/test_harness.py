@@ -30,11 +30,10 @@ from ergodiag import (
     sample_path,
     time_average,
     time_average_variance,
-    verify_variance_identity,
-    worker_count,
 )
 from ergodiag import harness, processes
 from ergodiag.harness import _ensemble_averages
+from ergodiag.processes import worker_count
 
 NO_CHECKS: frozenset = frozenset()
 BLOCK = processes._BLOCK_ELEMENTS
@@ -233,62 +232,60 @@ class TestPerNStats:
         assert stats.pz_lower[0.01] is not None
 
 
+def variance_identity(process, n, base_seed, replicates) -> Verdict:
+    """The VARIANCE_IDENTITY verdict of an experiment at the one length ``n``."""
+    config = ExperimentConfig(process=process, base_seed=base_seed, n_grid=(n,),
+                              replicates=replicates, checks=["VARIANCE_IDENTITY"])
+    return run_experiment(config).verdicts[Check.VARIANCE_IDENTITY]
+
+
 class TestVarianceIdentityCheck:
     def test_passes_for_ar1(self, ar1_config):
-        config = ExperimentConfig(
-            process=ar1_config, base_seed=11, replicates=5000, checks=NO_CHECKS
-        )
-        verdict = verify_variance_identity(config, n=100)
-        assert verdict.status == "PASS"
+        verdict = variance_identity(ar1_config, 100, base_seed=11, replicates=5000)
+        assert verdict == Verdict("PASS", "max deviation 1.00 MC standard errors (<= 4)")
 
     def test_passes_for_spike(self, spike_config):
-        config = ExperimentConfig(
-            process=spike_config, base_seed=12, replicates=5000, checks=NO_CHECKS
-        )
-        assert verify_variance_identity(config, n=100).status == "PASS"
+        verdict = variance_identity(spike_config, 100, base_seed=12, replicates=5000)
+        assert verdict.status == "PASS", verdict.message
 
-    def test_corrupted_spec_fails(self, ar1_config):
+    def test_corrupted_spec_fails(self, ar1_config, monkeypatch):
         # negative control: a cov scaled x2 must be caught
         honest = build_spec(ar1_config)
         corrupted = ProcessSpec(
             mean_fn=honest.mean_fn,
             cov_fn=lambda t, s: 2.0 * np.asarray(honest.cov_fn(t, s)),
         )
-        config = ExperimentConfig(
-            process=ar1_config, base_seed=11, replicates=5000, checks=NO_CHECKS
+        monkeypatch.setattr(harness, "build_spec", lambda process: corrupted)
+        verdict = variance_identity(ar1_config, 100, base_seed=11, replicates=5000)
+        assert verdict == Verdict(
+            "FAIL", "n=100: |MSE - exact Var(A_n)| = 51.51 MC standard errors exceeds 4"
         )
-        verdict = verify_variance_identity(config, n=100, spec=corrupted)
-        assert verdict.status == "FAIL"
 
     @pytest.mark.parametrize(
-        "config_name, n, held",
-        [("ar1_config", 50, "n=50: |MSE - exact| = 0.01 MC standard errors"),
+        "config_name, n, held, named",
+        [("ar1_config", 50, "0.01", r"Var\(A_n\) = nan, Var\(\(A_n - m_n\)\^2\) = nan"),
          # Every spike term at n = 1 is +-1: every squared deviation is 1,
          # so the MSE equals the exact 1 and the SE is 0.
-         ("spike_config", 1, "n=1: gap 0 with zero MC error")],
+         ("spike_config", 1, "0.00", r"Var\(A_n\) = nan")],
         ids=["ar1", "spikes-zero-se"],
     )
-    def test_a_nan_exact_variance_is_rejected_not_passed(self, request, config_name, n, held):
+    def test_a_nan_exact_variance_is_rejected_not_passed(
+        self, request, monkeypatch, config_name, n, held, named
+    ):
         # Every comparison with NaN is false, so no leg could FAIL it.
         process = request.getfixturevalue(config_name)
-        config = ExperimentConfig(process=process, base_seed=11, replicates=1000,
-                                  checks=NO_CHECKS)
-        assert verify_variance_identity(config, n=n) == Verdict("PASS", held)
+        assert variance_identity(process, n, base_seed=11, replicates=1000) == Verdict(
+            "PASS", f"max deviation {held} MC standard errors (<= 4)"
+        )
         honest = build_spec(process)
         nan_cov = ProcessSpec(
             mean_fn=honest.mean_fn,
             cov_fn=lambda t, s: np.full(np.broadcast(t, s).shape, np.nan),
         )
-        with pytest.raises(OverflowError, match=rf"^n={n}: outside the float range: "
-                                                r"Var\(A_n\) = nan;"):
-            verify_variance_identity(config, n=n, spec=nan_cov)
-
-    def test_rejects_small_replicates(self, ar1_config):
-        config = ExperimentConfig(
-            process=ar1_config, base_seed=11, replicates=500, checks=NO_CHECKS
-        )
-        with pytest.raises(ValueError):
-            verify_variance_identity(config, n=100)
+        monkeypatch.setattr(harness, "build_spec", lambda process: nan_cov)
+        with pytest.raises(OverflowError,
+                           match=rf"^n={n}: outside the float range: {named};"):
+            variance_identity(process, n, base_seed=11, replicates=1000)
 
     def test_ar1_scaled_by_a_power_of_two_keeps_its_verdict(self):
         # Paths at gamma0 = 2**-900 are those at gamma0 = 1 scaled by
@@ -791,23 +788,3 @@ class TestCheckDispatch:
             assert harness._CHECKS[check](report) == report.verdicts[check]
             listed[check.value] = len(judged)
         assert listed == counts
-
-    def test_variance_identity_uses_the_experiment_statistics(self, shock_config):
-        config = ExperimentConfig(
-            process=shock_config, base_seed=43, n_grid=(50,), replicates=1000,
-            epsilons=(0.2,), checks=NO_CHECKS,
-        )
-        stats = run_experiment(config).per_n[0]
-        # a covariance scaled x2 makes the verdict FAIL and print MSE and exact
-        honest = build_spec(shock_config)
-        corrupted = ProcessSpec(
-            mean_fn=honest.mean_fn, cov_fn=lambda t, s: 2.0 * honest.cov_fn(t, s)
-        )
-        mse, exact = stats.empirical_mse, time_average_variance(corrupted, 50)
-        gap = abs(mse - exact) / stats.mc_standard_error
-        verdict = verify_variance_identity(config, n=50, spec=corrupted)
-        assert verdict == Verdict(
-            "FAIL",
-            f"n=50: |MSE - exact| = {gap:.2f} MC standard errors "
-            f"(exact {exact:.6g}, MSE {mse:.6g})",
-        )

@@ -436,6 +436,39 @@ class TestCorrelationTime:
         assert sum(calls) == 1 + 100_000
         assert len(calls) < 20
 
+    # tau as float.hex (None for NON_SUMMABLE) and the lags of each gamma
+    # call: lag 0 rides in the first chunk's call, lags 0-1024, and every
+    # later chunk keeps its lags.  The floats are those of a separate
+    # gamma(0) call before the chunks.
+    @pytest.mark.parametrize(("params", "max_terms", "tau", "sizes"), [
+        ({"phi": 0.5, "gamma0": 1.0}, 100_000, "0x1.7ffffffffff00p+1", [1025]),
+        ({"phi": -0.653, "gamma0": 1.0}, 100_000, "0x1.adeb3f5779e95p-3", [1025]),
+        ({"phi": 0.999, "gamma0": 1.0}, 100_000, "0x1.f3bfffff95c49p+10",
+         [1025, 2048, 4096, 8192, 16384]),
+        ({"sigma_z": 1.0, "sigma_eps": 1.0}, 100_000, None,
+         [1025, 2048, 4096, 8192, 16384, 32768, 35488]),
+        # converged at lag 1186, in a second chunk cut short at lag 1500
+        ({"phi": 0.98, "gamma0": 1.0}, 1500, "0x1.8bffffffbb252p+6", [1025, 476]),
+        ({"phi": 0.5, "gamma0": 1.0}, 1500, "0x1.7ffffffffff00p+1", [1025]),
+        ({"phi": 0.5, "gamma0": 1.0}, 1, None, [2]),
+    ], ids=["ar1-0.5", "ar1--0.653", "ar1-0.999", "common-shock", "ar1-0.98-1500",
+            "ar1-0.5-1500", "ar1-0.5-1"])
+    def test_one_gamma_call_per_chunk(self, params, max_terms, tau, sizes):
+        family = Family.COMMON_SHOCK if "sigma_z" in params else Family.AR1
+        stationary = build_spec(ProcessConfig(family, params)).stationary
+        calls = []
+
+        def gamma(h):
+            calls.append(np.size(h))
+            return stationary.gamma(h)
+
+        got = correlation_time(StationaryCov(gamma=gamma), max_terms=max_terms)
+        if tau is None:
+            assert got is NON_SUMMABLE
+        else:
+            assert got.hex() == tau
+        assert calls == sizes
+
     def test_degenerate_variance_rejected(self):
         cov = StationaryCov(gamma=lambda h: np.zeros_like(np.asarray(h, dtype=float)))
         with pytest.raises(DegenerateSeriesError):
