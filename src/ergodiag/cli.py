@@ -57,7 +57,7 @@ from .estimators import SamplePath, estimate_tau, sample_autocovariance
 from .harness import ExperimentConfig, run_experiment
 from .model import DegenerateSeriesError, effective_sample_size
 from .processes import (
-    ProcessConfig, _require_in_memory, _Scratch, sample_blocks, sample_path,
+    ProcessConfig, _reject_unknown, _require_in_memory, _Scratch, sample_blocks, sample_path,
 )
 
 # ``simulate`` no longer calls ``sample_path``; it stays importable from this
@@ -87,12 +87,6 @@ class ConfigError(ValueError):
     """Configuration file or argument rejected before any computation."""
 
 
-def _reject_unknown_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
 def _load_config_file(path: str) -> dict:
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}
@@ -112,12 +106,12 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must contain a JSON object at top level")
-    _reject_unknown_keys(doc, _TOP_LEVEL_KEYS, "config file")
+    _reject_unknown(doc, _TOP_LEVEL_KEYS, "key(s) in config file")
     for key, allowed in (("process", _PROCESS_KEYS), ("experiment", _EXPERIMENT_KEYS)):
         if key in doc:
             if not isinstance(doc[key], dict):
                 raise ConfigError(f"config section {key!r} must be an object")
-            _reject_unknown_keys(doc[key], allowed, f"config section {key!r}")
+            _reject_unknown(doc[key], allowed, f"key(s) in config section {key!r}")
     return doc
 
 
@@ -128,11 +122,8 @@ def _process_from_config(doc: dict) -> ProcessConfig:
     family = section.get("family")
     if family is None:
         raise ConfigError("process.family is required")
-    params = section.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("process.params must be an object")
     try:
-        return ProcessConfig(family=family, params=params)
+        return ProcessConfig(family=family, params=section.get("params", {}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -271,8 +262,12 @@ def _read_single_path(path: str) -> np.ndarray:
             raise ConfigError(f"{path}, line 1: {first!r} is not UTF-8 text") from None
         header = [h.strip() for h in next(csv.reader([text]), [])]
         if tuple(header) not in {("x",), ("t", "x"), ("t", "replicate", "x")}:
+            shown = repr(header)
+            if len(shown) > 80:  # a header can be as long as the file
+                length = len(text.rstrip("\r\n"))
+                shown = f"{shown[:80]}... (a header of {length} characters)"
             raise ConfigError(
-                f"unsupported CSV header {header!r}; expected 'x', 't,x', "
+                f"unsupported CSV header {shown}; expected 'x', 't,x', "
                 "or 't,replicate,x'"
             )
         column = header.index("x")

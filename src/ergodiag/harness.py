@@ -94,6 +94,7 @@ from .processes import (
     _FAMILIES,
     Family,
     ProcessConfig,
+    _number,
     _require_in_memory,
     build_spec,
     derive_stream,
@@ -173,15 +174,6 @@ def _integer(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _number(value: object, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is past the float range") from None
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ Each family is one definition, a ``_Definition`` subclass found through the
 one ``Family -> definition`` table ``_FAMILIES``.  A definition holds
 
 * ``validate(params)``: the checked parameters ``p``, or a ``ValueError``
-  naming the parameter at fault;
+  naming the parameter at fault.  ``params`` is a mapping (a JSON object)
+  and a parameter is any finite real number but a bool (a JSON number; from
+  Python, NumPy and ``fractions`` reals too);
 * the exact moments ``mean(p, t)`` plus either ``gamma(p, h)`` (stationary
   families) or ``variance(p, t)`` (independent terms), from which
   :func:`build_spec` derives ``cov_fn`` and the ``diagonal`` flag;
@@ -121,6 +123,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -498,26 +501,33 @@ class Family(str, Enum):
     DRIFTING_MEAN = "DRIFTING_MEAN"
 
 
+def _number(value: object, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range") from None
+
+
 def _require_number(params: Mapping, key: str, prefix: str = "") -> float:
     name = prefix + key
     if key not in params:
         raise ValueError(f"missing required parameter {name!r}")
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is past the float range") from None
+    value = _number(params[key], name)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _reject_unknown(params: Mapping, allowed: set[str], prefix: str = "") -> None:
-    unknown = sorted(set(params) - allowed)
-    if unknown:
-        raise ValueError(f"unknown parameter(s): {', '.join(prefix + k for k in unknown)}")
+def _reject_unknown(
+    mapping: Mapping, allowed: set[str], what: str = "parameter(s)", prefix: str = ""
+) -> None:
+    unknown = set(mapping) - allowed
+    # A key that is not a string (from Python only) is shown by its repr.
+    names = sorted(prefix + (k if isinstance(k, str) else repr(k)) for k in unknown)
+    if names:
+        raise ValueError(f"unknown {what}: {', '.join(names)}")
 
 
 class _Definition:
@@ -747,6 +757,8 @@ class ProcessConfig:
                 f"family must be one of {[f.value for f in Family]}, got {self.family!r}"
             ) from None
         object.__setattr__(self, "family", family)
+        if not isinstance(self.params, Mapping):
+            raise ValueError(f"params must be a mapping, got {self.params!r}")
         object.__setattr__(self, "params", _FAMILIES[family].validate(self.params))
 
     def to_dict(self) -> dict:

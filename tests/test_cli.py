@@ -627,6 +627,11 @@ class TestAnalyzeFromAPipe:
         assert piped.stdout == from_file.stdout
         assert piped.stderr == from_file.stderr.replace(bytes(path), b"/dev/stdin")
         assert (piped.stdout == b"") == (status != 0)
+        if data.startswith(b"y" * 100_000):
+            # the header is echoed only in part, then its length
+            assert piped.stderr.count(b"\n") == 1 and len(piped.stderr) < 200
+            assert piped.stderr.startswith(b"error: unsupported CSV header ['" + b"y" * 78 + b"...")
+            assert b"(a header of 100000 characters)" in piped.stderr
 
 
 EXPERIMENT_DOC = {
@@ -730,6 +735,37 @@ class TestExperiment:
         code, _ = self.run_experiment_cmd(tmp_path, doc)
         assert code == 2
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("doc", "line"),
+        [({**SPIKE_DOC, "seed": 1, "extra": {}}, "unknown key(s) in config file: extra, seed"),
+         ({"process": {**SPIKE_DOC["process"], "seed": 1}},
+          "unknown key(s) in config section 'process': seed"),
+         ({**SPIKE_DOC, "experiment": {"base_seed": 1, "seeds": [1], "grid": [10]}},
+          "unknown key(s) in config section 'experiment': grid, seeds"),
+         ({"process": {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1, "z": 0, "rho": 1}}},
+          "unknown parameter(s): rho, z"),
+         ({"process": {"family": "DRIFTING_MEAN", "params": {
+             "trend": {"kind": "LINEAR", "a": 0, "b": 0, "c": 0}, "noise_sd": 1}}},
+          "unknown parameter(s): trend.c")],
+        ids=["config-file", "process", "experiment", "params", "trend"],
+    )
+    def test_unknown_keys_are_named_in_one_line(self, tmp_path, capsys, doc, line):
+        code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "params", [[], ["phi", "gamma0"], "phi", None, 1],
+        ids=["empty-array", "array", "string", "null", "number"],
+    )
+    def test_params_not_an_object_exits_2_naming_it(self, tmp_path, capsys, params):
+        doc = {"process": {"family": "AR1", "params": params}, "experiment": {"base_seed": 1}}
+        code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: params must be a mapping, got {params!r}\n"
+        assert not out_dir.exists()
 
     def test_analyze_section_exits_2_naming_it(self, tmp_path, capsys):
         doc = {**SPIKE_DOC, "experiment": {"base_seed": 1}, "analyze": {}}

@@ -5,8 +5,10 @@ extreme but finite parameters among them, and grids and replicate counts
 kept small so each run takes milliseconds.  Whatever the document, the
 command must not raise (a traceback), must exit 0 (all checks pass), 1 (a
 check failed) or 2 (rejected input), and a ``report.json`` it writes must
-be strict JSON.  The examples are derandomized, so every run of the suite
-checks the same documents.
+be strict JSON.  Each document's ``process`` section, when it is an object,
+is also passed straight to ``ProcessConfig(family, params)``, which may
+raise only ``ValueError``.  The examples are derandomized, so every run of
+the suite checks the same documents.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodiag import Check
+from ergodiag import Check, ProcessConfig
 from ergodiag.cli import main
 
 TINY_AND_HUGE = [5e-324, 1e-300, 1e-8, 1e8, 1e200, 1e300, 1.7e308]
@@ -81,6 +83,13 @@ def reject_constant(name: str):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(doc=documents())
 def test_experiment_documents_exit_0_1_or_2(doc):
+    process = doc.get("process")
+    if isinstance(process, dict):
+        # The Python API takes what the file holds by the same rules.
+        try:
+            ProcessConfig(process.get("family"), process.get("params", {}))
+        except ValueError:
+            pass
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))

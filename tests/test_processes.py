@@ -13,6 +13,7 @@ from scipy.signal import lfilter as scipy_lfilter
 
 from conftest import ENGINE_CONFIGS, reference_path, sample_rows
 from ergodiag import (
+    ExperimentConfig,
     Family,
     ProcessConfig,
     RngSeed,
@@ -70,6 +71,69 @@ class TestProcessConfigValidation:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             ProcessConfig("OU", {})
+
+
+def parameter_field(field: str, value) -> float:
+    """Build a config with ``value`` in ``field`` and return what it stored."""
+    if field == "gamma0":
+        return ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": value}).params["gamma0"]
+    if field == "trend.b":
+        trend = {"kind": "LINEAR", "a": 0.0, "b": value}
+        config = ProcessConfig(Family.DRIFTING_MEAN, {"trend": trend, "noise_sd": 1.0})
+        return config.params["trend"]["b"]
+    spikes = ProcessConfig(Family.SPARSE_SPIKES, {})
+    return ExperimentConfig(spikes, base_seed=1, epsilons=[value]).epsilons[0]
+
+
+FIELDS = {"gamma0": "gamma0", "trend.b": "trend.b", "epsilons": "epsilons entry"}
+
+
+class TestOneParameterRule:
+    """A family parameter, a trend field and an eps follow one rule: any real
+    number except a bool, stored as its float; ``params`` is a mapping."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize(
+        "value", [np.int64(2), np.float32(0.375), np.float64(0.25), Fraction(1, 3)],
+        ids=["int64", "float32", "float64", "Fraction"],
+    )
+    def test_numpy_and_fraction_reals_are_stored_as_floats(self, field, value):
+        stored = parameter_field(field, value)
+        assert type(stored) is float
+        assert stored == float(value)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize(
+        "value", [True, np.bool_(True), "1", None, 1j],
+        ids=["bool", "numpy-bool", "str", "None", "complex"],
+    )
+    def test_other_values_are_not_numbers(self, field, value):
+        with pytest.raises(ValueError) as info:
+            parameter_field(field, value)
+        assert str(info.value) == f"{FIELDS[field]} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize(
+        "params", [["phi", "gamma0"], ("phi",), "phi", []], ids=["list", "tuple", "str", "empty"]
+    )
+    def test_params_must_be_a_mapping(self, family, params):
+        with pytest.raises(ValueError) as info:
+            ProcessConfig(family, params)
+        assert str(info.value) == f"params must be a mapping, got {params!r}"
+
+    @pytest.mark.parametrize(
+        ("family", "params", "unknown"),
+        [(Family.AR1, {1: 2}, "1"),
+         (Family.AR1, {"phi": 0.5, "gamma0": 1, 1: 2, "z": 0}, "1, z"),
+         (Family.DRIFTING_MEAN, {"trend": {"kind": "SINUSOID", "amplitude": 1, "period": 2,
+                                           (1, 2): 0, "z": 0}, "noise_sd": 1},
+          "trend.(1, 2), trend.z")],
+        ids=["only", "mixed", "trend"],
+    )
+    def test_keys_that_are_not_strings_are_named(self, family, params, unknown):
+        with pytest.raises(ValueError) as info:
+            ProcessConfig(family, params)
+        assert str(info.value) == f"unknown parameter(s): {unknown}"
 
 
 class TestBuildSpec:
