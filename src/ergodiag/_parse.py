@@ -56,6 +56,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
+from .model import _echo
 from .processes import _Scratch, _exact_product, _split
 
 __all__ = ["read_rows"]
@@ -331,13 +332,13 @@ def _field(raw: bytes) -> float:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
-        raise ValueError(f"{raw!r} is not UTF-8 text") from None
+        raise ValueError(f"{_echo(raw)} is not UTF-8 text") from None
     number = text.strip()  # more than float() strips: \x1c to \x1f too
     if not _LITERAL.fullmatch(number):
-        raise ValueError(f"cannot read {text!r} as a number")
+        raise ValueError(f"cannot read {_echo(text)} as a number")
     value = float(number)
     if not np.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
+        raise ValueError(f"{_echo(text)} is not a finite number")
     return value
 
 

@@ -22,9 +22,9 @@ __all__ = [
 
 def markov_bound(mean: float, eps: float) -> float:
     """Upper bound on ``P(Z >= eps)`` for a non-negative variable Z."""
-    if mean < 0:
+    if not mean >= 0:
         raise ValueError(f"mean must be >= 0 (Z is non-negative), got {mean}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     return min(1.0, mean / eps)
 
@@ -38,9 +38,9 @@ def chebyshev_bound(variance: float, eps: float) -> float:
     for a zero variance) when the square underflows to 0, and
     ``variance / inf`` when it overflows.
     """
-    if variance < 0:
+    if not variance >= 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     try:
         eps_sq = eps**2
@@ -58,11 +58,11 @@ def paley_zygmund_lower(mean: float, variance: float, eps: float) -> float:
     derivation requires it.  The all-zero degenerate case (mean, variance,
     eps all 0) returns 0, a correct if useless lower bound.
     """
-    if mean < 0 or variance < 0:
+    if not (mean >= 0 and variance >= 0):
         raise ValueError(
             f"mean and variance must be >= 0, got mean={mean}, variance={variance}"
         )
-    if eps < 0 or eps > mean:
+    if not 0 <= eps <= mean:
         raise ValueError(f"eps must be in [0, mean={mean}], got {eps}")
     denom = variance + mean**2
     if denom == 0.0:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -55,9 +56,10 @@ from . import processes
 from .bounds import chebyshev_bound
 from .estimators import SamplePath, estimate_tau, sample_autocovariance
 from .harness import ExperimentConfig, run_experiment
-from .model import DegenerateSeriesError, effective_sample_size
+from .model import DegenerateSeriesError, _echo, _integer, effective_sample_size
 from .processes import (
-    ProcessConfig, _reject_unknown, _require_in_memory, _Scratch, sample_blocks, sample_path,
+    _MASK64, ProcessConfig, _reject_unknown, _require_in_memory, _Scratch, sample_blocks,
+    sample_path,
 )
 
 # ``simulate`` no longer calls ``sample_path``; it stays importable from this
@@ -78,9 +80,11 @@ _ANALYZE_EPSILONS = (0.1, 0.05, 0.01)
 _WRITE_CHUNK = 16_384
 _MIN_ANALYZE_OBSERVATIONS = 10
 
-_TOP_LEVEL_KEYS = {"process", "experiment"}
-_PROCESS_KEYS = {"family", "params"}
-_EXPERIMENT_KEYS = {"n_grid", "replicates", "base_seed", "epsilons", "checks"}
+# The keys of each config section are the fields of its dataclass.
+_SECTION_KEYS = {
+    "process": {f.name for f in dataclasses.fields(ProcessConfig)},
+    "experiment": {f.name for f in dataclasses.fields(ExperimentConfig)} - {"process"},
+}
 
 
 class ConfigError(ValueError):
@@ -106,8 +110,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must contain a JSON object at top level")
-    _reject_unknown(doc, _TOP_LEVEL_KEYS, "key(s) in config file")
-    for key, allowed in (("process", _PROCESS_KEYS), ("experiment", _EXPERIMENT_KEYS)):
+    _reject_unknown(doc, set(_SECTION_KEYS), "key(s) in config file")
+    for key, allowed in _SECTION_KEYS.items():
         if key in doc:
             if not isinstance(doc[key], dict):
                 raise ConfigError(f"config section {key!r} must be an object")
@@ -122,23 +126,16 @@ def _process_from_config(doc: dict) -> ProcessConfig:
     family = section.get("family")
     if family is None:
         raise ConfigError("process.family is required")
-    try:
-        return ProcessConfig(family=family, params=section.get("params", {}))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ProcessConfig(**section)
 
 
 def _experiment_from_config(doc: dict, process: ProcessConfig) -> ExperimentConfig:
     section = doc.get("experiment", {})
     if "base_seed" not in section:
         raise ConfigError("experiment.base_seed is required (seeds are never implicit)")
-    kwargs: dict = {"process": process, "base_seed": section["base_seed"]}
-    for key in ("n_grid", "replicates", "epsilons", "checks"):
-        if key in section:
-            kwargs[key] = section[key]
     try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return ExperimentConfig(process=process, **section)
+    except ValueError as exc:
         raise ConfigError(f"experiment section invalid: {exc}") from exc
 
 
@@ -170,28 +167,16 @@ def _atomic_write(path: Path, write_body: Callable, *, binary: bool = False) -> 
         raise
 
 
-def _parse_seed(value: str) -> int:
-    try:
-        seed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}")
-    if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return seed
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     doc = _load_config_file(args.config)
     process = _process_from_config(doc)
-    if args.n < 1:
-        raise ConfigError(f"n must be >= 1, got {args.n}")
-    _require_in_memory(args.n, f"--n {args.n}: one path")
-    if args.replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {args.replicates}")
+    seed = _integer(args.seed, "--seed", 0, _MASK64)
+    n = _integer(args.n, "--n", 1)
+    _require_in_memory(n, f"--n {n}: one path")
+    # Replicate indices are u64.
+    replicates = _integer(args.replicates, "--replicates", 1, 1 << 64)
     # The row writer builds its digit tables on import; no other command needs it.
     from ._format import format_rows
-
-    n = args.n
 
     def body(fh) -> None:
         fh.write(b"t,replicate,x\n")
@@ -229,7 +214,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                         fh.write(text)
 
             # One worker: blocks arrive in replicate order, as the rows are written.
-            sample_blocks(process, n, args.seed, args.replicates, write, max_workers=1)
+            sample_blocks(process, n, seed, replicates, write, max_workers=1)
 
     _atomic_write(Path(args.out), body, binary=True)
     return 0
@@ -259,13 +244,13 @@ def _read_single_path(path: str) -> np.ndarray:
         try:
             text = first.decode("utf-8")
         except UnicodeDecodeError:
-            raise ConfigError(f"{path}, line 1: {first!r} is not UTF-8 text") from None
+            length = len(first.rstrip(b"\r\n"))
+            shown = _echo(first, f"a line of {length} bytes")
+            raise ConfigError(f"{path}, line 1: {shown} is not UTF-8 text") from None
         header = [h.strip() for h in next(csv.reader([text]), [])]
         if tuple(header) not in {("x",), ("t", "x"), ("t", "replicate", "x")}:
-            shown = repr(header)
-            if len(shown) > 80:  # a header can be as long as the file
-                length = len(text.rstrip("\r\n"))
-                shown = f"{shown[:80]}... (a header of {length} characters)"
+            length = len(text.rstrip("\r\n"))  # a header can be as long as the file
+            shown = _echo(header, f"a header of {length} characters")
             raise ConfigError(
                 f"unsupported CSV header {shown}; expected 'x', 't,x', "
                 "or 't,replicate,x'"
@@ -300,8 +285,7 @@ def _read_single_path(path: str) -> np.ndarray:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.max_lag < 1:
-        raise ConfigError(f"--max-lag must be >= 1, got {args.max_lag}")
+    max_lag = _integer(args.max_lag, "--max-lag", 1)
     if not 0 < args.window_c < math.inf:
         raise ConfigError(f"--window-c must be > 0 and finite, got {args.window_c}")
     if args.target_mean is not None and not math.isfinite(args.target_mean):
@@ -314,7 +298,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"observations, got {n}"
         )
     path = SamplePath(values)
-    max_lag = min(args.max_lag, n - 1)
+    max_lag = min(max_lag, n - 1)
     acov = sample_autocovariance(path, max_lag)
     tau = estimate_tau(acov, window_c=args.window_c)
     ess = effective_sample_size(n, tau.value)
@@ -384,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sample an ensemble to CSV")
     p_sim.add_argument("--config", required=True, help="JSON config with a 'process' section")
     p_sim.add_argument("--out", required=True, help="output CSV path")
-    p_sim.add_argument("--seed", required=True, type=_parse_seed, help="base seed (u64)")
+    p_sim.add_argument("--seed", required=True, type=int, help="base seed (u64)")
     p_sim.add_argument("--n", required=True, type=int, help="path length")
     p_sim.add_argument("--replicates", required=True, type=int, help="number of paths")
     p_sim.set_defaults(func=_cmd_simulate)

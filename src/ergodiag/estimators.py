@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegenerateSeriesError
+from .model import DegenerateSeriesError, _integer
 
 __all__ = [
     "SamplePath",
@@ -131,8 +131,7 @@ def sample_autocovariance(path: SamplePath, max_lag: int) -> AutocovEstimate:
     range.
     """
     n = len(path)
-    if not 0 <= max_lag < n:
-        raise ValueError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
+    max_lag = _integer(max_lag, "max_lag", 0, n - 1)
     size = _fft_length(n + max_lag)
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = time_average(path)
@@ -162,8 +161,8 @@ def estimate_tau(acov: AutocovEstimate, window_c: float = 6.0) -> TauEstimate:
     no window qualifies.  ``window_c`` trades bias (small) against noise
     (large); 6 is conventional.
     """
-    if window_c <= 0:
-        raise ValueError(f"window_c must be > 0, got {window_c}")
+    if not 0 < window_c < math.inf:
+        raise ValueError(f"window_c must be > 0 and finite, got {window_c}")
     g = acov.gamma_hat
     if g[0] <= 0:
         raise DegenerateSeriesError(
@@ -192,7 +191,7 @@ def ensemble_mse(averages: np.ndarray, m_n: float) -> float:
 
 def empirical_tail(averages: np.ndarray, m_n: float, eps: float) -> float:
     """Fraction of per-replicate time averages that miss ``m_n`` by >= eps."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     return int(np.count_nonzero(np.abs(averages - m_n) >= eps)) / len(averages)
 

@@ -72,7 +72,6 @@ count, so reports are identical for any worker count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple
@@ -85,6 +84,8 @@ from .model import (
     GrowthClass,
     GrowthReport,
     ProcessSpec,
+    _echo,
+    _integer,
     classify_growth,
     covariance_sum,
     mean_average,
@@ -92,6 +93,7 @@ from .model import (
 )
 from .processes import (
     _FAMILIES,
+    _MASK64,
     Family,
     ProcessConfig,
     _number,
@@ -166,14 +168,7 @@ def _sequence(values: object, name: str) -> tuple:
             return tuple(values)
         except TypeError:
             pass
-    raise ValueError(f"{name} must be a list, got {values!r}")
-
-
-def _integer(value: object, name: str) -> int:
-    # bool is an int subclass, but true is not a count or a seed.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    raise ValueError(f"{name} must be a list, got {_echo(values)}")
 
 
 @dataclass(frozen=True)
@@ -190,21 +185,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.process, ProcessConfig):
             raise ValueError("process must be a ProcessConfig")
-        base_seed = _integer(self.base_seed, "base_seed")
-        if not 0 <= base_seed < 1 << 64:
-            raise ValueError(
-                f"base_seed must be an unsigned 64-bit integer, got {self.base_seed}"
-            )
+        base_seed = _integer(self.base_seed, "base_seed", 0, _MASK64)
         object.__setattr__(self, "base_seed", base_seed)
+        # The longest length is the stream index of the ensemble's base seed.
         grid = tuple(
-            _integer(n, "n_grid entry") for n in _sequence(self.n_grid, "n_grid")
+            _integer(n, "n_grid entry", 1, _MASK64) for n in _sequence(self.n_grid, "n_grid")
         )
         if not grid:
             raise ValueError("n_grid must be nonempty")
-        if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"n_grid must be strictly increasing and >= 1, got {grid}")
-        if grid[-1] >= 1 << 64:
-            raise ValueError(f"n_grid entries must be < 2**64, got {grid[-1]}")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"n_grid must be strictly increasing, got {_echo(grid)}")
         max_n = _FAMILIES[self.process.family].max_n
         if max_n is not None and grid[-1] > max_n:
             raise ValueError(
@@ -217,9 +207,9 @@ class ExperimentConfig:
             _number(e, "epsilons entry") for e in _sequence(self.epsilons, "epsilons")
         )
         if not eps or any(not (0 < e < math.inf) for e in eps):
-            raise ValueError(f"epsilons must be positive and finite, got {self.epsilons}")
+            raise ValueError(f"epsilons must be positive and finite, got {_echo(self.epsilons)}")
         if len(set(eps)) != len(eps):
-            raise ValueError(f"epsilons must be distinct, got {eps}")
+            raise ValueError(f"epsilons must be distinct, got {_echo(eps)}")
         object.__setattr__(self, "epsilons", eps)
         if self.checks is None:
             checks = default_checks(self.process.family)
@@ -231,12 +221,8 @@ class ExperimentConfig:
                 valid = [c.value for c in Check]
                 raise ValueError(f"checks: {exc}; valid checks: {valid}") from None
         object.__setattr__(self, "checks", checks)
-        replicates = _integer(self.replicates, "replicates")
-        minimum = 100 if checks else 2
-        if replicates < minimum:
-            raise ValueError(
-                f"replicates must be >= {minimum} for a Monte Carlo run, got {replicates}"
-            )
+        # A Monte Carlo check needs 100 replicates, an MSE two.
+        replicates = _integer(self.replicates, "replicates", 100 if checks else 2)
         # One time average per replicate at every grid length.
         _require_in_memory(
             len(grid) * replicates,

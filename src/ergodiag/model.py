@@ -29,11 +29,21 @@ broadcast shape; a wrong shape raises ``ValueError`` and an exception from
 the callable propagates unchanged.  A function written for scalars works
 once wrapped as ``np.vectorize(fn, otypes=[float])``, at the cost of one
 Python call per element.
+
+One rule holds for every count, length, seed and index in the package (a
+series length ``n``, a lag, a replicate count, a worker count, a stream
+seed or index): it is any integer except a bool, NumPy integers included,
+and is used as the ``int`` of equal value, never truncated.  Anything else,
+or a value outside the argument's bounds, raises a ``ValueError`` that
+names the argument, shows the value and states the bound
+(:func:`_integer`).  An echoed value longer than 80 characters is cut
+(:func:`_echo`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -64,6 +74,8 @@ __all__ = [
 _TAIL_RUN = 10
 _BLOCK_ELEMENTS = 1 << 22
 _FIRST_LAG_CHUNK = 1024
+# Characters of a value that an error message echoes before it is cut.
+_ECHO_CHARS = 80
 
 
 class DegenerateSeriesError(ValueError):
@@ -172,12 +184,33 @@ class EssResult:
     non_summable: bool = False
 
 
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return int(n)
+def _echo(value: object, size: str | None = None) -> str:
+    """``repr(value)`` for an error message, cut after ``_ECHO_CHARS``
+    characters and followed by ``... (size)``, where ``size`` defaults to
+    the length of the repr: an echoed input can be as long as a file."""
+    try:
+        shown = repr(value)
+    except ValueError:  # it holds an int past the digit limit of str()
+        shown = f"<{type(value).__name__} past the int digit limit>"
+    if len(shown) <= _ECHO_CHARS:
+        return shown
+    return f"{shown[:_ECHO_CHARS]}... ({size or f'{len(shown)} characters'})"
+
+
+def _integer(value: object, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an ``int`` in ``[low, high]`` (``high=None``: no upper
+    bound), else a ``ValueError`` naming ``name``.
+
+    Any ``numbers.Integral`` but a bool is an integer: a bool is an ``int``
+    subclass, but true is not a count or a seed.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {_echo(value)}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {_echo(value)}")
+    return value
 
 
 def _eval_elementwise(fn: Callable, *index_arrays: np.ndarray) -> np.ndarray:
@@ -201,7 +234,7 @@ def mean_average(spec: ProcessSpec, n: int) -> float:
     Summation runs over ascending ``t`` with pairwise accumulation, so the
     result is reproducible to ~1e-12 across platforms.
     """
-    n = _check_n(n)
+    n = _integer(n, "n", 1)
     t = np.arange(1, n + 1, dtype=np.int64)
     mu = _eval_elementwise(spec.mean_fn, t)
     return float(np.sum(mu)) / n
@@ -230,7 +263,7 @@ def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
     row, then pairwise over the row sums), O(n^2), whatever the spec
     declares.
     """
-    n = _check_n(n)
+    n = _integer(n, "n", 1)
     if method not in ("auto", "double"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and spec.stationary is not None:
@@ -251,7 +284,7 @@ def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
 
 def time_average_variance(spec: ProcessSpec, n: int) -> float:
     """Exact variance of the time average: ``covariance_sum(spec, n) / n**2``."""
-    n = _check_n(n)
+    n = _integer(n, "n", 1)
     return covariance_sum(spec, n) / float(n * n)
 
 
@@ -277,10 +310,9 @@ def correlation_time(
     DegenerateSeriesError
         If ``gamma(0) <= 0``.
     """
-    if abs_tol <= 0:
+    if not abs_tol > 0:
         raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+    max_terms = _integer(max_terms, "max_terms", 1)
     # Lags are evaluated in chunks of 1024, 2048, ... (at most _BLOCK_ELEMENTS
     # lags each); the first call also evaluates lag 0.  The carried sum is
     # added to the chunk's first term, then np.cumsum adds in order, in
@@ -324,7 +356,7 @@ def effective_sample_size(n: int, tau: float | NonSummable) -> EssResult:
     A non-summable correlation time means no effective samples accrue; by
     convention the result is 0 with ``non_summable`` set.
     """
-    n = _check_n(n)
+    n = _integer(n, "n", 1)
     if isinstance(tau, NonSummable):
         return EssResult(0.0, non_summable=True)
     tau = float(tau)
@@ -354,7 +386,7 @@ def classify_growth(n_grid: list[int], vn_values: list[float]) -> GrowthReport:
     The grid must be strictly increasing, have at least 4 points, and span
     at least one decade.
     """
-    grid = [int(v) for v in n_grid]
+    grid = [_integer(v, "n_grid entry", 1) for v in n_grid]
     vals = [float(v) for v in vn_values]
     if len(grid) != len(vals):
         raise ValueError(
@@ -364,8 +396,6 @@ def classify_growth(n_grid: list[int], vn_values: list[float]) -> GrowthReport:
         raise ValueError(f"n_grid needs at least 4 points, got {len(grid)}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
-    if grid[0] < 1:
-        raise ValueError("n_grid entries must be >= 1")
     if grid[-1] < 10 * grid[0]:
         raise ValueError("n_grid must span at least one decade")
     if any(v < 0 for v in vals):

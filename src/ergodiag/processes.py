@@ -135,7 +135,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .estimators import SamplePath
-from .model import ProcessSpec, StationaryCov, _check_n
+from .model import ProcessSpec, StationaryCov, _echo, _integer
 
 __all__ = [
     "Family",
@@ -381,10 +381,8 @@ def derive_stream(base_seed: int, index: int) -> int:
     Injective in ``index`` for a fixed base seed (odd multiplier), so
     distinct indices never share a stream.
     """
-    if not 0 <= base_seed < 1 << 64:
-        raise ValueError(f"base_seed must be an unsigned 64-bit integer, got {base_seed}")
-    if not 0 <= index < 1 << 64:
-        raise ValueError(f"index must be an unsigned 64-bit integer, got {index}")
+    base_seed = _integer(base_seed, "base_seed", 0, _MASK64)
+    index = _integer(index, "index", 0, _MASK64)
     z = (base_seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -435,11 +433,10 @@ def _stream_states(base_seed: int, start: int, count: int) -> list[tuple[int, in
     One pair per replicate ``r`` in ``[start, start + count)``, computed for
     all of them at once (see the module docstring).
     """
-    if not 0 <= base_seed < 1 << 64:
-        raise ValueError(f"base_seed must be an unsigned 64-bit integer, got {base_seed}")
-    if not (0 <= start and count >= 0 and start + count <= 1 << 64):
-        raise ValueError(f"replicate indices must be unsigned 64-bit integers, got "
-                         f"[{start}, {start + count})")
+    base_seed = _integer(base_seed, "base_seed", 0, _MASK64)
+    start = _integer(start, "start", 0, _MASK64)
+    # Replicate indices are u64: the last is start + count - 1.
+    count = _integer(count, "count", 0, (1 << 64) - start)
     u64 = np.uint64
     z = u64(base_seed) + (u64(start) + np.arange(count, dtype=u64) + u64(1)) * u64(_GOLDEN)
     z = (z ^ (z >> u64(30))) * u64(_MIX1)
@@ -503,7 +500,7 @@ class Family(str, Enum):
 
 def _number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {_echo(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -681,10 +678,10 @@ _TREND_KINDS = ("LINEAR", "SINUSOID")
 
 def _validate_trend(trend: object) -> dict:
     if not isinstance(trend, Mapping):
-        raise ValueError(f"trend must be a mapping with a 'kind' key, got {trend!r}")
+        raise ValueError(f"trend must be a mapping with a 'kind' key, got {_echo(trend)}")
     kind = trend.get("kind")
     if kind not in _TREND_KINDS:
-        raise ValueError(f"trend.kind must be one of {_TREND_KINDS}, got {kind!r}")
+        raise ValueError(f"trend.kind must be one of {_TREND_KINDS}, got {_echo(kind)}")
     if kind == "LINEAR":
         _reject_unknown(trend, {"kind", "a", "b"}, prefix="trend.")
         return {
@@ -754,11 +751,11 @@ class ProcessConfig:
             family = Family(self.family)
         except ValueError:
             raise ValueError(
-                f"family must be one of {[f.value for f in Family]}, got {self.family!r}"
+                f"family must be one of {[f.value for f in Family]}, got {_echo(self.family)}"
             ) from None
         object.__setattr__(self, "family", family)
         if not isinstance(self.params, Mapping):
-            raise ValueError(f"params must be a mapping, got {self.params!r}")
+            raise ValueError(f"params must be a mapping, got {_echo(self.params)}")
         object.__setattr__(self, "params", _FAMILIES[family].validate(self.params))
 
     def to_dict(self) -> dict:
@@ -822,7 +819,7 @@ def _require_in_memory(count: int, what: str) -> None:
 
 def sample_path(config: ProcessConfig, n: int, seed: RngSeed) -> SamplePath:
     """Sample one trajectory of length ``n``, deterministically from ``seed``."""
-    n = _check_n(n)
+    n = _integer(n, "n", 1)
     values = np.empty((1, n), dtype=float)
     _block_sampler(config, n)([seed.generator()], values)
     return SamplePath(values=values[0])
@@ -861,14 +858,13 @@ def sample_blocks(
     one, the units run inline and blocks arrive in replicate order.  No
     result depends on the block size, the work unit or the worker count.
     """
-    n = _check_n(n)
+    n = _integer(n, "n", 1)
+    base_seed = _integer(base_seed, "base_seed", 0, _MASK64)
     # Replicate indices are u64.
-    if not 1 <= replicates <= 1 << 64:
-        raise ValueError(f"replicates must be in [1, 2**64], got {replicates}")
+    replicates = _integer(replicates, "replicates", 1, 1 << 64)
     if max_workers is None:
         max_workers = worker_count() if n >= _THREADED_LENGTH else 1
-    elif max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    max_workers = _integer(max_workers, "max_workers", 1)
     sample = _block_sampler(config, n)
     rows = max(1, _BLOCK_ELEMENTS // n)
 
@@ -920,9 +916,7 @@ def sparse_spike_squared_average_variance(n: int) -> float:
     ``n / 5``, while ``Var(A_n)^2`` stays bounded: the fluctuations of the
     squared average blow up even though the average itself settles down.
     """
-    if not 1 <= n <= _SparseSpikes.max_n:
-        raise ValueError(f"n must be in [1, {_SparseSpikes.max_n}], got {n}")
-    n = int(n)
+    n = _integer(n, "n", 1, _SparseSpikes.max_n)
     sum_t = n * (n + 1) // 2
     sum_t2 = n * (n + 1) * (2 * n + 1) // 6
     sum_t4 = n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) // 30
@@ -939,9 +933,7 @@ def enumerate_squared_average_variance(n: int) -> float:
     """
     from fractions import Fraction  # imported here: no command needs it
 
-    if not 1 <= n <= 8:
-        raise ValueError(f"enumeration supported for n in [1, 8], got {n}")
-    n = int(n)
+    n = _integer(n, "n", 1, 8)
     values = []
     probs = []
     for t in range(1, n + 1):

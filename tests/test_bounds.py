@@ -1,12 +1,19 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from ergodiag import (
+    SamplePath,
+    StationaryCov,
     chebyshev_bound,
+    correlation_time,
+    empirical_tail,
+    estimate_tau,
     markov_bound,
     paley_zygmund_lower,
+    sample_autocovariance,
 )
 
 
@@ -188,3 +195,26 @@ class TestUnitInterval:
             assert 0.0 <= markov_bound(m, eps) <= 1.0
             if eps <= m:
                 assert 0.0 <= paley_zygmund_lower(m, v, eps) <= 1.0
+
+
+NAN = float("nan")
+ACOV = sample_autocovariance(SamplePath(np.sin(np.arange(50.0))), 10)
+WHITE = StationaryCov(gamma=lambda h: np.where(np.equal(h, 0), 1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    ("name", "call"),
+    [("mean", lambda: markov_bound(NAN, 0.1)),
+     ("eps", lambda: chebyshev_bound(1.0, NAN)),
+     ("mean", lambda: paley_zygmund_lower(NAN, 1.0, 0.0)),
+     ("eps", lambda: empirical_tail(np.zeros(4), 0.0, NAN)),
+     ("window_c", lambda: estimate_tau(ACOV, window_c=NAN)),
+     ("window_c", lambda: estimate_tau(ACOV, window_c=math.inf)),
+     ("abs_tol", lambda: correlation_time(WHITE, abs_tol=NAN))],
+    ids=["markov-mean", "chebyshev-eps", "paley-zygmund-mean", "empirical-tail-eps",
+         "estimate-tau-nan", "estimate-tau-inf", "correlation-time-abs-tol"],
+)
+def test_nan_fails_every_numeric_guard(name, call):
+    # Each guard is written so that a NaN fails its comparison.
+    with pytest.raises(ValueError, match=name):
+        call()

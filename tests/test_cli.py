@@ -188,6 +188,34 @@ class TestSimulate:
         assert "replicates" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        ("flag", "low", "high"),
+        [("seed", 0, 2**64 - 1), ("n", 1, None), ("replicates", 1, 2**64)],
+    )
+    def test_integer_flags_follow_the_one_rule(self, tmp_path, capsys, monkeypatch,
+                                               flag, low, high):
+        # Each flag is parsed as a decimal int, then checked by the library's
+        # integer rule, which names the flag and states its bound.
+        sampled = []
+        monkeypatch.setattr(cli, "sample_blocks", lambda config, n, seed, replicates,
+                            consume, max_workers: sampled.append((seed, n, replicates)))
+        for value in [low] if high is None else [low, high]:
+            code, _ = self.run_simulate(tmp_path, AR1_DOC, **{flag: str(value)})
+            assert code == 0
+            got = dict(zip(("seed", "n", "replicates"), sampled.pop()))[flag]
+            assert got == value and type(got) is int
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        for value in [low - 1] if high is None else [low - 1, high + 1]:
+            code, _ = self.run_simulate(tmp_path, AR1_DOC, **{flag: str(value)})
+            assert code == 2
+            assert capsys.readouterr().err == f"error: --{flag} must be {bound}, got {value}\n"
+        for text in ["1.5", "1.0", "true", ""]:
+            with pytest.raises(SystemExit) as exit_info:
+                self.run_simulate(tmp_path, AR1_DOC, **{flag: text})
+            assert exit_info.value.code == 2
+            assert f"argument --{flag}: invalid int value: {text!r}" in capsys.readouterr().err
+        assert sampled == []
+
     def test_missing_config_file_exits_3(self, tmp_path):
         code = main(
             [
@@ -632,6 +660,77 @@ class TestAnalyzeFromAPipe:
             assert piped.stderr.count(b"\n") == 1 and len(piped.stderr) < 200
             assert piped.stderr.startswith(b"error: unsupported CSV header ['" + b"y" * 78 + b"...")
             assert b"(a header of 100000 characters)" in piped.stderr
+
+
+PIPE_BODY_LINES = b"".join(b"%d.5\n" % i for i in range(12))
+LONG_CONFIG_VALUES = {
+    "base_seed": ({"base_seed": "s" * 100_000}, "base_seed must be an integer, got 'sss"),
+    "epsilons-entry": ({"base_seed": 1, "epsilons": ["e" * 100_000]},
+                       "epsilons entry must be a number, got 'eee"),
+    "n_grid-string": ({"base_seed": 1, "n_grid": "g" * 100_000},
+                      "n_grid must be a list, got 'ggg"),
+    "n_grid-order": ({"base_seed": 1, "n_grid": [*range(1, 100_000), 5]},
+                     "n_grid must be strictly increasing, got (1, 2, 3"),
+    "epsilons-sign": ({"base_seed": 1, "epsilons": [-1.0] * 100_000},
+                      "epsilons must be positive and finite, got [-1.0, -1.0"),
+    "epsilons-repeat": ({"base_seed": 1, "epsilons": [0.1] * 100_000},
+                        "epsilons must be distinct, got (0.1, 0.1"),
+}
+LONG_PROCESS_VALUES = {
+    "params": ({"family": "AR1", "params": "p" * 100_000}, "params must be a mapping, got 'ppp"),
+    "trend": ({"family": "DRIFTING_MEAN", "params": {"trend": "t" * 100_000, "noise_sd": 1}},
+              "trend must be a mapping with a 'kind' key, got 'ttt"),
+    "family": ({"family": "f" * 100_000}, "family must be one of"),
+}
+LONG_PATH_FIELDS = {
+    "line-1-not-utf8": (b"\xff" * 50_000 + b"\n" + PIPE_BODY_LINES,
+                        "path.csv, line 1: b'\\xff\\xff"),
+    "field-not-utf8": (b"x\n" + b"\xff" * 50_000 + b"\n" + PIPE_BODY_LINES,
+                       "path.csv, line 2, column 'x': b'\\xff\\xff"),
+    "field-not-a-number": (b"x\n" + b"a" * 100_000 + b"\n" + PIPE_BODY_LINES,
+                           "path.csv, line 2, column 'x': cannot read 'aaa"),
+    "field-not-finite": (b"x\n" + b" " * 100_000 + b"1e999\n" + PIPE_BODY_LINES,
+                         "path.csv, line 2, column 'x': '   "),
+}
+
+
+class TestLongInputIsEchoedInPart:
+    """An error echoes at most 80 characters of a value, then its length."""
+
+    @staticmethod
+    def assert_one_short_line(err, start):
+        assert err.startswith(f"error: {start}") and err.count("\n") == 1, err[:300]
+        assert len(err.encode()) < 300, err
+        assert err.endswith(("characters)\n", "bytes)\n", "is not UTF-8 text\n",
+                             "as a number\n", "is not a finite number\n")), err
+
+    @pytest.mark.parametrize(("section", "start"), LONG_CONFIG_VALUES.values(),
+                             ids=LONG_CONFIG_VALUES)
+    def test_experiment_value(self, tmp_path, capsys, section, start):
+        doc = {**AR1_DOC, "experiment": section}
+        code = main(["experiment", "--config", write_config(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        self.assert_one_short_line(capsys.readouterr().err,
+                                   f"experiment section invalid: {start}")
+
+    @pytest.mark.parametrize(("section", "start"), LONG_PROCESS_VALUES.values(),
+                             ids=LONG_PROCESS_VALUES)
+    def test_process_value(self, tmp_path, capsys, section, start):
+        doc = {"process": section, "experiment": {"base_seed": 1}}
+        code = main(["experiment", "--config", write_config(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        self.assert_one_short_line(capsys.readouterr().err, start)
+
+    @pytest.mark.parametrize(("data", "start"), LONG_PATH_FIELDS.values(),
+                             ids=LONG_PATH_FIELDS)
+    def test_path_field(self, tmp_path, capsys, data, start):
+        path = tmp_path / "path.csv"
+        path.write_bytes(data)
+        code, captured = run_analyze(capsys, str(path))
+        assert code == 2
+        self.assert_one_short_line(captured.err, f"{tmp_path}/{start}")
 
 
 EXPERIMENT_DOC = {

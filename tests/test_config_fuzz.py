@@ -6,12 +6,15 @@ kept small so each run takes milliseconds.  Whatever the document, the
 command must not raise (a traceback), must exit 0 (all checks pass), 1 (a
 check failed) or 2 (rejected input), and a ``report.json`` it writes must
 be strict JSON.  Each document's ``process`` section, when it is an object,
-is also passed straight to ``ProcessConfig(family, params)``, which may
-raise only ``ValueError``.  The examples are derandomized, so every run of
-the suite checks the same documents.
+is also passed straight to ``ProcessConfig(family, params)``, and its
+``experiment`` section, when it is an object of ``ExperimentConfig`` fields,
+to ``ExperimentConfig(process, **section)`` (with an AR1 process where the
+document's is rejected); each may raise only ``ValueError``.  The examples
+are derandomized, so every run of the suite checks the same documents.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -21,7 +24,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodiag import Check, ProcessConfig
+from ergodiag import Check, ExperimentConfig, ProcessConfig
 from ergodiag.cli import main
 
 TINY_AND_HUGE = [5e-324, 1e-300, 1e-8, 1e8, 1e200, 1e300, 1.7e308]
@@ -48,6 +51,7 @@ PARAMS = {
     },
 }
 CHECKS = [c.value for c in Check]
+EXPERIMENT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"process"}
 
 
 @st.composite
@@ -84,10 +88,18 @@ def reject_constant(name: str):
 @given(doc=documents())
 def test_experiment_documents_exit_0_1_or_2(doc):
     process = doc.get("process")
+    config = ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0})
     if isinstance(process, dict):
         # The Python API takes what the file holds by the same rules.
         try:
-            ProcessConfig(process.get("family"), process.get("params", {}))
+            config = ProcessConfig(process.get("family"), process.get("params", {}))
+        except ValueError:
+            pass
+    section = doc.get("experiment")
+    # A key that is no field is named by the command, before ExperimentConfig.
+    if isinstance(section, dict) and set(section) <= EXPERIMENT_FIELDS:
+        try:
+            ExperimentConfig(config, **section)
         except ValueError:
             pass
     with tempfile.TemporaryDirectory() as tmp:

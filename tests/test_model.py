@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,20 +8,27 @@ import pytest
 from ergodiag import (
     NON_SUMMABLE,
     DegenerateSeriesError,
+    ExperimentConfig,
     Family,
     GrowthClass,
     ProcessConfig,
     ProcessSpec,
+    RngSeed,
+    SamplePath,
     StationaryCov,
     build_spec,
     classify_growth,
     correlation_time,
     covariance_sum,
+    derive_stream,
     effective_sample_size,
     mean_average,
+    sample_autocovariance,
+    sample_path,
     time_average_variance,
 )
-from ergodiag import processes
+from ergodiag import harness, processes
+from ergodiag.processes import sample_blocks
 
 from conftest import white_noise_spec
 
@@ -554,3 +562,119 @@ class TestClassifyGrowth:
         assert report.classification is GrowthClass.INDETERMINATE
         assert math.isnan(report.fitted_slope)
         assert report.to_dict()["fitted_slope"] is None
+
+
+class _Stop(Exception):
+    pass
+
+
+def _first_block(n=3, base_seed=1, replicates=2, max_workers=1):
+    """The first block ``sample_blocks`` hands out, as lists."""
+    got = []
+
+    def consume(first, block):
+        got.append((first, block.tolist()))
+        raise _Stop
+
+    with pytest.raises(_Stop):
+        sample_blocks(AR1, n, base_seed, replicates, consume, max_workers=max_workers)
+    return got
+
+
+AR1 = ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0})
+AR1_SPEC = build_spec(AR1)
+U64 = 2**64 - 1
+TEN = SamplePath(np.arange(10.0) ** 1.5)
+
+# Every count, length, seed and index argument: (id, name in the error,
+# call with the value, lowest, highest accepted value or None).
+INTEGER_ARGUMENTS = [
+    ("mean_average.n", "n", lambda v: mean_average(AR1_SPEC, v), 1, None),
+    ("covariance_sum.n", "n", lambda v: covariance_sum(AR1_SPEC, v), 1, None),
+    ("time_average_variance.n", "n", lambda v: time_average_variance(AR1_SPEC, v), 1, None),
+    ("effective_sample_size.n", "n", lambda v: effective_sample_size(v, 2.0), 1, None),
+    ("classify_growth.n_grid", "n_grid entry",
+     lambda v: classify_growth([v, 20, 200, 2000], [1.0, 20.0, 200.0, 2000.0]), 1, None),
+    ("correlation_time.max_terms", "max_terms",
+     lambda v: correlation_time(AR1_SPEC.stationary, max_terms=v), 1, None),
+    ("sample_autocovariance.max_lag", "max_lag",
+     lambda v: sample_autocovariance(TEN, v).gamma_hat.tolist(), 0, 9),
+    ("derive_stream.base_seed", "base_seed", lambda v: derive_stream(v, 7), 0, U64),
+    ("derive_stream.index", "index", lambda v: derive_stream(7, v), 0, U64),
+    ("RngSeed.base_seed", "base_seed", lambda v: RngSeed(v, 2).stream_seed(), 0, U64),
+    ("RngSeed.replicate", "index", lambda v: RngSeed(3, v).stream_seed(), 0, U64),
+    ("_stream_states.base_seed", "base_seed",
+     lambda v: processes._stream_states(v, 5, 2), 0, U64),
+    ("_stream_states.start", "start", lambda v: processes._stream_states(5, v, 1), 0, U64),
+    ("_stream_states.count", "count",
+     lambda v: processes._stream_states(5, 2**64 - 3, v), 0, 3),
+    ("sample_path.n", "n", lambda v: sample_path(AR1, v, RngSeed(1)).values.tolist(), 1, None),
+    ("sample_blocks.n", "n", lambda v: _first_block(n=v), 1, None),
+    ("sample_blocks.base_seed", "base_seed", lambda v: _first_block(base_seed=v), 0, U64),
+    ("sample_blocks.replicates", "replicates",
+     lambda v: _first_block(replicates=v), 1, 2**64),
+    ("sample_blocks.max_workers", "max_workers",
+     lambda v: _first_block(replicates=2048, max_workers=v), 1, None),
+    ("sparse_spike_squared_average_variance.n", "n",
+     processes.sparse_spike_squared_average_variance, 1, 10**6),
+    ("enumerate_squared_average_variance.n", "n",
+     processes.enumerate_squared_average_variance, 1, 8),
+    ("ExperimentConfig.base_seed", "base_seed",
+     lambda v: ExperimentConfig(AR1, base_seed=v, n_grid=(10,)), 0, U64),
+    ("ExperimentConfig.n_grid", "n_grid entry",
+     lambda v: ExperimentConfig(AR1, base_seed=1, n_grid=(v,)), 1, U64),
+    ("ExperimentConfig.replicates", "replicates",
+     lambda v: ExperimentConfig(AR1, base_seed=1, n_grid=(10,), replicates=v), 100, None),
+    ("ExperimentConfig.replicates-no-checks", "replicates",
+     lambda v: ExperimentConfig(AR1, base_seed=1, n_grid=(10,), replicates=v, checks=()),
+     2, None),
+]
+
+
+def _numpy_integers(value):
+    """``value`` as each NumPy integer type that holds it."""
+    types = [np.int8, np.int64, np.uint8, np.uint64]
+    return [t(value) for t in types if np.iinfo(t).min <= value <= np.iinfo(t).max]
+
+
+class TestOneIntegerRule:
+    """Any integer but a bool, NumPy integers included, never truncated."""
+
+    @pytest.fixture(autouse=True)
+    def _all_memory(self, monkeypatch):
+        # The longest grid entry is bounded by the memory too; only the
+        # integer rule is tried here.
+        monkeypatch.setattr(harness, "_require_in_memory", lambda count, what: None)
+
+    @pytest.mark.parametrize(
+        ("name", "call", "low", "high"),
+        [case[1:] for case in INTEGER_ARGUMENTS], ids=[case[0] for case in INTEGER_ARGUMENTS],
+    )
+    def test_integers_are_accepted_and_others_rejected_naming_the_argument(
+        self, name, call, low, high
+    ):
+        for value in [low] if high is None else [low, high]:
+            expected = call(value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for typed in _numpy_integers(value):
+                    assert call(typed) == expected, typed
+        rejected = [True, False, 1.0, 1.5, float(low), "1", np.float64(low)]
+        if name != "max_workers":  # whose None is the engine's choice
+            rejected.append(None)
+        for value in rejected:
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+                call(value)
+        outside = [low - 1] if high is None else [low - 1, high + 1]
+        for value in outside:
+            bound = f">= {low}" if high is None else rf"in \[{low}, {high}\]"
+            with pytest.raises(ValueError, match=rf"^{name} must be {bound}, got {value}$"):
+                call(value)
+
+    def test_a_long_value_is_cut_in_the_message(self):
+        with pytest.raises(ValueError) as info:
+            mean_average(AR1_SPEC, "1" * 100_000)
+        assert str(info.value) == f"n must be an integer, got '{'1' * 79}... (100002 characters)"
+        with pytest.raises(ValueError) as info:
+            mean_average(AR1_SPEC, -(10**5000))
+        assert str(info.value) == "n must be >= 1, got <int past the int digit limit>"
