@@ -96,7 +96,7 @@ def _load_config_file(path: str) -> dict:
         obj: dict = {}
         for key, value in pairs:
             if key in obj:
-                raise ConfigError(f"{path}: duplicate key {key!r}")
+                raise ConfigError(f"{path}: duplicate key {_echo(key)}")
             obj[key] = value
         return obj
 

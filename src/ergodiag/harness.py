@@ -7,9 +7,9 @@ exact ``V_n / n^2``, tabulates tail frequencies against Chebyshev upper and
 Paley-Zygmund lower bounds, classifies the exact growth of ``V_n``, and issues
 a PASS / FAIL / SKIPPED verdict per requested check; with ``n_grid=(n,)``
 it gives the variance-identity verdict at the one length ``n``.
-The two things it takes from a family, the exact ``Var((A_n - m_n)^2)``
-behind the Paley-Zygmund bounds and the default checks, come from the
-family's definition in :mod:`ergodiag.processes`.
+The two things it takes from a family, the exact ``sd((A_n - m_n)^2)``
+behind the MSE's standard error and the Paley-Zygmund bounds, and the
+default checks, come from its definition in :mod:`ergodiag.processes`.
 
 Checks
 ------
@@ -29,7 +29,8 @@ BOUNDS Chebyshev   tail at n        Chebyshev           bin    4  above
 BOUNDS PZ          tail at n        Paley-Zygmund       bin    4  below
 =================  ===============  ==================  =====  =  =======
 
-``MC`` is the plug-in Monte Carlo SE of the MSE, ``bin`` the binomial SE
+``MC`` is the exact SE of the MSE under the null, ``sd((A_n - m_n)^2) /
+sqrt(R)`` from the family's ``squared_deviation_sd``, ``bin`` the binomial SE
 ``sqrt(t (1 - t) / R)`` of a tail ``t`` over ``R`` replicates, and ``hypot``
 combines the SEs of the two grid points compared.  They share replicates, so
 ``hypot`` overstates the noise of their difference: it is conservative for
@@ -325,18 +326,6 @@ def _binom_se(p: float, replicates: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / replicates)
 
 
-def _mc_standard_error(samples: np.ndarray) -> float:
-    """Plug-in Monte Carlo standard error of the mean of ``samples``.
-
-    ``np.std`` squares the deviations, so it runs on the samples scaled by
-    an exact power of two to ``max|sample| < 1``: squares of tiny samples
-    would underflow to an SE of 0.0, and squares of huge ones overflow.
-    """
-    _, exponent = math.frexp(float(np.max(np.abs(samples))))
-    scaled = np.ldexp(samples, -exponent)
-    return math.ldexp(float(np.std(scaled, ddof=1)) / math.sqrt(len(samples)), exponent)
-
-
 def _growth_grid(n_grid: tuple[int, ...]) -> tuple[int, ...] | None:
     """Refine a grid to >= 4 points for growth classification.
 
@@ -544,12 +533,13 @@ def run_experiment(
         with np.errstate(over="ignore", invalid="ignore"):
             m_n = mean_average(spec, n)
             mse = ensemble_mse(averages, m_n)
-            se = _mc_standard_error((averages - m_n) ** 2)
             exact_var = time_average_variance(spec, n)
-        var_sq = definition.squared_deviation_variance(n, exact_var)
+            sd_sq = definition.squared_deviation_sd(n, exact_var)
+            var_sq = sd_sq * sd_sq
         moments = {"m_n": m_n, "Var(A_n)": exact_var, "Var((A_n - m_n)^2)": var_sq,
-                   "empirical MSE": mse, "MC standard error": se}
+                   "empirical MSE": mse}
         _require_finite(n, moments)
+        se = sd_sq / math.sqrt(config.replicates)  # MC in the Checks table
 
         tails: dict[float, float] = {}
         chebs: dict[float, float] = {}

@@ -192,9 +192,12 @@ def _echo(value: object, size: str | None = None) -> str:
         shown = repr(value)
     except ValueError:  # it holds an int past the digit limit of str()
         shown = f"<{type(value).__name__} past the int digit limit>"
-    if len(shown) <= _ECHO_CHARS:
-        return shown
-    return f"{shown[:_ECHO_CHARS]}... ({size or f'{len(shown)} characters'})"
+    return _cut(shown, size or f"{len(shown)} characters")
+
+
+def _cut(shown: str, size: str) -> str:
+    """``shown`` cut after ``_ECHO_CHARS`` characters, then ``... (size)``."""
+    return shown if len(shown) <= _ECHO_CHARS else f"{shown[:_ECHO_CHARS]}... ({size})"
 
 
 def _integer(value: object, name: str, low: int, high: int | None = None) -> int:
@@ -398,7 +401,7 @@ def classify_growth(n_grid: list[int], vn_values: list[float]) -> GrowthReport:
         raise ValueError("n_grid must be strictly increasing")
     if grid[-1] < 10 * grid[0]:
         raise ValueError("n_grid must span at least one decade")
-    if any(v < 0 for v in vals):
+    if any(not v >= 0 for v in vals):
         raise ValueError("vn_values must be non-negative (each is a variance)")
 
     ratios = tuple(v / float(n * n) for n, v in zip(grid, vals))

@@ -41,13 +41,14 @@ one ``Family -> definition`` table ``_FAMILIES``.  A definition holds
   :func:`build_spec` derives ``cov_fn`` and the ``diagonal`` flag;
 * ``draw(p, n)``: the block draw and transform described below;
 * ``checks``: the names of the default checks;
-* ``squared_deviation_variance(n, var_an)``: the exact
-  ``Var((A_n - m_n)^2)`` behind the Paley-Zygmund bounds, and ``max_n``,
-  the longest ``n`` it holds for (``None``: any), which
+* ``squared_deviation_sd(n, var_an)``: the exact ``sd((A_n - m_n)^2)``
+  behind the MSE's standard error and, squared, the Paley-Zygmund bounds
+  (its square under- or overflows first), and ``max_n``, the longest ``n``
+  it holds for (``None``: any), which
   :class:`~ergodiag.harness.ExperimentConfig` checks ``n_grid`` against.
 
 The base class supplies no parameters, a zero mean, the checks of a
-convergent family and the Gaussian ``2 * Var(A_n)^2``.
+convergent family and the Gaussian ``sqrt(2) * Var(A_n)``.
 
 Reproducibility
 ---------------
@@ -135,7 +136,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .estimators import SamplePath
-from .model import ProcessSpec, StationaryCov, _echo, _integer
+from .model import ProcessSpec, StationaryCov, _cut, _echo, _integer
 
 __all__ = [
     "Family",
@@ -524,7 +525,7 @@ def _reject_unknown(
     # A key that is not a string (from Python only) is shown by its repr.
     names = sorted(prefix + (k if isinstance(k, str) else repr(k)) for k in unknown)
     if names:
-        raise ValueError(f"unknown {what}: {', '.join(names)}")
+        raise ValueError(f"unknown {what}: {_cut(', '.join(names), f'{len(names)} names')}")
 
 
 class _Definition:
@@ -533,7 +534,7 @@ class _Definition:
     checks = ("VARIANCE_IDENTITY", "L2_CONVERGENCE", "WLLN", "BOUNDS")
     gamma: Callable | None = None
     variance: Callable | None = None
-    # Longest series for which squared_deviation_variance holds; None: any.
+    # Longest series for which squared_deviation_sd holds; None: any.
     max_n: int | None = None
 
     def validate(self, params: Mapping) -> dict:
@@ -549,9 +550,9 @@ class _Definition:
             return self.gamma(p, np.abs(t - s))
         return np.where(np.equal(t, s), self.variance(p, t), 0.0)
 
-    def squared_deviation_variance(self, n: int, var_an: float) -> float:
-        # A_n - m_n is Gaussian with mean 0, so its square has variance 2 Var(A_n)^2.
-        return 2.0 * var_an * var_an
+    def squared_deviation_sd(self, n: int, var_an: float) -> float:
+        # A_n - m_n is Gaussian with mean 0, so its square has sd sqrt(2) Var(A_n).
+        return math.sqrt(2.0) * var_an
 
 
 def _ar1_zero_lag(phi: float) -> int:
@@ -639,8 +640,8 @@ class _SparseSpikes(_Definition):
 
         return draw
 
-    def squared_deviation_variance(self, n: int, var_an: float) -> float:
-        return sparse_spike_squared_average_variance(n)
+    def squared_deviation_sd(self, n: int, var_an: float) -> float:
+        return math.sqrt(sparse_spike_squared_average_variance(n))
 
 
 class _CommonShock(_Definition):

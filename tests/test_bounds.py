@@ -8,6 +8,7 @@ from ergodiag import (
     SamplePath,
     StationaryCov,
     chebyshev_bound,
+    classify_growth,
     correlation_time,
     empirical_tail,
     estimate_tau,
@@ -210,9 +211,11 @@ WHITE = StationaryCov(gamma=lambda h: np.where(np.equal(h, 0), 1.0, 0.0))
      ("eps", lambda: empirical_tail(np.zeros(4), 0.0, NAN)),
      ("window_c", lambda: estimate_tau(ACOV, window_c=NAN)),
      ("window_c", lambda: estimate_tau(ACOV, window_c=math.inf)),
-     ("abs_tol", lambda: correlation_time(WHITE, abs_tol=NAN))],
+     ("abs_tol", lambda: correlation_time(WHITE, abs_tol=NAN)),
+     ("vn_values", lambda: classify_growth([10, 100, 1000, 10_000], [NAN] * 4))],
     ids=["markov-mean", "chebyshev-eps", "paley-zygmund-mean", "empirical-tail-eps",
-         "estimate-tau-nan", "estimate-tau-inf", "correlation-time-abs-tol"],
+         "estimate-tau-nan", "estimate-tau-inf", "correlation-time-abs-tol",
+         "classify-growth-vn-values"],
 )
 def test_nan_fails_every_numeric_guard(name, call):
     # Each guard is written so that a NaN fails its comparison.

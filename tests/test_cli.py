@@ -681,6 +681,9 @@ LONG_PROCESS_VALUES = {
     "trend": ({"family": "DRIFTING_MEAN", "params": {"trend": "t" * 100_000, "noise_sd": 1}},
               "trend must be a mapping with a 'kind' key, got 'ttt"),
     "family": ({"family": "f" * 100_000}, "family must be one of"),
+    "unknown-params": ({"family": "AR1", "params": {
+        "phi": 0.5, "gamma0": 1, **{f"k{i}": 0 for i in range(100_000)}}},
+        "unknown parameter(s): k0, k1, k10, k100, k1000, k10000, k10001"),
 }
 LONG_PATH_FIELDS = {
     "line-1-not-utf8": (b"\xff" * 50_000 + b"\n" + PIPE_BODY_LINES,
@@ -701,7 +704,7 @@ class TestLongInputIsEchoedInPart:
     def assert_one_short_line(err, start):
         assert err.startswith(f"error: {start}") and err.count("\n") == 1, err[:300]
         assert len(err.encode()) < 300, err
-        assert err.endswith(("characters)\n", "bytes)\n", "is not UTF-8 text\n",
+        assert err.endswith(("characters)\n", "bytes)\n", "names)\n", "is not UTF-8 text\n",
                              "as a number\n", "is not a finite number\n")), err
 
     @pytest.mark.parametrize(("section", "start"), LONG_CONFIG_VALUES.values(),
@@ -722,6 +725,15 @@ class TestLongInputIsEchoedInPart:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
         self.assert_one_short_line(capsys.readouterr().err, start)
+
+    def test_duplicate_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        key = json.dumps("k" * 100_000)
+        config.write_text(f'{{"process": {{{key}: 1, {key}: 2}}}}', encoding="utf-8")
+        code = main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        self.assert_one_short_line(capsys.readouterr().err,
+                                   f"{config}: duplicate key 'kkk")
 
     @pytest.mark.parametrize(("data", "start"), LONG_PATH_FIELDS.values(),
                              ids=LONG_PATH_FIELDS)

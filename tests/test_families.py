@@ -2,10 +2,11 @@
 
 For every configuration in ``conftest`` the exact moments that
 ``build_spec`` returns, the covariance-sum route it selects and the
-Paley-Zygmund column of an experiment must equal what the family's
-formulas give, to the bit.
+standard-error and Paley-Zygmund columns of an experiment must equal what
+the family's formulas give, to the bit.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -67,14 +68,14 @@ def closed_cov(config: ProcessConfig, t: np.ndarray, s: np.ndarray) -> np.ndarra
     return np.where(t == s, variance, 0.0)
 
 
-def closed_squared_deviation_variance(family: Family, n: int, var_an: float) -> float:
-    """Exact ``Var((A_n - m_n)^2)``: Gaussian families ``2 Var(A_n)^2``;
+def closed_squared_deviation_sd(family: Family, n: int, var_an: float) -> float:
+    """Exact ``sd((A_n - m_n)^2)``: Gaussian families ``sqrt(2) Var(A_n)``;
     spikes sum ``Var(X_t^2) = t^4 - t^2`` and ``Var(2 X_t X_s) = 4 t s``."""
     if family is not Family.SPARSE_SPIKES:
-        return 2.0 * var_an * var_an
+        return math.sqrt(2.0) * var_an
     total = sum(Fraction(t**4 - t**2) for t in range(1, n + 1))
     total += 4 * sum(t * s for t in range(1, n + 1) for s in range(t + 1, n + 1))
-    return float(total / n**4)
+    return math.sqrt(float(total / n**4))
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -132,7 +133,11 @@ def test_pz_lower_uses_exact_squared_deviation_variance(name):
     )
     for stats in report.per_n:
         var = stats.exact_var_an
-        var_sq = closed_squared_deviation_variance(config.family, stats.n, var)
+        sd = closed_squared_deviation_sd(config.family, stats.n, var)
+        # The MSE of R = 2 replicates has the exact SE sd / sqrt(2), and
+        # Paley-Zygmund takes the square of sd.
+        assert stats.mc_standard_error == sd / math.sqrt(2)
+        var_sq = sd * sd
         expected = {
             eps: paley_zygmund_lower(var, var_sq, eps * eps) if eps * eps <= var else None
             for eps in report.epsilons
