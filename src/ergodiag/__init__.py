@@ -10,11 +10,11 @@ paths, whether running averages settle on the average of the means:
   ``SamplePath`` or from the array of per-replicate time averages
   (``ensemble_mse``, ``empirical_tail``);
 * :mod:`~ergodiag.bounds`: Markov, Chebyshev and Paley-Zygmund bounds;
-* :mod:`~ergodiag.processes`: four seeded process families
-  (``sample_path``) with their exact moments;
+* :mod:`~ergodiag.processes`: seeded process models (``Model``; four
+  registered families) with their exact moments (``sample_path``);
 * :mod:`~ergodiag.harness`: the Monte Carlo verification harness
-  (``run_experiment``), driven from the command line by
-  :mod:`~ergodiag.cli`.
+  (``run_experiment``) for any ``Model``, driven from the command line by
+  :mod:`~ergodiag.cli` for the registered families.
 """
 
 from .bounds import (
@@ -59,6 +59,7 @@ from .model import (
 )
 from .processes import (
     Family,
+    Model,
     ProcessConfig,
     RngSeed,
     build_spec,
@@ -103,6 +104,7 @@ __all__ = [
     "paley_zygmund_lower",
     # processes
     "Family",
+    "Model",
     "ProcessConfig",
     "RngSeed",
     "derive_stream",

@@ -7,9 +7,11 @@ exact ``V_n / n^2``, tabulates tail frequencies against Chebyshev upper and
 Paley-Zygmund lower bounds, classifies the exact growth of ``V_n``, and issues
 a PASS / FAIL / SKIPPED verdict per requested check; with ``n_grid=(n,)``
 it gives the variance-identity verdict at the one length ``n``.
-The two things it takes from a family, the exact ``sd((A_n - m_n)^2)``
-behind the MSE's standard error and the Paley-Zygmund bounds, and the
-default checks, come from its definition in :mod:`ergodiag.processes`.
+Everything it takes from a process, the spec, the sampler, ``max_n``, the
+default checks and the exact ``sd((A_n - m_n)^2)`` behind the MSE's
+standard error and the Paley-Zygmund bounds, comes from the config's
+:class:`~ergodiag.processes.Model`, one of the registered families or the
+caller's own.
 
 Checks
 ------
@@ -50,24 +52,17 @@ checks draw nothing: each is a function of the report, that is of the
 ensemble's statistics and the exact moments.  The ensemble is sampled at the
 longest grid length ``N``, from the base ``derive_stream(base_seed, N)``:
 replicate ``r`` uses stream index ``r``, and grid point ``n`` averages the
-first ``n`` values of each replicate's path.  The sampler is
+first ``n`` values of each replicate's path.  A family's sampler is
 prefix-consistent, so that average is bit for bit the time average of the
 replicate's path sampled at length ``n`` alone; the grid points share their
 replicates, as in a common-random-numbers design.  Replicates are sampled by
-:func:`~ergodiag.processes.sample_blocks` in blocks sized by element count
-(at most 131 072 values, so paths share each NumPy call), in work
-units of 1024 replicates spread over the workers, and each block is reduced
+:func:`~ergodiag.processes.sample_blocks`, which picks the block size and
+the worker count (``max_workers`` overrides it), and each block is reduced
 to its rows' prefix averages, written by replicate index.  Each total is
 NumPy's pairwise sum of that prefix, the sum
 :func:`~ergodiag.estimators.time_average` takes of a path, so no average
-depends on which rows share a block.  The engine picks the worker count
-from the usable CPUs and the path length: threads from
-n = 1000, where two of them measured faster than one, and one thread below
-(``max_workers`` overrides it).  SPARSE_SPIKES is the exception: on two
-threads it ran 1.11x slower than on one at n = 1000 and 1.13x slower at
-n = 3000 (131 072-value blocks).  The default grid, sampled at n = 10 000,
-is not affected.  No result depends on the block size or the worker
-count, so reports are identical for any worker count.
+depends on which rows share a block, and reports are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -93,10 +88,9 @@ from .model import (
     time_average_variance,
 )
 from .processes import (
-    _FAMILIES,
     _MASK64,
-    Family,
     ProcessConfig,
+    _model,
     _number,
     _require_in_memory,
     build_spec,
@@ -156,9 +150,10 @@ class Verdict:
         return {"status": self.status, "message": self.message}
 
 
-def default_checks(family: Family) -> frozenset[Check]:
-    """Checks that are meaningful for a family (those it should pass)."""
-    return frozenset(Check(name) for name in _FAMILIES[family].checks)
+def default_checks(family: object) -> frozenset[Check]:
+    """Checks that are meaningful for a model (those it should pass): a
+    ``Model``, or a family or its name, resolved as ``ProcessConfig`` does."""
+    return frozenset(Check(name) for name in _model(family).checks)
 
 
 def _sequence(values: object, name: str) -> tuple:
@@ -196,10 +191,10 @@ class ExperimentConfig:
             raise ValueError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"n_grid must be strictly increasing, got {_echo(grid)}")
-        max_n = _FAMILIES[self.process.family].max_n
-        if max_n is not None and grid[-1] > max_n:
+        model = self.process.model
+        if model.max_n is not None and grid[-1] > model.max_n:
             raise ValueError(
-                f"n_grid entries must be <= {max_n} for {self.process.family.value}, "
+                f"n_grid entries must be <= {model.max_n} for {model.name}, "
                 f"got {grid[-1]}"
             )
         _require_in_memory(grid[-1], f"n_grid entry {grid[-1]}: one path")
@@ -213,7 +208,7 @@ class ExperimentConfig:
             raise ValueError(f"epsilons must be distinct, got {_echo(eps)}")
         object.__setattr__(self, "epsilons", eps)
         if self.checks is None:
-            checks = default_checks(self.process.family)
+            checks = default_checks(model)
         else:
             names = _sequence(self.checks, "checks")
             try:
@@ -456,7 +451,7 @@ def _check_wlln(report: ConvergenceReport) -> Verdict:
 
 
 def _check_nonconvergence(report: ConvergenceReport) -> Verdict:
-    if report.process.family is not Family.COMMON_SHOCK:
+    if Check.NONCONVERGENCE not in report.process.model.checks:
         return Verdict("SKIPPED", "only meaningful for the COMMON_SHOCK family")
     if report.growth is None:
         return Verdict("SKIPPED", "growth unavailable: n_grid spans less than a decade")
@@ -520,7 +515,6 @@ def run_experiment(
     worker count, which ``max_workers`` caps (default: the engine's choice).
     """
     spec = build_spec(config.process)
-    definition = _FAMILIES[config.process.family]
     base = derive_stream(config.base_seed, config.n_grid[-1])
     ensemble = _ensemble_averages(
         config.process, config.n_grid, base, config.replicates, max_workers
@@ -534,7 +528,7 @@ def run_experiment(
             m_n = mean_average(spec, n)
             mse = ensemble_mse(averages, m_n)
             exact_var = time_average_variance(spec, n)
-            sd_sq = definition.squared_deviation_sd(n, exact_var)
+            sd_sq = config.process.model.squared_deviation_sd(n, exact_var)
             var_sq = sd_sq * sd_sq
         moments = {"m_n": m_n, "Var(A_n)": exact_var, "Var((A_n - m_n)^2)": var_sq,
                    "empirical MSE": mse}

@@ -257,9 +257,13 @@ def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
     """Double sum of covariances ``V_n = sum_{t,s <= n} Cov(X_t, X_s)``.
 
     ``method="auto"`` (the default) takes the route the spec declares (see
-    the module docstring): the stationary lag decomposition, which agrees
-    with ``"double"`` to ~1e-9 relative for any valid stationary spec; the
-    sum of ``cov_fn(t, t)`` for a ``diagonal`` spec, the same float as
+    the module docstring): the stationary lag decomposition, accurate to the
+    order of ``u * S``, ``u = 2**-53``, ``S = n|g(0)| + 2 sum (n-h)|g(h)|``,
+    absolutely, not relative to ``V_n`` (its own rounding adds at most about
+    ``(ceil(log2 n) + 2) * u * S``; Higham 2002, ch. 4): for ``g(h) =
+    cos(2 pi h / 50)``, whose ``V_n`` is 0 at multiples of 50, it returns
+    -2.8e-5 at n = 1e6, mostly from the rounding of ``g``'s values; the sum
+    of ``cov_fn(t, t)`` for a ``diagonal`` spec, the same float as
     ``"double"`` because each of its row sums is the diagonal term plus
     exact zeros; else ``"double"``.  ``method="double"`` evaluates all
     ``n x n`` covariances (ascending rows, pairwise summation within each

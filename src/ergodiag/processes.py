@@ -1,4 +1,4 @@
-"""Seeded samplers for four process families, with exact moment oracles.
+"""Seeded samplers for process models, with exact moment oracles.
 
 Families
 --------
@@ -22,16 +22,12 @@ Families
     sinusoidal).  The mean sequence need not converge for the time average
     to track it.
 
-Gaussian innovations are a deliberate choice for the three noise-driven
-families: only first and second moments are constrained by the model, and
-Gaussianity gives the common-shock family the exact fourth-moment relation
-``Var(A_n^2) = 2 * Var(A_n)^2`` used by the non-convergence diagnostics.
+Models
+------
+Each family is one registered :class:`Model`.  :class:`ProcessConfig` alone
+resolves a family to its model, or takes a caller's model.  A model holds
 
-Definitions
------------
-Each family is one definition, a ``_Definition`` subclass found through the
-one ``Family -> definition`` table ``_FAMILIES``.  A definition holds
-
+* ``name``, which ``ProcessConfig.to_dict`` writes as the family;
 * ``validate(params)``: the checked parameters ``p``, or a ``ValueError``
   naming the parameter at fault.  ``params`` is a mapping (a JSON object)
   and a parameter is any finite real number but a bool (a JSON number; from
@@ -39,16 +35,19 @@ one ``Family -> definition`` table ``_FAMILIES``.  A definition holds
 * the exact moments ``mean(p, t)`` plus either ``gamma(p, h)`` (stationary
   families) or ``variance(p, t)`` (independent terms), from which
   :func:`build_spec` derives ``cov_fn`` and the ``diagonal`` flag;
-* ``draw(p, n)``: the block draw and transform described below;
+* ``draw(p, n)``: the block draw and transform described below, whose
+  callable runs on the engine's worker threads, on disjoint blocks at once.
+  The harness reads a path's first ``m`` values as a path of length ``m``;
 * ``checks``: the names of the default checks;
 * ``squared_deviation_sd(n, var_an)``: the exact ``sd((A_n - m_n)^2)``
-  behind the MSE's standard error and, squared, the Paley-Zygmund bounds
-  (its square under- or overflows first), and ``max_n``, the longest ``n``
-  it holds for (``None``: any), which
-  :class:`~ergodiag.harness.ExperimentConfig` checks ``n_grid`` against.
+  behind the standard error of every MSE leg and, squared, the
+  Paley-Zygmund bounds, and ``max_n``, the longest ``n`` it holds for
+  (``None``: any), which :class:`~ergodiag.harness.ExperimentConfig`
+  checks ``n_grid`` against.
 
 The base class supplies no parameters, a zero mean, the checks of a
-convergent family and the Gaussian ``sqrt(2) * Var(A_n)``.
+convergent family and the Gaussian ``sqrt(2) * Var(A_n)``, exact for AR1,
+COMMON_SHOCK and DRIFTING_MEAN; a non-Gaussian model that keeps it assumes it.
 
 Reproducibility
 ---------------
@@ -84,15 +83,8 @@ draws it (:func:`sample_blocks` picks the worker count).  NEP 19 fixes both
 the ``SeedSequence`` and the PCG64 streams, and the tests compare the
 derived states against ``np.random.PCG64`` itself.
 
-A block holds up to 131 072 values (1 MiB), so the rows of paths up to
-that length share each NumPy call of the transform, the finite check and
-the reduction: on two threads every call hands the interpreter lock to the
-other thread, and fewer calls per value keep both drawing.  Each engine
-thread reuses one block and the AR1 scan's work arrays for all its blocks.
-By default paths of 1000 or more steps are sampled on one thread per
-usable CPU and shorter ones on one thread, because their per-row Python
-holds the interpreter lock.  Both numbers were measured; see their
-constants.
+The block size and the default worker count were measured; see
+``_BLOCK_ELEMENTS``, ``_THREADED_LENGTH`` and :func:`sample_blocks`.
 
 The AR1 filter
 --------------
@@ -140,6 +132,7 @@ from .model import ProcessSpec, StationaryCov, _cut, _echo, _integer
 
 __all__ = [
     "Family",
+    "Model",
     "ProcessConfig",
     "RngSeed",
     "derive_stream",
@@ -376,12 +369,8 @@ def lfilter(
 
 
 def derive_stream(base_seed: int, index: int) -> int:
-    """Derive the 64-bit stream seed for (base_seed, index).
-
-    SplitMix64 finalizer over ``base_seed + (index + 1) * GOLDEN`` mod 2**64.
-    Injective in ``index`` for a fixed base seed (odd multiplier), so
-    distinct indices never share a stream.
-    """
+    """The 64-bit stream seed of (base_seed, index): SplitMix64's finalizer,
+    injective in ``index`` (see "Reproducibility" in the module docstring)."""
     base_seed = _integer(base_seed, "base_seed", 0, _MASK64)
     index = _integer(index, "index", 0, _MASK64)
     z = (base_seed + (index + 1) * _GOLDEN) & _MASK64
@@ -528,13 +517,13 @@ def _reject_unknown(
         raise ValueError(f"unknown {what}: {_cut(', '.join(names), f'{len(names)} names')}")
 
 
-class _Definition:
-    """One process family; see "Definitions" in the module docstring."""
+class Model:
+    """A process model; see "Models" in the module docstring."""
 
+    name: str
     checks = ("VARIANCE_IDENTITY", "L2_CONVERGENCE", "WLLN", "BOUNDS")
     gamma: Callable | None = None
     variance: Callable | None = None
-    # Longest series for which squared_deviation_sd holds; None: any.
     max_n: int | None = None
 
     def validate(self, params: Mapping) -> dict:
@@ -570,7 +559,8 @@ def _ar1_zero_lag(phi: float) -> int:
     return math.ceil(1080.0 / -math.log2(abs(phi)))
 
 
-class _AR1(_Definition):
+class _AR1(Model):
+    name = "AR1"
     def validate(self, params: Mapping) -> dict:
         _reject_unknown(params, {"phi", "gamma0"})
         phi = _require_number(params, "phi")
@@ -616,7 +606,8 @@ def _spike_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-class _SparseSpikes(_Definition):
+class _SparseSpikes(Model):
+    name = "SPARSE_SPIKES"
     checks = ("VARIANCE_IDENTITY", "WLLN", "BOUNDS")
     max_n = 10**6
 
@@ -644,7 +635,8 @@ class _SparseSpikes(_Definition):
         return math.sqrt(sparse_spike_squared_average_variance(n))
 
 
-class _CommonShock(_Definition):
+class _CommonShock(Model):
+    name = "COMMON_SHOCK"
     checks = ("VARIANCE_IDENTITY", "NONCONVERGENCE", "BOUNDS")
 
     def validate(self, params: Mapping) -> dict:
@@ -701,7 +693,8 @@ def _validate_trend(trend: object) -> dict:
     }
 
 
-class _DriftingMean(_Definition):
+class _DriftingMean(Model):
+    name = "DRIFTING_MEAN"
     def validate(self, params: Mapping) -> dict:
         _reject_unknown(params, {"trend", "noise_sd"})
         if "trend" not in params:
@@ -732,65 +725,72 @@ class _DriftingMean(_Definition):
         return draw
 
 
-_FAMILIES: dict[Family, _Definition] = {
-    Family.AR1: _AR1(),
-    Family.SPARSE_SPIKES: _SparseSpikes(),
-    Family.COMMON_SHOCK: _CommonShock(),
-    Family.DRIFTING_MEAN: _DriftingMean(),
+_FAMILIES: dict[Family, Model] = {
+    Family(model.name): model
+    for model in (_AR1(), _SparseSpikes(), _CommonShock(), _DriftingMean())
 }
+
+
+def _model(family: object) -> Model:
+    """The model ``family`` names, by the rule of :class:`ProcessConfig`."""
+    if isinstance(family, Model):
+        return family
+    try:
+        return _FAMILIES[Family(family)]
+    except ValueError:
+        raise ValueError(
+            f"family must be one of {[f.value for f in Family]}, got {_echo(family)}"
+        ) from None
 
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """A process family plus its validated parameters."""
+    """A process model plus its validated parameters: ``family`` is a
+    :class:`Model`, or a :class:`Family` or its name, resolved into ``model``."""
 
-    family: Family
+    family: Family | Model
     params: dict = field(default_factory=dict)
+    model: Model = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:
-            family = Family(self.family)
-        except ValueError:
-            raise ValueError(
-                f"family must be one of {[f.value for f in Family]}, got {_echo(self.family)}"
-            ) from None
-        object.__setattr__(self, "family", family)
+        model = _model(self.family)
+        if model is not self.family:
+            object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "model", model)
         if not isinstance(self.params, Mapping):
             raise ValueError(f"params must be a mapping, got {_echo(self.params)}")
-        object.__setattr__(self, "params", _FAMILIES[family].validate(self.params))
+        object.__setattr__(self, "params", model.validate(self.params))
 
     def to_dict(self) -> dict:
-        return {"family": self.family.value, "params": dict(self.params)}
+        return {"family": self.model.name, "params": dict(self.params)}
 
 
 def build_spec(config: ProcessConfig) -> ProcessSpec:
-    """Exact mean and covariance functions for a configured family."""
-    definition, p = _FAMILIES[config.family], config.params
-    gamma = definition.gamma
+    """Exact mean and covariance functions for a configured model."""
+    model, p = config.model, config.params
+    gamma = model.gamma
     return ProcessSpec(
-        mean_fn=partial(definition.mean, p),
-        cov_fn=partial(definition.cov, p),
+        mean_fn=partial(model.mean, p),
+        cov_fn=partial(model.cov, p),
         stationary=None if gamma is None else StationaryCov(gamma=partial(gamma, p)),
         # Independent terms: V_n is the sum of the variances.
         diagonal=gamma is None,
     )
 
 
-def _block_sampler(
-    config: ProcessConfig, n: int
-) -> Callable[..., None]:
-    """The family's sampler for blocks of paths of length ``n``.
+def _block_sampler(config: ProcessConfig, n: int) -> Callable[..., None]:
+    """The model's sampler for blocks of paths of length ``n``.
 
     ``sample(rngs, block, scratch=None)`` draws row ``i`` of ``block`` from
     the ``i``-th generator of ``rngs``, in the documented order, then
     applies the family transform to the whole block in place, with its work
     arrays in ``scratch`` (allocated for the call by default).  The tables
     it needs are built here, once.  Values out of the float range raise one
-    ``ValueError`` naming the family and ``n``, with no numpy warning before
+    ``ValueError`` naming the model and ``n``, with no numpy warning before
     it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        draw = _FAMILIES[config.family].draw(config.params, n)
+        draw = config.model.draw(config.params, n)
 
     def sample(rngs, block, scratch=None):
         # errstate is per thread, so it is set in the thread that draws.
@@ -798,7 +798,7 @@ def _block_sampler(
             draw(rngs, block, scratch)
         if not np.isfinite(block).all():
             raise ValueError(
-                f"{config.family.value} paths of length n={n}: values must be "
+                f"{config.model.name} paths of length n={n}: values must be "
                 "finite (no NaN or inf); scale the process down"
             )
 
@@ -935,15 +935,13 @@ def enumerate_squared_average_variance(n: int) -> float:
     from fractions import Fraction  # imported here: no command needs it
 
     n = _integer(n, "n", 1, 8)
-    values = []
-    probs = []
+    values, probs = [], []
     for t in range(1, n + 1):
         p = Fraction(1, 2 * t * t)
         values.append((float(t) ** 1.5, -(float(t) ** 1.5), 0.0))
         probs.append((p, p, 1 - 2 * p))
 
-    second_terms = []
-    fourth_terms = []
+    second_terms, fourth_terms = [], []
     for combo in itertools.product(range(3), repeat=n):
         prob = math.prod(probs[t][i] for t, i in enumerate(combo))
         if prob == 0:

@@ -1,4 +1,4 @@
-"""Each family's definition pinned against closed forms written here.
+"""Each family's model pinned against closed forms written here.
 
 For every configuration in ``conftest`` the exact moments that
 ``build_spec`` returns, the covariance-sum route it selects and the

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import ENGINE_CONFIGS, reference_path
+import test_golden
 from ergodiag import (
     Check,
     ConvergenceReport,
@@ -22,7 +23,6 @@ from ergodiag import (
     GrowthReport,
     PerNStats,
     ProcessConfig,
-    ProcessSpec,
     build_spec,
     default_checks,
     mean_average,
@@ -147,6 +147,15 @@ class TestExperimentConfig:
         assert default_checks(shock_config.family) == {
             Check.VARIANCE_IDENTITY, Check.NONCONVERGENCE, Check.BOUNDS
         }
+        assert default_checks(shock_config.model) == default_checks("COMMON_SHOCK")
+
+    @pytest.mark.parametrize("family", ["ar1", 3, None])
+    def test_default_checks_rejects_a_family_as_process_config_does(self, family):
+        with pytest.raises(ValueError, match=r"^family must be one of \[") as rejected:
+            ProcessConfig(family)
+        with pytest.raises(ValueError) as checks_rejected:
+            default_checks(family)
+        assert str(checks_rejected.value) == str(rejected.value)
 
 
 class TestWorkerCount:
@@ -239,6 +248,25 @@ def variance_identity(process, n, base_seed, replicates) -> Verdict:
     return run_experiment(config).verdicts[Check.VARIANCE_IDENTITY]
 
 
+class TestFamilyAsModel:
+    """A family passed as its registered ``Model`` is the family by name."""
+
+    @pytest.mark.parametrize("name", ["AR1", "SPARSE_SPIKES", "COMMON_SHOCK", "DRIFTING_MEAN"])
+    def test_report_json_is_byte_identical(self, name):
+        # the golden all-check experiment at seed 101
+        params = test_golden.PROCESSES[name].get("params", {})
+        by_name = ProcessConfig(name, params)
+        by_model = ProcessConfig(by_name.model, params)
+        assert by_model.family is by_name.model
+
+        def report_json(process: ProcessConfig) -> str:
+            config = ExperimentConfig(process=process, base_seed=101,
+                                      checks=test_golden.ALL_CHECKS, **test_golden.EXPERIMENT)
+            return json.dumps(run_experiment(config).to_dict(), indent=2, allow_nan=False)
+
+        assert report_json(by_model) == report_json(by_name)
+
+
 class TestVarianceIdentityCheck:
     def test_passes_for_ar1(self, ar1_config):
         verdict = variance_identity(ar1_config, 100, base_seed=11, replicates=5000)
@@ -248,16 +276,17 @@ class TestVarianceIdentityCheck:
         verdict = variance_identity(spike_config, 100, base_seed=12, replicates=5000)
         assert verdict.status == "PASS", verdict.message
 
-    def test_corrupted_spec_fails(self, ar1_config, monkeypatch):
-        # negative control: a cov scaled x2 must be caught, though the SE
-        # follows the x2 spec too
-        honest = build_spec(ar1_config)
-        corrupted = ProcessSpec(
-            mean_fn=honest.mean_fn,
-            cov_fn=lambda t, s: 2.0 * np.asarray(honest.cov_fn(t, s)),
-        )
-        monkeypatch.setattr(harness, "build_spec", lambda process: corrupted)
-        verdict = variance_identity(ar1_config, 100, base_seed=11, replicates=5000)
+    def test_corrupted_spec_fails(self, ar1_config):
+        # negative control: AR1's sampler judged against a gamma scaled x2
+        # must be caught, though the SE follows the x2 spec too
+        class DoubledSpec(type(ar1_config.model)):
+            name = "AR1_DOUBLED_SPEC"
+
+            def gamma(self, p, h):
+                return 2.0 * super().gamma(p, h)
+
+        corrupted = ProcessConfig(DoubledSpec(), ar1_config.params)
+        verdict = variance_identity(corrupted, 100, base_seed=11, replicates=5000)
         assert verdict == Verdict(
             "FAIL", "n=100: |MSE - exact Var(A_n)| = 25.49 MC standard errors exceeds 4"
         )
@@ -271,22 +300,30 @@ class TestVarianceIdentityCheck:
         ids=["ar1", "spikes-zero-se"],
     )
     def test_a_nan_exact_variance_is_rejected_not_passed(
-        self, request, monkeypatch, config_name, n, held, named
+        self, request, config_name, n, held, named
     ):
         # Every comparison with NaN is false, so no leg could FAIL it.
         process = request.getfixturevalue(config_name)
         assert variance_identity(process, n, base_seed=11, replicates=1000) == Verdict(
             "PASS", f"max deviation {held} MC standard errors (<= 4)"
         )
-        honest = build_spec(process)
-        nan_cov = ProcessSpec(
-            mean_fn=honest.mean_fn,
-            cov_fn=lambda t, s: np.full(np.broadcast(t, s).shape, np.nan),
-        )
-        monkeypatch.setattr(harness, "build_spec", lambda process: nan_cov)
+        stationary = process.model.gamma is not None
+
+        class NanCovariance(type(process.model)):
+            """The family's sampler with every covariance NaN."""
+
+            name = "NAN_COVARIANCE"
+            if stationary:
+                def gamma(self, p, h):
+                    return np.full(np.shape(h), np.nan)
+            else:
+                def variance(self, p, t):
+                    return np.full(np.shape(t), np.nan)
+
+        nan_cov = ProcessConfig(NanCovariance(), process.params)
         with pytest.raises(OverflowError,
                            match=rf"^n={n}: outside the float range: {named};"):
-            variance_identity(process, n, base_seed=11, replicates=1000)
+            variance_identity(nan_cov, n, base_seed=11, replicates=1000)
 
     def test_ar1_scaled_by_a_power_of_two_keeps_its_verdict(self):
         # Paths at gamma0 = 2**-900 are those at gamma0 = 1 scaled by

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def counting_cov(spec: ProcessSpec) -> tuple[ProcessSpec, list[int]]:
         return out
 
     return dataclasses.replace(spec, cov_fn=cov_fn), sizes
+
+
+def lag_route_error_bound(gamma, n: int) -> float:
+    """``(ceil(log2 n) + 2) * u * S``, ``S = n|g(0)| + 2 sum (n-h)|g(h)|``:
+    the worst-case rounding of the lag route's products and pairwise sum
+    (Higham 2002, ch. 4), which ``covariance_sum``'s docstring states."""
+    g = np.abs(gamma(np.arange(n)))
+    scale = n * g[0] + 2.0 * float(np.sum((n - np.arange(1, n)) * g[1:]))
+    return (math.ceil(math.log2(n)) + 2) * 2.0**-53 * scale
 
 
 def constant_mean_spec(c: float) -> ProcessSpec:
@@ -162,6 +172,29 @@ class TestCovarianceSum:
         double = covariance_sum(spec, n, method="double")
         lags = covariance_sum(spec, n)
         assert lags == pytest.approx(double, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [100, 1000, 10**4, 10**5, 10**6])
+    def test_lag_route_is_within_the_absolute_error_scale_harmonic(self, n):
+        # gamma(h) = cos(2 pi h / 50) has V_n = 0 exactly at multiples of 50,
+        # so no relative error bound can hold there.  Reducing h mod 50
+        # first keeps gamma's own rounding the same at every lag.
+        def gamma(h):
+            return np.cos(2.0 * np.pi * (np.asarray(h) % 50) / 50.0)
+
+        spec = ProcessSpec(lambda t: np.zeros(np.shape(t)),
+                           lambda t, s: gamma(np.abs(t - s)), StationaryCov(gamma))
+        assert abs(covariance_sum(spec, n)) <= lag_route_error_bound(gamma, n)
+
+    @pytest.mark.parametrize("phi", [-0.999, -0.99, -0.9, -0.5, 0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 10**4])
+    def test_lag_route_is_within_the_absolute_error_scale_ar1(self, phi, n):
+        # the closed form gamma0 (n (1+phi)/(1-phi) - 2 phi (1 - phi^n)/(1-phi)^2),
+        # in exact rational arithmetic and rounded once
+        spec = build_spec(ProcessConfig(Family.AR1, {"phi": phi, "gamma0": 1.3}))
+        p, g0 = Fraction(phi), Fraction(1.3)
+        exact = float(g0 * (n * (1 + p) / (1 - p) - 2 * p * (1 - p**n) / (1 - p) ** 2))
+        bound = lag_route_error_bound(spec.stationary.gamma, n)
+        assert abs(covariance_sum(spec, n) - exact) <= bound
 
     def test_lags_method_is_unknown(self, ar1_config):
         # "auto" takes the lag route for every stationary spec.

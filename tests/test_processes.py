@@ -72,6 +72,32 @@ class TestProcessConfigValidation:
         with pytest.raises(ValueError, match="family"):
             ProcessConfig("OU", {})
 
+    def test_a_user_model_is_named_in_to_dict_and_the_finite_error(self, ar1_config):
+        class Overflowing(type(ar1_config.model)):
+            """AR1's parameters and draw, scaled past the float range."""
+
+            name = "OVERFLOWING_AR1"
+
+            def draw(self, p, n):
+                draw = super().draw(p, n)
+
+                def overflowing(rngs, block, scratch):
+                    draw(rngs, block, scratch)
+                    block *= 1e308
+                    block *= 1e308
+
+                return overflowing
+
+        config = ProcessConfig(Overflowing(), {"phi": 0.5, "gamma0": 1})
+        assert config.family is config.model
+        assert config.to_dict() == {
+            "family": "OVERFLOWING_AR1", "params": {"phi": 0.5, "gamma0": 1.0}
+        }
+        with pytest.raises(ValueError, match=(
+            r"^OVERFLOWING_AR1 paths of length n=10: values must be finite"
+        )):
+            sample_path(config, 10, RngSeed(1))
+
 
 def parameter_field(field: str, value) -> float:
     """Build a config with ``value`` in ``field`` and return what it stored."""
@@ -470,7 +496,7 @@ class TestAr1ZeroLag:
         p = {"phi": phi, "gamma0": 1.7}
         H = processes._ar1_zero_lag(phi)
         h = lags_around_zero_lag(H)
-        ar1 = processes._FAMILIES[Family.AR1]
+        ar1 = ProcessConfig(Family.AR1, p).model
         assert np.array_equal(ar1.gamma(p, h), 1.7 * phi ** h)
         # a 2-d block of signed t - s whose lags straddle H
         t = np.arange(1, 301)[:, None] + max(H - 150, 0)
