@@ -222,7 +222,10 @@ def _eval_elementwise(fn: Callable, *index_arrays: np.ndarray) -> np.ndarray:
     Exceptions from ``fn`` propagate; a result of another shape raises
     ``ValueError``.
     """
-    shape = np.broadcast_shapes(*(a.shape for a in index_arrays))
+    if len(index_arrays) == 1:
+        shape = index_arrays[0].shape
+    else:
+        shape = np.broadcast_shapes(*(a.shape for a in index_arrays))
     out = np.asarray(fn(*index_arrays), dtype=float)
     if out.shape != shape:
         raise ValueError(
@@ -249,8 +252,9 @@ def _lag_decomposition_sum(stationary: StationaryCov, n: int) -> float:
     g0 = float(g[0])
     if n == 1:
         return g0
-    h = np.arange(1, n, dtype=np.int64)
-    return n * g0 + 2.0 * float(np.sum((n - h) * g[1:]))
+    # n - h for h = 1 .. n - 1, descending: integers below 2**53, exact as floats.
+    weighted = np.arange(n - 1, 0, -1, dtype=float)
+    return n * g0 + 2.0 * float(np.sum(np.multiply(weighted, g[1:], out=weighted)))
 
 
 def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
@@ -312,6 +316,10 @@ def correlation_time(
     Returns :data:`NON_SUMMABLE` when no such ``H <= max_terms`` exists, i.e.
     the lag sum shows no sign of converging.
 
+    ``H`` depends only on which terms are small, so it is found first; then
+    one in-order ``np.cumsum`` runs to ``H``, and the result is the float a
+    lag-by-lag loop reaches.  A :data:`NON_SUMMABLE` result sums nothing.
+
     Raises
     ------
     DegenerateSeriesError
@@ -321,40 +329,53 @@ def correlation_time(
         raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
     max_terms = _integer(max_terms, "max_terms", 1)
     # Lags are evaluated in chunks of 1024, 2048, ... (at most _BLOCK_ELEMENTS
-    # lags each); the first call also evaluates lag 0.  The carried sum is
-    # added to the chunk's first term, then np.cumsum adds in order, in
-    # place, so each partial sum is the one a lag-by-lag loop would reach.
-    # Run lengths are worked out only in a chunk with a small term; in any
-    # other chunk the run ends at 0.
+    # lags each); the first call also evaluates lag 0.  Run lengths are
+    # worked out only in a chunk with a small term; in any other chunk the
+    # run ends at 0.  Each chunk's terms 2 * gamma(h) wait until H is known.
+    # Once _BLOCK_ELEMENTS lags wait, they are summed into the carried total,
+    # so at most about two chunks' terms are held.
     lo, size = 1, _FIRST_LAG_CHUNK
     g = _eval_elementwise(cov.gamma, np.arange(min(size, max_terms) + 1, dtype=np.int64))
     g0 = float(g[0])
     if g0 <= 0:
         raise DegenerateSeriesError(f"gamma(0) must be > 0, got {g0}")
     g = g[1:]
-    acc = g0
+    total = g0  # the sum of gamma(0) and the terms no longer waiting
+    waiting: list[np.ndarray] = []
     run = 0  # small increments in a row, carried across chunks
     while True:
         terms = 2.0 * g
         small = np.abs(terms) < abs_tol
-        terms[0] += acc
-        partial = np.cumsum(terms, out=terms)
         if small.any():
             i = np.arange(terms.size)
             last_break = np.maximum.accumulate(np.where(small, -1, i))
             runs = np.where(last_break < 0, run + i + 1, i - last_break)
             done = np.flatnonzero(runs >= _TAIL_RUN)
             if done.size:
-                return float(partial[done[0]]) / g0
+                waiting.append(terms[: done[0] + 1])
+                return _accumulate(total, waiting) / g0
             run = int(runs[-1])
         else:
             run = 0
-        acc = float(partial[-1])
+        waiting.append(terms)
+        if sum(w.size for w in waiting) >= _BLOCK_ELEMENTS:
+            total, waiting = _accumulate(total, waiting), []
         lo, size = lo + terms.size, min(2 * size, _BLOCK_ELEMENTS)
         if lo > max_terms:
             return NON_SUMMABLE
         h = np.arange(lo, min(lo + size, max_terms + 1), dtype=np.int64)
         g = _eval_elementwise(cov.gamma, h)
+
+
+def _accumulate(total: float, chunks: list[np.ndarray]) -> float:
+    """``total`` plus every element of ``chunks``, added one at a time in
+    order: ``total`` is added to a chunk's first element, then ``np.cumsum``
+    adds in order, in place, so the result is the partial sum a lag-by-lag
+    loop reaches."""
+    for chunk in chunks:
+        chunk[0] += total
+        total = float(np.cumsum(chunk, out=chunk)[-1])
+    return total
 
 
 def effective_sample_size(n: int, tau: float | NonSummable) -> EssResult:

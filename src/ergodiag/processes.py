@@ -12,7 +12,8 @@ Families
     ``t**-2 / 2`` each, else 0.  The mean is 0 at every ``t`` while
     ``Var(X_t) = t``, so the covariance sum grows quadratically: the time
     average converges to 0 in probability but not in mean square.  Fully
-    determined, no parameters.
+    determined, no parameters.  In floats the magnitude is ``t * sqrt(t)``
+    and the probability ``1 / (t * t)``, so every CPU draws the same bits.
 ``COMMON_SHOCK``
     ``X_t = Z + e_t`` with one Gaussian shock ``Z`` shared by the whole path
     plus i.i.d. Gaussian noise.  Every pair of terms is correlated, so the
@@ -48,6 +49,10 @@ resolves a family to its model, or takes a caller's model.  A model holds
 The base class supplies no parameters, a zero mean, the checks of a
 convergent family and the Gaussian ``sqrt(2) * Var(A_n)``, exact for AR1,
 COMMON_SHOCK and DRIFTING_MEAN; a non-Gaussian model that keeps it assumes it.
+A caller's model is checked when :class:`ProcessConfig` takes it: a name
+that is not a non-empty str, neither or both of ``gamma`` and ``variance``,
+a ``draw`` that is not callable or an unknown check name raises a
+``ValueError`` naming the model's class and the hook.
 
 Reproducibility
 ---------------
@@ -62,8 +67,8 @@ derived value seeds a PCG64 generator.
 Draw order is fixed per family: AR1 draws the initial state then the
 innovations in ascending time order; SPARSE_SPIKES draws one uniform per
 step ascending, partitioned ``[0, p/2) -> +``, ``[p/2, p) -> -``,
-``[p, 1) -> 0`` with ``p = t**-2``; COMMON_SHOCK draws the shared shock then
-the per-step noise; DRIFTING_MEAN draws the per-step noise.
+``[p, 1) -> 0`` with ``p = 1 / (t * t)``; COMMON_SHOCK draws the shared
+shock then the per-step noise; DRIFTING_MEAN draws the per-step noise.
 
 Every sampler goes through one block engine.  A block is a ``(rows, n)``
 array: row ``i`` is drawn from its own replicate's stream, in the order
@@ -597,10 +602,16 @@ class _AR1(Model):
 
 @lru_cache(maxsize=8)
 def _spike_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``p / 2``, ``p = 1 / (t * t)`` and the magnitude ``t * sqrt(t)`` for
+    ``t = 1 .. n``.  Each is one or two correctly rounded IEEE operations
+    (``t * t`` is exact for ``t <= max_n``), so no bit depends on the CPU:
+    NumPy's ``pow`` gives different last bits under different SIMD
+    dispatch.  ``p`` is the correctly rounded ``t**-2``; the magnitude is
+    within one unit in the last place of ``t**1.5``."""
     # The cache hands these arrays to every caller and thread: read-only.
     t = np.arange(1, n + 1, dtype=float)
-    prob = t**-2.0
-    tables = (0.5 * prob, prob, t**1.5)
+    prob = 1.0 / (t * t)
+    tables = (0.5 * prob, prob, t * np.sqrt(t))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -652,7 +663,10 @@ class _CommonShock(Model):
     def gamma(self, p: dict, h) -> np.ndarray:
         # numpy scalars: a square out of the float range is inf, not an error.
         z2, e2 = np.float64(p["sigma_z"]) ** 2, np.float64(p["sigma_eps"]) ** 2
-        return np.where(np.equal(np.asarray(h), 0), z2 + e2, z2)
+        h = np.asarray(h)
+        out = np.full(h.shape, z2)
+        out[h == 0] = z2 + e2
+        return out
 
     def draw(self, p: dict, n: int) -> Callable:
         def draw(rngs, block, scratch):
@@ -734,13 +748,36 @@ _FAMILIES: dict[Family, Model] = {
 def _model(family: object) -> Model:
     """The model ``family`` names, by the rule of :class:`ProcessConfig`."""
     if isinstance(family, Model):
-        return family
+        return _checked(family)
     try:
         return _FAMILIES[Family(family)]
     except ValueError:
         raise ValueError(
             f"family must be one of {[f.value for f in Family]}, got {_echo(family)}"
         ) from None
+
+
+def _checked(model: Model) -> Model:
+    """``model``, else a ``ValueError`` naming its class and the hook at
+    fault: ``name`` must be a non-empty str, exactly one of ``gamma`` and
+    ``variance`` must be set, ``draw`` must be callable and every name in
+    ``checks`` must be a check."""
+    from .harness import Check  # harness imports this module
+
+    who = f"model {type(model).__name__}"
+    name = getattr(model, "name", None)
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"{who}: name must be a non-empty str, got {_echo(name)}")
+    if (model.gamma is None) == (model.variance is None):
+        got = "neither" if model.gamma is None else "both"
+        raise ValueError(f"{who}: exactly one of gamma and variance must be set, got {got}")
+    if not callable(getattr(model, "draw", None)):
+        raise ValueError(f"{who}: draw must be callable")
+    valid = [c.value for c in Check]
+    for check in model.checks:
+        if check not in valid:
+            raise ValueError(f"{who}: unknown check {_echo(check)}; valid checks: {valid}")
+    return model
 
 
 @dataclass(frozen=True)
@@ -938,7 +975,8 @@ def enumerate_squared_average_variance(n: int) -> float:
     values, probs = [], []
     for t in range(1, n + 1):
         p = Fraction(1, 2 * t * t)
-        values.append((float(t) ** 1.5, -(float(t) ** 1.5), 0.0))
+        magnitude = t * math.sqrt(t)
+        values.append((magnitude, -magnitude, 0.0))
         probs.append((p, p, 1 - 2 * p))
 
     second_terms, fourth_terms = [], []

@@ -60,7 +60,7 @@ def reference_path(config: ProcessConfig, n: int, seed: RngSeed) -> np.ndarray:
         return path[0]
     t = np.arange(1, n + 1, dtype=float)
     if config.family is Family.SPARSE_SPIKES:
-        prob, magnitude = t**-2.0, t**1.5
+        prob, magnitude = 1.0 / (t * t), t * np.sqrt(t)
         u = rng.random(n)
         return np.where(u < 0.5 * prob, magnitude, np.where(u < prob, -magnitude, 0.0))
     if config.family is Family.COMMON_SHOCK:

@@ -60,7 +60,7 @@ class TestSimulate:
         assert len(lines) == 1 + 5 * 2
         for line in lines[1:]:
             t, rep, x = line.split(",")
-            magnitude = float(t) ** 1.5
+            magnitude = float(t) * math.sqrt(float(t))
             assert float(x) in (0.0, magnitude, -magnitude)
             assert rep in ("0", "1")
 

@@ -28,7 +28,7 @@ from ergodiag import (
     sample_path,
     time_average_variance,
 )
-from ergodiag import harness, processes
+from ergodiag import harness, model, processes
 from ergodiag.processes import sample_blocks
 
 from conftest import white_noise_spec
@@ -330,6 +330,26 @@ class TestTimeAverageVariance:
             assert time_average_variance(spec, n) == covariance_sum(spec, n) / n**2
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 1023, 1024, 1025, 30_000])
+@pytest.mark.parametrize("params", [
+    {"phi": 0.653, "gamma0": 1.3},
+    {"phi": -0.653, "gamma0": 1.3},
+    {"sigma_z": 1.1, "sigma_eps": 0.7},
+    {"sigma_z": 0.9, "sigma_eps": 0.0},
+], ids=["ar1", "ar1-negative", "common-shock", "common-shock-noiseless"])
+def test_lag_sum_equals_integer_weight_expression(params, n):
+    # The lag route's descending float weights n - h are the integer ones,
+    # and the sum keeps every bit: the reference calls the same gamma, so
+    # this holds whatever the CPU's pow returns.  SPARSE_SPIKES and
+    # DRIFTING_MEAN are summed over their variances, not by lag.
+    family = Family.COMMON_SHOCK if "sigma_z" in params else Family.AR1
+    spec = build_spec(ProcessConfig(family, params))
+    g = spec.stationary.gamma(np.arange(n, dtype=np.int64))
+    h = np.arange(1, n, dtype=np.int64)
+    expected = float(g[0]) if n == 1 else n * float(g[0]) + 2.0 * float(np.sum((n - h) * g[1:]))
+    assert covariance_sum(spec, n) == expected
+
+
 def pow_ar1_spec(phi: float, gamma0: float) -> ProcessSpec:
     """AR1 written as the plain formula ``gamma0 * phi**|h|``, pow at every lag."""
     return ProcessSpec(
@@ -437,6 +457,8 @@ class TestCorrelationTime:
             step_gamma(small_from=3071),
             step_gamma(small_from=3072),
             step_gamma(small_from=3073),
+            # the stop lag H = small_from + 9 on either side of those ends
+            *(step_gamma(small_from=stop - 9) for stop in (1023, 1024, 1025, 3071, 3072, 3073)),
             # a run of 6 ending chunk 1, no small term in chunk 2 (lags
             # 1025-3072), a full run in chunk 3: the run restarts from 0
             step_gamma(small_from=1019, breaks=tuple(range(1025, 3073))),
@@ -458,12 +480,29 @@ class TestCorrelationTime:
             (step_gamma(small_from=small_from), max_terms)
             for small_from in (491, 1491)
             for max_terms in (1, 500, 1500)
+        ]
+        # converged 5 lags before, at and 1 lag past max_terms (NON_SUMMABLE),
+        # with max_terms below the first chunk end, at it and at the second
+        + [
+            (step_gamma(small_from=max_terms + overshoot - 9), max_terms)
+            for max_terms in (20, 500, 1023, 1024, 1025, 3072, 3073)
+            for overshoot in (-5, 0, 1)
         ],
     )
     def test_max_terms_equals_lag_by_lag_loop(self, gamma, max_terms):
         cov = StationaryCov(gamma=gamma)
         expected = reference_correlation_time(gamma, max_terms=max_terms)
         assert correlation_time(cov, max_terms=max_terms) == expected
+
+    @pytest.mark.parametrize("small_from", [3000, 7000, 20_000])
+    def test_terms_summed_while_waiting_equal_lag_by_lag_loop(self, monkeypatch, small_from):
+        # With 2048-lag blocks the terms of the chunks before H are summed
+        # into the carried total before H is found.
+        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 2048)
+        gamma = step_gamma(small_from=small_from, breaks=(small_from + 5,))
+        cov = StationaryCov(gamma=gamma)
+        assert correlation_time(cov) == reference_correlation_time(gamma)
+        assert correlation_time(cov, max_terms=small_from) is NON_SUMMABLE
 
     def test_common_shock_default_max_terms(self, shock_config):
         stationary = build_spec(shock_config).stationary

@@ -26,7 +26,7 @@ from ergodiag import (
     time_average_variance,
 )
 from ergodiag import processes
-from ergodiag.harness import _ensemble_averages
+from ergodiag.harness import _ensemble_averages, default_checks
 from ergodiag.processes import _stream_states, sample_blocks
 
 
@@ -97,6 +97,84 @@ class TestProcessConfigValidation:
             r"^OVERFLOWING_AR1 paths of length n=10: values must be finite"
         )):
             sample_path(config, 10, RngSeed(1))
+
+
+class UserModel(processes.Model):
+    """A complete user model: independent standard normal terms."""
+
+    name = "USER_WHITE_NOISE"
+
+    def variance(self, p, t):
+        return np.ones(np.shape(t))
+
+    def draw(self, p, n):
+        def draw(rngs, block, scratch):
+            for row, rng in zip(block, rngs):
+                rng.standard_normal(out=row)
+
+        return draw
+
+
+class TestUserModelHooks:
+    """A caller's model is checked when ``ProcessConfig`` takes it: each bad
+    hook is one ``ValueError`` that names the model's class and the hook."""
+
+    def test_a_complete_model_is_taken(self):
+        config = ProcessConfig(UserModel())
+        assert config.to_dict() == {"family": "USER_WHITE_NOISE", "params": {}}
+        assert time_average_variance(build_spec(config), 4) == 0.25
+
+    @pytest.mark.parametrize("name", [None, "", 5])
+    def test_name_must_be_a_non_empty_str(self, name):
+        class Nameless(processes.Model):
+            variance = UserModel.variance
+            draw = UserModel.draw
+
+        if name is not None:  # else the class sets no name at all
+            Nameless.name = name
+        self._rejects(Nameless(), rf"^model Nameless: name must be a non-empty str, got {name!r}$")
+
+    def test_neither_gamma_nor_variance(self):
+        class DrawOnly(processes.Model):
+            name = "DRAW_ONLY"
+            draw = UserModel.draw
+
+        self._rejects(DrawOnly(), r"^model DrawOnly: exactly one of gamma and variance must "
+                                  r"be set, got neither$")
+
+    def test_both_gamma_and_variance(self):
+        class Both(UserModel):
+            def gamma(self, p, h):
+                return np.where(np.equal(h, 0), 1.0, 0.0)
+
+        self._rejects(
+            Both(), r"^model Both: exactly one of gamma and variance must be set, got both$"
+        )
+
+    MISSING = object()
+
+    @pytest.mark.parametrize("draw", [MISSING, None, "draw"], ids=["missing", "None", "str"])
+    def test_draw_must_be_callable(self, draw):
+        class NoDraw(processes.Model):
+            name = "NO_DRAW"
+            variance = UserModel.variance
+
+        if draw is not self.MISSING:
+            NoDraw.draw = draw
+        self._rejects(NoDraw(), r"^model NoDraw: draw must be callable$")
+
+    def test_every_check_name_must_be_a_check(self):
+        class BadCheck(UserModel):
+            checks = ("VARIANCE_IDENTITY", "NOPE")
+
+        self._rejects(BadCheck(), r"^model BadCheck: unknown check 'NOPE'; valid checks: \[")
+        with pytest.raises(ValueError, match=r"^model BadCheck: unknown check 'NOPE'"):
+            default_checks(BadCheck())
+
+    @staticmethod
+    def _rejects(model, message):
+        with pytest.raises(ValueError, match=message):
+            ProcessConfig(model)
 
 
 def parameter_field(field: str, value) -> float:
@@ -259,7 +337,8 @@ class TestSamplePath:
 
     def test_spike_support_set_exact(self, spike_config):
         n = 500
-        magnitude = np.arange(1, n + 1, dtype=float) ** 1.5
+        t = np.arange(1, n + 1, dtype=float)
+        magnitude = t * np.sqrt(t)
         for rep in range(5):
             values = sample_path(spike_config, n, RngSeed(7, rep)).values
             ok = (values == 0.0) | (values == magnitude) | (values == -magnitude)
