@@ -6,7 +6,9 @@ empirical mean squared error of the time average over that prefix against the
 exact ``V_n / n^2``, tabulates tail frequencies against Chebyshev upper and
 Paley-Zygmund lower bounds, classifies the exact growth of ``V_n``, and issues
 a PASS / FAIL / SKIPPED verdict per requested check; with ``n_grid=(n,)``
-it gives the variance-identity verdict at the one length ``n``.
+it gives the variance-identity verdict at the one length ``n``.  Each
+exact ``V_n`` is evaluated once: the growth grid holds every grid length,
+and the per-length ``Var(A_n)`` and the growth report read the same values.
 Everything it takes from a process, the spec, the sampler, ``max_n``, the
 default checks and the exact ``sd((A_n - m_n)^2)`` behind the MSE's
 standard error and the Paley-Zygmund bounds, comes from the config's
@@ -79,7 +81,6 @@ from .estimators import empirical_tail, ensemble_mse, time_average
 from .model import (
     GrowthClass,
     GrowthReport,
-    ProcessSpec,
     _echo,
     _integer,
     classify_growth,
@@ -102,7 +103,7 @@ from .processes import (
 )
 
 # Nothing here calls ``sample_path``, ``time_average``,
-# ``enumerate_squared_average_variance`` or
+# ``time_average_variance``, ``enumerate_squared_average_variance`` or
 # ``sparse_spike_squared_average_variance`` any more; they stay importable
 # from this module because bench/spans.py wraps them by name.
 
@@ -322,22 +323,21 @@ def _binom_se(p: float, replicates: int) -> float:
 
 
 def _growth_grid(n_grid: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Refine a grid to >= 4 points for growth classification.
+    """Refine a strictly increasing grid to >= 4 points for growth
+    classification, keeping every point of ``n_grid``.
 
-    Exact ``V_n`` costs O(n) for every built-in family (lag or diagonal
+    Exact ``V_n`` costs O(n) for every built-in family (lag or variance
     route), so geometric midpoints are inserted until the grid is
-    classifiable.  Returns None when the configured grid spans less
-    than a decade, where no slope fit is meaningful.
+    classifiable.  Across a decade a pair's midpoint lies strictly between
+    them, so each pass adds one.  Returns None when the configured grid
+    spans less than a decade, where no slope fit is meaningful.
     """
-    if len(n_grid) < 1 or n_grid[-1] < 10 * n_grid[0]:
+    if n_grid[-1] < 10 * n_grid[0]:
         return None
-    pts = sorted(set(n_grid))
+    pts = list(n_grid)
     while len(pts) < 4:
         mids = {round(math.sqrt(a * b)) for a, b in zip(pts, pts[1:])}
-        merged = sorted(set(pts) | mids)
-        if merged == pts:
-            return None
-        pts = merged
+        pts = sorted(set(pts) | mids)
     return tuple(pts)
 
 
@@ -350,14 +350,13 @@ def _require_finite(n: int, values: dict[str, float]) -> None:
         )
 
 
-def _growth_for(spec: ProcessSpec, n_grid: tuple[int, ...]) -> GrowthReport | None:
-    grid = _growth_grid(n_grid)
+def _growth_for(grid: tuple[int, ...] | None, vn: dict[int, float]) -> GrowthReport | None:
+    """The growth of ``V_n``, read from ``vn`` at each length of ``grid``."""
     if grid is None:
         return None
-    vn_values = [covariance_sum(spec, n) for n in grid]
-    for n, vn in zip(grid, vn_values):
-        _require_finite(n, {"V_n": vn})
-    return classify_growth(list(grid), vn_values)
+    for n in grid:
+        _require_finite(n, {"V_n": vn[n]})
+    return classify_growth(list(grid), [vn[n] for n in grid])
 
 
 class _Leg(NamedTuple):
@@ -519,15 +518,19 @@ def run_experiment(
     ensemble = _ensemble_averages(
         config.process, config.n_grid, base, config.replicates, max_workers
     )
+    # A value out of the float range comes back as inf or NaN, without a
+    # numpy warning, for _require_finite to name.  V_n is evaluated once per
+    # length; the growth grid, when there is one, holds every grid length.
+    growth_grid = _growth_grid(config.n_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vn = {n: covariance_sum(spec, n) for n in growth_grid or config.n_grid}
 
     per_n = []
     for n, averages in zip(config.n_grid, ensemble):
-        # A value out of the float range comes back as inf or NaN, without a
-        # numpy warning, for _require_finite to name.
         with np.errstate(over="ignore", invalid="ignore"):
             m_n = mean_average(spec, n)
             mse = ensemble_mse(averages, m_n)
-            exact_var = time_average_variance(spec, n)
+            exact_var = vn[n] / float(n * n)  # as time_average_variance(spec, n)
             sd_sq = config.process.model.squared_deviation_sd(n, exact_var)
             var_sq = sd_sq * sd_sq
         moments = {"m_n": m_n, "Var(A_n)": exact_var, "Var((A_n - m_n)^2)": var_sq,
@@ -568,7 +571,7 @@ def run_experiment(
         epsilons=config.epsilons,
         checks=config.ordered_checks(),
         per_n=tuple(per_n),
-        growth=_growth_for(spec, config.n_grid),
+        growth=_growth_for(growth_grid, vn),
         verdicts={},
     )
     # Each check reads the report alone, so a verdict follows from report.json.

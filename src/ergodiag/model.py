@@ -17,18 +17,19 @@ the structure the spec declares:
 
 * lag sum    -- a stationary spec (``spec.stationary``) gives
   ``V_n = n*gamma(0) + 2*sum_h (n-h)*gamma(h)``, O(n);
-* diagonal   -- a spec declared ``diagonal`` (``Cov(X_t, X_s) = 0`` for
-  ``t != s``, e.g. independent terms) gives ``V_n = sum_t Var(X_t)``, O(n),
-  bit-identical to the double sum;
+* variances  -- a spec of uncorrelated terms (``Cov(X_t, X_s) = 0`` for
+  ``t != s``, e.g. independent terms) that gives ``spec.var_fn`` has
+  ``V_n = sum_t Var(X_t)``, O(n), bit-identical to the double sum;
 * double sum -- any other spec is summed over all ``n x n`` pairs, O(n^2).
   ``method="double"`` forces it, as the cross-check for the other two.
 
-Every mean, covariance and ``gamma`` callable is called once per block of
-indices, with numpy integer arrays, and must return floats of their
-broadcast shape; a wrong shape raises ``ValueError`` and an exception from
-the callable propagates unchanged.  A function written for scalars works
-once wrapped as ``np.vectorize(fn, otypes=[float])``, at the cost of one
-Python call per element.
+Every ``mean_fn``, ``cov_fn``, ``gamma`` and ``var_fn`` is called once per
+block of indices, with numpy integer arrays, and must return floats of
+their broadcast shape; a wrong shape raises a ``ValueError`` naming the
+callable, and an exception from the callable propagates unchanged.  A
+function written for scalars works once wrapped as
+``np.vectorize(fn, otypes=[float])``, at the cost of one Python call per
+element.
 
 One rule holds for every count, length, seed and index in the package (a
 series length ``n``, a lag, a replicate count, a worker count, a stream
@@ -123,17 +124,17 @@ class ProcessSpec:
     stationary, ``stationary`` carries the lag form of the covariance and
     must agree with ``cov_fn(t, s) == stationary.gamma(|t - s|)``.
 
-    ``diagonal=True``, a keyword-only field, declares that
-    ``cov_fn(t, s) == 0`` for every ``t != s`` (uncorrelated terms).
-    :func:`covariance_sum` then sums only ``cov_fn(t, t)``, in O(n) instead
-    of O(n^2); the declaration is trusted, not checked, and a wrong one gives
-    a wrong ``V_n``.
+    When the terms are uncorrelated, the keyword-only ``var_fn(t)`` gives
+    ``Var(X_t)`` and must agree with ``cov_fn(t, t)``, with ``cov_fn(t, s)
+    == 0`` for ``t != s``.  :func:`covariance_sum` then sums ``var_fn``
+    alone, in O(n) instead of O(n^2), and ``cov_fn`` serves the double
+    sum, its cross-check.
     """
 
     mean_fn: Callable[..., object]
     cov_fn: Callable[..., object]
     stationary: StationaryCov | None = None
-    diagonal: bool = field(default=False, kw_only=True)
+    var_fn: Callable[..., object] | None = field(default=None, kw_only=True)
 
 
 class GrowthClass(str, Enum):
@@ -216,11 +217,11 @@ def _integer(value: object, name: str, low: int, high: int | None = None) -> int
     return value
 
 
-def _eval_elementwise(fn: Callable, *index_arrays: np.ndarray) -> np.ndarray:
+def _eval_elementwise(fn: Callable, name: str, *index_arrays: np.ndarray) -> np.ndarray:
     """Call ``fn`` once; its result as floats of the arrays' broadcast shape.
 
-    Exceptions from ``fn`` propagate; a result of another shape raises
-    ``ValueError``.
+    Exceptions from ``fn`` propagate; a result of another shape raises a
+    ``ValueError`` naming the callable as ``name``.
     """
     if len(index_arrays) == 1:
         shape = index_arrays[0].shape
@@ -229,7 +230,7 @@ def _eval_elementwise(fn: Callable, *index_arrays: np.ndarray) -> np.ndarray:
     out = np.asarray(fn(*index_arrays), dtype=float)
     if out.shape != shape:
         raise ValueError(
-            f"callable returned shape {out.shape} for index arrays of shape {shape}"
+            f"{name} returned shape {out.shape} for index arrays of shape {shape}"
         )
     return out
 
@@ -242,13 +243,13 @@ def mean_average(spec: ProcessSpec, n: int) -> float:
     """
     n = _integer(n, "n", 1)
     t = np.arange(1, n + 1, dtype=np.int64)
-    mu = _eval_elementwise(spec.mean_fn, t)
+    mu = _eval_elementwise(spec.mean_fn, "mean_fn", t)
     return float(np.sum(mu)) / n
 
 
 def _lag_decomposition_sum(stationary: StationaryCov, n: int) -> float:
     """``V_n`` for a stationary covariance: ``n*g(0) + 2*sum (n-h)*g(h)``."""
-    g = _eval_elementwise(stationary.gamma, np.arange(n, dtype=np.int64))
+    g = _eval_elementwise(stationary.gamma, "gamma", np.arange(n, dtype=np.int64))
     g0 = float(g[0])
     if n == 1:
         return g0
@@ -267,7 +268,7 @@ def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
     ``(ceil(log2 n) + 2) * u * S``; Higham 2002, ch. 4): for ``g(h) =
     cos(2 pi h / 50)``, whose ``V_n`` is 0 at multiples of 50, it returns
     -2.8e-5 at n = 1e6, mostly from the rounding of ``g``'s values; the sum
-    of ``cov_fn(t, t)`` for a ``diagonal`` spec, the same float as
+    of ``var_fn(t)`` for a spec that gives it, the same float as
     ``"double"`` because each of its row sums is the diagonal term plus
     exact zeros; else ``"double"``.  ``method="double"`` evaluates all
     ``n x n`` covariances (ascending rows, pairwise summation within each
@@ -279,16 +280,16 @@ def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and spec.stationary is not None:
         return _lag_decomposition_sum(spec.stationary, n)
-    if method == "auto" and spec.diagonal:
+    if method == "auto" and spec.var_fn is not None:
         t = np.arange(1, n + 1, dtype=np.int64)
-        return float(np.sum(_eval_elementwise(spec.cov_fn, t, t)))
+        return float(np.sum(_eval_elementwise(spec.var_fn, "var_fn", t)))
 
     s = np.arange(1, n + 1, dtype=np.int64)
     row_sums = np.empty(n, dtype=float)
     block = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(1, n + 1, block):
         t = np.arange(lo, min(lo + block, n + 1), dtype=np.int64)
-        c = _eval_elementwise(spec.cov_fn, t[:, None], s[None, :])
+        c = _eval_elementwise(spec.cov_fn, "cov_fn", t[:, None], s[None, :])
         row_sums[lo - 1 : lo - 1 + t.size] = c.sum(axis=1)
     return float(np.sum(row_sums))
 
@@ -335,7 +336,7 @@ def correlation_time(
     # Once _BLOCK_ELEMENTS lags wait, they are summed into the carried total,
     # so at most about two chunks' terms are held.
     lo, size = 1, _FIRST_LAG_CHUNK
-    g = _eval_elementwise(cov.gamma, np.arange(min(size, max_terms) + 1, dtype=np.int64))
+    g = _eval_elementwise(cov.gamma, "gamma", np.arange(min(size, max_terms) + 1, dtype=np.int64))
     g0 = float(g[0])
     if g0 <= 0:
         raise DegenerateSeriesError(f"gamma(0) must be > 0, got {g0}")
@@ -364,7 +365,7 @@ def correlation_time(
         if lo > max_terms:
             return NON_SUMMABLE
         h = np.arange(lo, min(lo + size, max_terms + 1), dtype=np.int64)
-        g = _eval_elementwise(cov.gamma, h)
+        g = _eval_elementwise(cov.gamma, "gamma", h)
 
 
 def _accumulate(total: float, chunks: list[np.ndarray]) -> float:

@@ -34,8 +34,10 @@ resolves a family to its model, or takes a caller's model.  A model holds
   and a parameter is any finite real number but a bool (a JSON number; from
   Python, NumPy and ``fractions`` reals too);
 * the exact moments ``mean(p, t)`` plus either ``gamma(p, h)`` (stationary
-  families) or ``variance(p, t)`` (independent terms), from which
-  :func:`build_spec` derives ``cov_fn`` and the ``diagonal`` flag;
+  families) or ``variance(p, t)`` (independent terms), each returning
+  floats of its index array's shape.  :func:`build_spec` derives ``cov_fn``
+  from them and hands ``gamma`` on as the spec's ``stationary`` and
+  ``variance`` as its ``var_fn``;
 * ``draw(p, n)``: the block draw and transform described below, whose
   callable runs on the engine's worker threads, on disjoint blocks at once.
   The harness reads a path's first ``m`` values as a path of length ``m``;
@@ -724,8 +726,8 @@ class _DriftingMean(Model):
             return trend["a"] + trend["b"] * t
         return trend["amplitude"] * np.sin(2.0 * np.pi * t / trend["period"])
 
-    def variance(self, p: dict, t) -> float:
-        return np.float64(p["noise_sd"]) ** 2
+    def variance(self, p: dict, t) -> np.ndarray:
+        return np.full(np.shape(t), np.float64(p["noise_sd"]) ** 2)
 
     def draw(self, p: dict, n: int) -> Callable:
         trend = self.mean(p, np.arange(1, n + 1, dtype=np.int64))
@@ -805,13 +807,12 @@ class ProcessConfig:
 def build_spec(config: ProcessConfig) -> ProcessSpec:
     """Exact mean and covariance functions for a configured model."""
     model, p = config.model, config.params
-    gamma = model.gamma
+    gamma, variance = model.gamma, model.variance
     return ProcessSpec(
         mean_fn=partial(model.mean, p),
         cov_fn=partial(model.cov, p),
         stationary=None if gamma is None else StationaryCov(gamma=partial(gamma, p)),
-        # Independent terms: V_n is the sum of the variances.
-        diagonal=gamma is None,
+        var_fn=None if variance is None else partial(variance, p),
     )
 
 

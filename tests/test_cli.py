@@ -895,9 +895,26 @@ class TestExperiment:
     def test_schema_enums_match_the_package(self):
         schema = load_report_schema()
         checks = schema["$defs"]["checkName"]["enum"]
-        families = schema["properties"]["process"]["properties"]["family"]["enum"]
+        family = schema["properties"]["process"]["properties"]["family"]
         assert checks == [c.value for c in harness.Check]
-        assert families == [f.value for f in Family]
+        for f in Family:
+            jsonschema.validate(f.value, family)
+
+    def test_user_model_report_validates_and_an_empty_family_does_not(self):
+        class MyAR1(type(ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1}).model)):
+            name = "MY_AR1"
+
+        config = harness.ExperimentConfig(
+            ProcessConfig(MyAR1(), {"phi": 0.5, "gamma0": 1}), base_seed=1,
+            n_grid=(10, 100), replicates=2, checks=[],
+        )
+        report = json.loads(json.dumps(harness.run_experiment(config).to_dict()))
+        assert report["process"]["family"] == "MY_AR1"
+        jsonschema.validate(report, load_report_schema())
+        report["process"]["family"] = ""
+        with pytest.raises(jsonschema.ValidationError) as error:
+            jsonschema.validate(report, load_report_schema())
+        assert list(error.value.absolute_path) == ["process", "family"]
 
     @pytest.mark.parametrize(
         ("experiment", "field"),

@@ -90,15 +90,15 @@ class TestExactMoments:
         got = build_spec(config).cov_fn(t, s)
         assert np.array_equal(got, closed_cov(config, t, s))
 
-    def test_stationary_gamma_and_diagonal_flag(self, name):
+    def test_stationary_gamma_and_var_fn(self, name):
         config = CONFIGS[name]
         spec = build_spec(config)
         if config.family in STATIONARY:
-            assert not spec.diagonal
+            assert spec.var_fn is None
             assert np.array_equal(spec.stationary.gamma(LAGS), closed_gamma(config, LAGS))
         else:
-            assert spec.diagonal
             assert spec.stationary is None
+            assert np.array_equal(spec.var_fn(T), closed_cov(config, T, T))
 
     @pytest.mark.parametrize("n", [1, 2, 17, 64])
     def test_auto_route(self, name, n):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -196,6 +197,52 @@ class TestExactColumns:
     def test_narrow_grid_has_no_growth_report(self, ar1_config):
         report = run_experiment(exact_only(ar1_config, (10, 50)))
         assert report.growth is None
+
+    @pytest.mark.parametrize("family", sorted(ENGINE_CONFIGS))
+    def test_default_grid_evaluates_each_vn_once(self, family, monkeypatch):
+        # V_n is one gamma or var_fn call of n indices; the default grid's
+        # growth grid adds two midpoints, so 5 evaluations, not 3 + 5.
+        sizes = []
+
+        def counted(fn):
+            def wrapper(indices):
+                sizes.append(np.size(indices))
+                return fn(indices)
+
+            return wrapper
+
+        def counting_build_spec(config):
+            spec = build_spec(config)
+            if spec.stationary is None:
+                return dataclasses.replace(spec, var_fn=counted(spec.var_fn))
+            stationary = dataclasses.replace(spec.stationary,
+                                             gamma=counted(spec.stationary.gamma))
+            return dataclasses.replace(spec, stationary=stationary)
+
+        monkeypatch.setattr(harness, "build_spec", counting_build_spec)
+        config = ENGINE_CONFIGS[family]
+        report = run_experiment(exact_only(config, harness.DEFAULT_N_GRID))
+        growth = report.growth
+        assert growth.n_grid == (100, 316, 1000, 3162, 10_000)
+        assert sizes == list(growth.n_grid)
+        spec = build_spec(config)
+        for stats in report.per_n:
+            vn = growth.vn_values[growth.n_grid.index(stats.n)]
+            assert stats.exact_var_an == vn / float(stats.n * stats.n)
+            assert stats.exact_var_an == time_average_variance(spec, stats.n)
+
+    def test_growth_grid_keeps_the_grid_and_reaches_four_points(self):
+        # Every grid of up to four lengths in 1..40: a grid spanning a
+        # decade is refined to 4 or more points holding all of its own, so
+        # run_experiment's V_n table covers every grid length.
+        for size in (1, 2, 3, 4):
+            for grid in itertools.combinations(range(1, 41), size):
+                refined = harness._growth_grid(grid)
+                if grid[-1] < 10 * grid[0]:
+                    assert refined is None
+                    continue
+                assert len(refined) >= 4 and set(grid) <= set(refined)
+                assert all(b > a for a, b in zip(refined, refined[1:]))
 
     def test_ar1_scaled_variance_approaches_correlation_time(self, ar1_config):
         # n * Var(A_n) -> tau * gamma(0) = 3 for phi = 0.5, gamma0 = 1

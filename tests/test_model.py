@@ -12,6 +12,7 @@ from ergodiag import (
     ExperimentConfig,
     Family,
     GrowthClass,
+    Model,
     ProcessConfig,
     ProcessSpec,
     RngSeed,
@@ -34,7 +35,7 @@ from ergodiag.processes import sample_blocks
 from conftest import white_noise_spec
 
 
-DIAGONAL_CONFIGS = {
+VARIANCE_CONFIGS = {
     "spikes": ProcessConfig(Family.SPARSE_SPIKES),
     "drift_linear": ProcessConfig(
         Family.DRIFTING_MEAN,
@@ -127,11 +128,16 @@ class TestCovarianceSum:
         assert covariance_sum(spec, 5, method="double") == 5.0
         assert mean_average(spec, 5) == 0.0
 
-    def test_diagonal_is_keyword_only(self):
+    def test_var_fn_is_keyword_only(self):
         # A fourth positional argument once meant a label; it must not
-        # silently declare the spec diagonal.
+        # silently become the spec's variances.
         with pytest.raises(TypeError):
             ProcessSpec(zeros, zeros, None, "label")
+
+    def test_diagonal_flag_is_gone(self):
+        with pytest.raises(TypeError):
+            ProcessSpec(zeros, zeros, diagonal=True)
+        assert "diagonal" not in {f.name for f in dataclasses.fields(ProcessSpec)}
 
     def test_wrong_shape_raises_after_one_call(self):
         calls = []
@@ -141,9 +147,45 @@ class TestCovarianceSum:
             return np.ones(np.shape(s))  # shape bug: drops the t axis
 
         spec = ProcessSpec(mean_fn=lambda t: np.zeros(np.shape(t)), cov_fn=cov_fn)
-        with pytest.raises(ValueError, match=r"\(1, 1000\).*\(1000, 1000\)"):
+        with pytest.raises(ValueError, match=r"^cov_fn returned shape \(1, 1000\).*\(1000, 1000\)"):
             covariance_sum(spec, 1000)
         assert len(calls) == 1
+
+    def test_user_model_with_scalar_variance_names_var_fn(self):
+        # Model.cov's mask broadcasts the scalar, so only the var_fn route
+        # sees the wrong shape.
+        class ScalarVariance(Model):
+            name = "SCALAR_VARIANCE"
+
+            def variance(self, p, t):
+                return 1.0
+
+            def draw(self, p, n):
+                return lambda rngs, block, scratch: block.fill(0.0)
+
+        spec = build_spec(ProcessConfig(ScalarVariance()))
+        with pytest.raises(ValueError,
+                           match=r"^var_fn returned shape \(\) for index arrays of shape \(10,\)$"):
+            covariance_sum(spec, 10)
+        assert covariance_sum(spec, 10, method="double") == 10.0
+
+    @pytest.mark.parametrize("hook", ["mean_fn", "cov_fn", "gamma", "var_fn"])
+    def test_shape_error_names_the_callable(self, hook):
+        def scalar(*indices):
+            return 0.0
+
+        spec = ProcessSpec(
+            scalar if hook == "mean_fn" else zeros,
+            scalar if hook == "cov_fn" else zeros,
+            StationaryCov(scalar) if hook == "gamma" else None,
+            var_fn=scalar if hook == "var_fn" else None,
+        )
+        call = mean_average if hook == "mean_fn" else covariance_sum
+        with pytest.raises(ValueError, match=rf"^{hook} returned shape \(\) for index arrays"):
+            call(spec, 5)
+        if hook == "gamma":
+            with pytest.raises(ValueError, match=r"^gamma returned shape \(\)"):
+                correlation_time(spec.stationary)
 
     def test_other_exceptions_propagate(self):
         def cov_fn(t, s):
@@ -202,20 +244,29 @@ class TestCovarianceSum:
         with pytest.raises(ValueError, match="unknown method 'lags'"):
             covariance_sum(spec, 4, method="lags")
 
-    @pytest.mark.parametrize("name", sorted(DIAGONAL_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(VARIANCE_CONFIGS))
     @pytest.mark.parametrize("n", [1, 2, 17, 2048, 2049, 5000])
-    def test_diagonal_route_equals_double_sum(self, name, n):
+    def test_var_fn_route_equals_double_sum(self, name, n):
         # above 2048 the double sum spans several _BLOCK_ELEMENTS blocks
-        spec = build_spec(DIAGONAL_CONFIGS[name])
-        assert spec.diagonal
+        spec = build_spec(VARIANCE_CONFIGS[name])
+        assert spec.var_fn is not None and spec.stationary is None
         assert covariance_sum(spec, n) == covariance_sum(spec, n, method="double")
 
-    @pytest.mark.parametrize("name", sorted(DIAGONAL_CONFIGS))
-    def test_auto_picks_diagonal_route(self, name):
-        spec, sizes = counting_cov(build_spec(DIAGONAL_CONFIGS[name]))
-        value = covariance_sum(spec, 300)
-        assert sizes == [300]
-        assert value == covariance_sum(spec, 300, method="double")
+    @pytest.mark.parametrize("name", sorted(VARIANCE_CONFIGS))
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_auto_sums_var_fn_and_never_calls_cov_fn(self, name, n):
+        spec, sizes = counting_cov(build_spec(VARIANCE_CONFIGS[name]))
+        var_fn, indices = spec.var_fn, []
+
+        def counted(t):
+            indices.append(np.asarray(t).tolist())
+            return var_fn(t)
+
+        value = covariance_sum(dataclasses.replace(spec, var_fn=counted), n)
+        assert sizes == []
+        assert indices == [list(range(1, n + 1))]
+        assert value == covariance_sum(spec, n, method="double")
+        assert sizes == [n * n]
 
     @pytest.mark.parametrize("n", [1, 2, 300])
     def test_lag_route_calls_gamma_once(self, ar1_config, n):
@@ -241,7 +292,7 @@ class TestCovarianceSum:
         spikes = build_spec(ProcessConfig(Family.SPARSE_SPIKES))
         # every partial sum is an integer below 2**53, so exact
         assert covariance_sum(spikes, n) == n * (n + 1) / 2
-        config = DIAGONAL_CONFIGS["drift_sinusoid"]
+        config = VARIANCE_CONFIGS["drift_sinusoid"]
         drift = build_spec(config)
         expected = n * config.params["noise_sd"] ** 2
         assert covariance_sum(drift, n) == pytest.approx(expected, rel=1e-12)
@@ -283,14 +334,16 @@ def zeros(*indices):
 class TestOneCallPerBlock:
     """A callable is called once per block of indices; its errors propagate."""
 
-    @pytest.mark.parametrize("route", ["lags", "diagonal", "double-auto", "double"])
+    @pytest.mark.parametrize("route", ["lags", "var_fn", "double-auto", "double"])
     def test_covariance_sum_propagates_after_one_call(self, exc_type, route):
         calls = []
         fn = raises_on_arrays(exc_type, calls)
         if route == "lags":
             spec = ProcessSpec(zeros, zeros, stationary=StationaryCov(gamma=fn))
+        elif route == "var_fn":
+            spec = ProcessSpec(zeros, zeros, var_fn=fn)
         else:
-            spec = ProcessSpec(zeros, fn, diagonal=route == "diagonal")
+            spec = ProcessSpec(zeros, fn)
         method = "double" if route == "double" else "auto"
         with pytest.raises(exc_type, match="genuine bug"):
             covariance_sum(spec, 300, method=method)
