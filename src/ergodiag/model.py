@@ -75,6 +75,9 @@ __all__ = [
 _TAIL_RUN = 10
 _BLOCK_ELEMENTS = 1 << 22
 _FIRST_LAG_CHUNK = 1024
+# A small term's byte in correlation_time's flags: a bool array's bytes are
+# 0 and 1.
+_SMALL = b"\x01"
 # Characters of a value that an error message echoes before it is cut.
 _ECHO_CHARS = 80
 
@@ -206,11 +209,13 @@ def _integer(value: object, name: str, low: int, high: int | None = None) -> int
     bound), else a ``ValueError`` naming ``name``.
 
     Any ``numbers.Integral`` but a bool is an integer: a bool is an ``int``
-    subclass, but true is not a count or a seed.
+    subclass, but true is not a count or a seed.  A plain ``int`` skips the
+    ABC check.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {_echo(value)}")
-    value = int(value)
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {_echo(value)}")
+        value = int(value)
     if value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bound}, got {_echo(value)}")
@@ -244,7 +249,7 @@ def mean_average(spec: ProcessSpec, n: int) -> float:
     n = _integer(n, "n", 1)
     t = np.arange(1, n + 1, dtype=np.int64)
     mu = _eval_elementwise(spec.mean_fn, "mean_fn", t)
-    return float(np.sum(mu)) / n
+    return float(np.add.reduce(mu)) / n
 
 
 def _lag_decomposition_sum(stationary: StationaryCov, n: int) -> float:
@@ -255,7 +260,7 @@ def _lag_decomposition_sum(stationary: StationaryCov, n: int) -> float:
         return g0
     # n - h for h = 1 .. n - 1, descending: integers below 2**53, exact as floats.
     weighted = np.arange(n - 1, 0, -1, dtype=float)
-    return n * g0 + 2.0 * float(np.sum(np.multiply(weighted, g[1:], out=weighted)))
+    return n * g0 + 2.0 * float(np.add.reduce(np.multiply(weighted, g[1:], out=weighted)))
 
 
 def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
@@ -282,7 +287,7 @@ def covariance_sum(spec: ProcessSpec, n: int, method: str = "auto") -> float:
         return _lag_decomposition_sum(spec.stationary, n)
     if method == "auto" and spec.var_fn is not None:
         t = np.arange(1, n + 1, dtype=np.int64)
-        return float(np.sum(_eval_elementwise(spec.var_fn, "var_fn", t)))
+        return float(np.add.reduce(_eval_elementwise(spec.var_fn, "var_fn", t)))
 
     s = np.arange(1, n + 1, dtype=np.int64)
     row_sums = np.empty(n, dtype=float)
@@ -318,8 +323,9 @@ def correlation_time(
     the lag sum shows no sign of converging.
 
     ``H`` depends only on which terms are small, so it is found first; then
-    one in-order ``np.cumsum`` runs to ``H``, and the result is the float a
-    lag-by-lag loop reaches.  A :data:`NON_SUMMABLE` result sums nothing.
+    one in-order ``np.add.accumulate`` runs to ``H``, and the result is the
+    float a lag-by-lag loop reaches.  A :data:`NON_SUMMABLE` result sums
+    nothing and doubles no ``gamma(h)``.
 
     Raises
     ------
@@ -332,9 +338,10 @@ def correlation_time(
     # Lags are evaluated in chunks of 1024, 2048, ... (at most _BLOCK_ELEMENTS
     # lags each); the first call also evaluates lag 0.  Run lengths are
     # worked out only in a chunk with a small term; in any other chunk the
-    # run ends at 0.  Each chunk's terms 2 * gamma(h) wait until H is known.
-    # Once _BLOCK_ELEMENTS lags wait, they are summed into the carried total,
-    # so at most about two chunks' terms are held.
+    # run ends at 0.  Each chunk's gamma(h) wait until H is known, and are
+    # doubled into the terms 2 * gamma(h) only to be summed.  Once
+    # _BLOCK_ELEMENTS lags wait, they are summed into the carried total, so
+    # at most about two chunks' values are held.
     lo, size = 1, _FIRST_LAG_CHUNK
     g = _eval_elementwise(cov.gamma, "gamma", np.arange(min(size, max_terms) + 1, dtype=np.int64))
     g0 = float(g[0])
@@ -345,23 +352,27 @@ def correlation_time(
     waiting: list[np.ndarray] = []
     run = 0  # small increments in a row, carried across chunks
     while True:
-        terms = 2.0 * g
-        small = np.abs(terms) < abs_tol
-        if small.any():
-            i = np.arange(terms.size)
-            last_break = np.maximum.accumulate(np.where(small, -1, i))
-            runs = np.where(last_break < 0, run + i + 1, i - last_break)
-            done = np.flatnonzero(runs >= _TAIL_RUN)
-            if done.size:
-                waiting.append(terms[: done[0] + 1])
+        magnitude = np.absolute(g)
+        # Some |2 * gamma(h)| is below abs_tol exactly when twice the least
+        # |gamma(h)| is: doubling is monotone, and fmin skips NaN, which is
+        # never small.
+        if 2.0 * float(np.fmin.reduce(magnitude)) < abs_tol:
+            # |2 * gamma(h)| is |gamma(h)| + |gamma(h)|, exactly.
+            small = np.less(np.add(magnitude, magnitude, out=magnitude), abs_tol)
+            # One byte per lag, 1 for a small term, after the run carried in:
+            # the first _TAIL_RUN ones in a row end at H.
+            flags = _SMALL * run + small.tobytes()
+            start = flags.find(_SMALL * _TAIL_RUN)
+            if start >= 0:
+                waiting.append(g[: start + _TAIL_RUN - run])
                 return _accumulate(total, waiting) / g0
-            run = int(runs[-1])
+            run = len(flags) - len(flags.rstrip(_SMALL))
         else:
             run = 0
-        waiting.append(terms)
+        waiting.append(g)
         if sum(w.size for w in waiting) >= _BLOCK_ELEMENTS:
             total, waiting = _accumulate(total, waiting), []
-        lo, size = lo + terms.size, min(2 * size, _BLOCK_ELEMENTS)
+        lo, size = lo + g.size, min(2 * size, _BLOCK_ELEMENTS)
         if lo > max_terms:
             return NON_SUMMABLE
         h = np.arange(lo, min(lo + size, max_terms + 1), dtype=np.int64)
@@ -369,13 +380,14 @@ def correlation_time(
 
 
 def _accumulate(total: float, chunks: list[np.ndarray]) -> float:
-    """``total`` plus every element of ``chunks``, added one at a time in
-    order: ``total`` is added to a chunk's first element, then ``np.cumsum``
-    adds in order, in place, so the result is the partial sum a lag-by-lag
-    loop reaches."""
+    """``total`` plus every term ``2 * gamma(h)`` of the ``gamma`` values in
+    ``chunks``, added one at a time in order: ``total`` is added to a
+    chunk's first term, then ``np.add.accumulate`` adds in order, in place,
+    so the result is the partial sum a lag-by-lag loop reaches."""
     for chunk in chunks:
-        chunk[0] += total
-        total = float(np.cumsum(chunk, out=chunk)[-1])
+        terms = np.multiply(chunk, 2.0)
+        terms[0] += total
+        total = float(np.add.accumulate(terms, out=terms)[-1])
     return total
 
 
@@ -412,11 +424,22 @@ def classify_growth(n_grid: list[int], vn_values: list[float]) -> GrowthReport:
     top decade, and ``INDETERMINATE`` otherwise (including any zero ``V_n``
     in the fit window, where the log slope is undefined).
 
-    The grid must be strictly increasing, have at least 4 points, and span
-    at least one decade.
+    The grid must be strictly increasing, have at least 4 points and span
+    at least one decade; every ``V_n`` must be finite and non-negative.
+
+    The slope's float is fixed by its recipe: one ``np.log`` call on the
+    fit window's ``n`` then its ``V_n`` (``x`` and ``y``, ``k`` points
+    each); ``dx = x - np.add.reduce(x) / k``; and ``np.add.reduce(dx * (y
+    - np.add.reduce(y) / k)) / np.add.reduce(dx * dx)``.  ``np.add.reduce``
+    sums in NumPy's pairwise order (eight accumulators from eight values
+    on), so these are the floats of ``.mean()`` and ``np.sum``.
     """
     grid = [_integer(v, "n_grid entry", 1) for v in n_grid]
-    vals = [float(v) for v in vn_values]
+    rule = "vn_values must be finite and non-negative (each is a variance)"
+    try:
+        vals = [float(v) for v in vn_values]
+    except OverflowError:  # an int past the float range
+        raise ValueError(rule) from None
     if len(grid) != len(vals):
         raise ValueError(
             f"n_grid and vn_values lengths differ: {len(grid)} vs {len(vals)}"
@@ -427,19 +450,18 @@ def classify_growth(n_grid: list[int], vn_values: list[float]) -> GrowthReport:
         raise ValueError("n_grid must be strictly increasing")
     if grid[-1] < 10 * grid[0]:
         raise ValueError("n_grid must span at least one decade")
-    if any(not v >= 0 for v in vals):
-        raise ValueError("vn_values must be non-negative (each is a variance)")
+    if any(not 0 <= v < math.inf for v in vals):
+        raise ValueError(rule)
 
     ratios = tuple(v / float(n * n) for n, v in zip(grid, vals))
     sel = _top_decade_indices(tuple(grid))
-    sel_n = np.asarray([grid[i] for i in sel], dtype=float)
-    sel_v = np.asarray([vals[i] for i in sel], dtype=float)
 
-    if np.all(sel_v > 0):
-        x = np.log(sel_n)
-        y = np.log(sel_v)
-        dx = x - x.mean()
-        slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+    if all(vals[i] > 0 for i in sel):
+        k, add = len(sel), np.add.reduce
+        logs = np.log([float(grid[i]) for i in sel] + [vals[i] for i in sel])
+        x, y = logs[:k], logs[k:]
+        dx = x - add(x) / k
+        slope = float(add(dx * (y - add(y) / k)) / add(dx * dx))
     else:
         slope = math.nan
 

@@ -496,12 +496,19 @@ class Family(str, Enum):
 
 
 def _number(value: object, name: str) -> float:
+    if type(value) is float:  # a plain float skips the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {_echo(value)}")
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is past the float range") from None
+
+
+def _is_mapping(value: object) -> bool:
+    """Whether ``value`` is a ``Mapping``; a plain dict skips the ABC check."""
+    return type(value) is dict or isinstance(value, Mapping)
 
 
 def _require_number(params: Mapping, key: str, prefix: str = "") -> float:
@@ -538,7 +545,7 @@ class Model:
         return {}
 
     def mean(self, p: dict, t) -> np.ndarray:
-        return np.zeros(np.shape(t))
+        return np.zeros(t.shape)
 
     def cov(self, p: dict, t, s) -> np.ndarray:
         t, s = np.asarray(t), np.asarray(s)
@@ -583,7 +590,7 @@ class _AR1(Model):
         # it the lag keeps the 0.0 of np.zeros.  That zero differs from
         # gamma0 * phi**h only in its sign (phi < 0, odd h), and adding +-0
         # to a nonzero partial sum is exact, so V_n and tau keep every bit.
-        h = np.abs(np.asarray(h))
+        h = np.absolute(h)
         out = np.zeros(h.shape)
         live = h < _ar1_zero_lag(p["phi"])
         out[live] = p["gamma0"] * p["phi"] ** h[live]
@@ -665,9 +672,10 @@ class _CommonShock(Model):
     def gamma(self, p: dict, h) -> np.ndarray:
         # numpy scalars: a square out of the float range is inf, not an error.
         z2, e2 = np.float64(p["sigma_z"]) ** 2, np.float64(p["sigma_eps"]) ** 2
-        h = np.asarray(h)
-        out = np.full(h.shape, z2)
-        out[h == 0] = z2 + e2
+        zero = np.equal(h, 0)
+        out = np.empty(zero.shape)
+        out.fill(z2)
+        out[zero] = z2 + e2
         return out
 
     def draw(self, p: dict, n: int) -> Callable:
@@ -686,7 +694,7 @@ _TREND_KINDS = ("LINEAR", "SINUSOID")
 
 
 def _validate_trend(trend: object) -> dict:
-    if not isinstance(trend, Mapping):
+    if not _is_mapping(trend):
         raise ValueError(f"trend must be a mapping with a 'kind' key, got {_echo(trend)}")
     kind = trend.get("kind")
     if kind not in _TREND_KINDS:
@@ -721,13 +729,19 @@ class _DriftingMean(Model):
         return {"trend": _validate_trend(params["trend"]), "noise_sd": noise_sd}
 
     def mean(self, p: dict, t) -> np.ndarray:
-        trend, t = p["trend"], np.asarray(t, dtype=float)
+        trend = p["trend"]
         if trend["kind"] == "LINEAR":
-            return trend["a"] + trend["b"] * t
+            # a + b * t, in one float array
+            out = np.multiply(t, trend["b"], dtype=float)
+            out += trend["a"]
+            return out
+        t = np.asarray(t, dtype=float)
         return trend["amplitude"] * np.sin(2.0 * np.pi * t / trend["period"])
 
     def variance(self, p: dict, t) -> np.ndarray:
-        return np.full(np.shape(t), np.float64(p["noise_sd"]) ** 2)
+        out = np.empty(t.shape)
+        out.fill(np.float64(p["noise_sd"]) ** 2)
+        return out
 
     def draw(self, p: dict, n: int) -> Callable:
         trend = self.mean(p, np.arange(1, n + 1, dtype=np.int64))
@@ -796,7 +810,7 @@ class ProcessConfig:
         if model is not self.family:
             object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "model", model)
-        if not isinstance(self.params, Mapping):
+        if not _is_mapping(self.params):
             raise ValueError(f"params must be a mapping, got {_echo(self.params)}")
         object.__setattr__(self, "params", model.validate(self.params))
 

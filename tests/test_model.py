@@ -688,6 +688,143 @@ class TestClassifyGrowth:
         assert math.isnan(report.fitted_slope)
         assert report.to_dict()["fitted_slope"] is None
 
+    @pytest.mark.parametrize("vals", [
+        [1.0, 10.0, math.inf, 1e4], [math.inf] * 4, [1.0, 10.0, 100.0, -math.inf],
+    ], ids=["one-inf", "all-inf", "minus-inf"])
+    def test_rejects_infinite_vn(self, vals):
+        # An inf used to reach the fit (a NaN slope, with numpy's "invalid
+        # value" warning) or the report (an inf liminf, not strict JSON).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^vn_values must be finite and non-negative"):
+                classify_growth(GRID, vals)
+
+    def test_rejects_vn_past_the_float_range(self):
+        with pytest.raises(ValueError, match="^vn_values must be finite and non-negative"):
+            classify_growth(GRID, [10**400] * 4)
+        with pytest.raises(ValueError, match="^vn_values must be finite and non-negative"):
+            classify_growth(GRID, [1, 10, 100, 10**400])
+
+
+def numpy_formula_slope(n_grid: list[int], vn_values: list[float]) -> float:
+    """The top-decade least-squares slope by the plain NumPy formula:
+    ``np.log`` of each column on its own, ``.mean()`` and ``np.sum``."""
+    sel = [i for i, n in enumerate(n_grid) if 10 * n >= n_grid[-1]]
+    if len(sel) < 2:
+        sel = [len(n_grid) - 2, len(n_grid) - 1]
+    sel_n = np.asarray([n_grid[i] for i in sel], dtype=float)
+    sel_v = np.asarray([vn_values[i] for i in sel], dtype=float)
+    if not np.all(sel_v > 0):
+        return math.nan
+    x, y = np.log(sel_n), np.log(sel_v)
+    dx = x - x.mean()
+    return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+
+
+def seeded_growth_cases(seed: int, count: int) -> list[tuple[list[int], list[float]]]:
+    """``count`` (grid, V_n) pairs of 4 to 12 points spanning at least a
+    decade, in turn: a top decade of 8 or more points (NumPy sums 8 or more
+    values with 8 accumulators), a log-uniform grid with random ``V_n`` and
+    one with a power law ``c * n**a``; every seventh case has a zero
+    ``V_n``."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        size, kind = int(rng.integers(4, 13)), len(cases) % 3
+        if kind == 0:
+            top = int(rng.integers(10**3, 10**7))
+            points = rng.integers(top // 10, top, max(size, 9) - 1)
+            grid = sorted({1, top, *map(int, points)})
+        else:
+            grid = sorted({int(n) for n in np.exp(rng.uniform(0, 16, size))})
+        if len(grid) < 4 or grid[-1] < 10 * grid[0]:
+            continue
+        if kind == 2:
+            a, c = rng.uniform(0.0, 2.2), rng.uniform(0.1, 10.0)
+            vals = [c * n**a for n in grid]
+        else:
+            vals = [float(v) for v in np.exp(rng.uniform(-30, 30, len(grid)))]
+        if len(cases) % 7 == 0:
+            vals[int(rng.integers(len(vals)))] = 0.0
+        cases.append((grid, vals))
+    return cases
+
+
+# The exact outputs of one model per family on the exact benchmark's grid,
+# as float.hex: mean_average and time_average_variance at each n,
+# classify_growth of covariance_sum at the four n, and correlation_time.
+# AR1's phi = -0.5 has exact powers, so no value depends on the CPU's pow.
+EXACT_GRID = (1000, 3000, 10_000, 30_000)
+EXACT_BITS = {
+    "AR1": (
+        ProcessConfig(Family.AR1, {"phi": -0.5, "gamma0": 1.7}),
+        ["0x0.0p+0"] * 4,
+        ["0x1.297e1f1988de9p-11", "0x1.8c4e054bde4a0p-13",
+         "0x1.db6af72a0c19cp-15", "0x1.3ceac40412143p-16"],
+        ("0x1.ffe90f2598e75p-1", "0x1.3ceac40412143p-16", "SUBQUADRATIC"),
+        "0x1.5555555555800p-2",
+    ),
+    "SPARSE_SPIKES": (
+        ProcessConfig(Family.SPARSE_SPIKES),
+        ["0x0.0p+0"] * 4,
+        ["0x1.004189374bc6ap-1", "0x1.0015d867c3ecep-1",
+         "0x1.00068db8bac71p-1", "0x1.00022f3d9397bp-1"],
+        ("0x1.fff7658b81d58p+0", "0x1.00022f3d9397bp-1", "QUADRATIC"),
+        None,
+    ),
+    "COMMON_SHOCK": (
+        ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.3, "sigma_eps": 0.7}),
+        ["0x0.0p+0"] * 4,
+        ["0x1.b0c3f3e0370cfp+0", "0x1.b0ae8b5190a4bp+0",
+         "0x1.b0a70d1fa3337p+0", "0x1.b0a4e9115f5c4p+0"],
+        ("0x1.fffd8155badb9p+0", "0x1.b0a4e9115f5c4p+0", "QUADRATIC"),
+        NON_SUMMABLE,
+    ),
+    "DRIFTING_MEAN": (
+        ProcessConfig(
+            Family.DRIFTING_MEAN,
+            {"trend": {"kind": "LINEAR", "a": -0.3, "b": 0.004}, "noise_sd": 1.3},
+        ),
+        ["0x1.b3b645a1cac08p+0", "0x1.6ced916872b02p+2",
+         "0x1.3b3b645a1cac1p+4", "0x1.dd9db22d0e560p+5"],
+        ["0x1.bb05faebc4090p-10", "0x1.275951f282b09p-11",
+         "0x1.626b2f23033a4p-13", "0x1.d88ee984044dcp-15"],
+        ("0x1.0000000000000p+0", "0x1.d88ee984044dcp-15", "SUBQUADRATIC"),
+        None,
+    ),
+}
+
+
+class TestExactBits:
+    """The exact side's floats, bit for bit: CI runs this class again under
+    AVX2 and baseline SIMD dispatch."""
+
+    def test_slope_bits_equal_the_numpy_formula(self):
+        cases = seeded_growth_cases(20_260_101, 600)
+        dense = 0
+        for grid, vals in cases:
+            got = classify_growth(grid, vals).fitted_slope
+            want = numpy_formula_slope(grid, vals)
+            assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want), (grid, vals)
+            dense += sum(10 * n >= grid[-1] for n in grid) >= 8
+        assert dense >= 100
+
+    @pytest.mark.parametrize("name", list(EXACT_BITS))
+    def test_family_outputs_keep_their_bits(self, name):
+        config, means, variances, growth, tau = EXACT_BITS[name]
+        spec = build_spec(config)
+        assert [mean_average(spec, n).hex() for n in EXACT_GRID] == means
+        assert [time_average_variance(spec, n).hex() for n in EXACT_GRID] == variances
+        report = classify_growth(list(EXACT_GRID), [covariance_sum(spec, n) for n in EXACT_GRID])
+        assert (report.fitted_slope.hex(), report.liminf_estimate.hex(),
+                report.classification.value) == growth
+        if tau is None:
+            assert spec.stationary is None
+        elif tau is NON_SUMMABLE:
+            assert correlation_time(spec.stationary) is NON_SUMMABLE
+        else:
+            assert correlation_time(spec.stationary).hex() == tau
+
 
 class _Stop(Exception):
     pass
