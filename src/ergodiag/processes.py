@@ -496,19 +496,12 @@ class Family(str, Enum):
 
 
 def _number(value: object, name: str) -> float:
-    if type(value) is float:  # a plain float skips the ABC check
-        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {_echo(value)}")
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is past the float range") from None
-
-
-def _is_mapping(value: object) -> bool:
-    """Whether ``value`` is a ``Mapping``; a plain dict skips the ABC check."""
-    return type(value) is dict or isinstance(value, Mapping)
 
 
 def _require_number(params: Mapping, key: str, prefix: str = "") -> float:
@@ -545,7 +538,7 @@ class Model:
         return {}
 
     def mean(self, p: dict, t) -> np.ndarray:
-        return np.zeros(t.shape)
+        return np.zeros(np.shape(t))
 
     def cov(self, p: dict, t, s) -> np.ndarray:
         t, s = np.asarray(t), np.asarray(s)
@@ -694,7 +687,7 @@ _TREND_KINDS = ("LINEAR", "SINUSOID")
 
 
 def _validate_trend(trend: object) -> dict:
-    if not _is_mapping(trend):
+    if not isinstance(trend, Mapping):
         raise ValueError(f"trend must be a mapping with a 'kind' key, got {_echo(trend)}")
     kind = trend.get("kind")
     if kind not in _TREND_KINDS:
@@ -729,19 +722,13 @@ class _DriftingMean(Model):
         return {"trend": _validate_trend(params["trend"]), "noise_sd": noise_sd}
 
     def mean(self, p: dict, t) -> np.ndarray:
-        trend = p["trend"]
+        trend, t = p["trend"], np.asarray(t, dtype=float)
         if trend["kind"] == "LINEAR":
-            # a + b * t, in one float array
-            out = np.multiply(t, trend["b"], dtype=float)
-            out += trend["a"]
-            return out
-        t = np.asarray(t, dtype=float)
+            return trend["a"] + trend["b"] * t
         return trend["amplitude"] * np.sin(2.0 * np.pi * t / trend["period"])
 
     def variance(self, p: dict, t) -> np.ndarray:
-        out = np.empty(t.shape)
-        out.fill(np.float64(p["noise_sd"]) ** 2)
-        return out
+        return np.full(np.shape(t), np.float64(p["noise_sd"]) ** 2)
 
     def draw(self, p: dict, n: int) -> Callable:
         trend = self.mean(p, np.arange(1, n + 1, dtype=np.int64))
@@ -810,7 +797,7 @@ class ProcessConfig:
         if model is not self.family:
             object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "model", model)
-        if not _is_mapping(self.params):
+        if not isinstance(self.params, Mapping):
             raise ValueError(f"params must be a mapping, got {_echo(self.params)}")
         object.__setattr__(self, "params", model.validate(self.params))
 
