@@ -10,8 +10,9 @@ paths, whether running averages settle on the average of the means:
   ``SamplePath`` or from the array of per-replicate time averages
   (``ensemble_mse``, ``empirical_tail``);
 * :mod:`~ergodiag.bounds`: Markov, Chebyshev and Paley-Zygmund bounds;
-* :mod:`~ergodiag.processes`: seeded process models (``Model``; four
-  registered families) with their exact moments (``sample_path``);
+* :mod:`~ergodiag.processes`: seeded process models (``Model``; the four
+  registered families are ``FAMILIES``) with their exact moments
+  (``sample_path``);
 * :mod:`~ergodiag.harness`: the Monte Carlo verification harness
   (``run_experiment``) for any ``Model``, driven from the command line by
   :mod:`~ergodiag.cli` for the registered families.
@@ -58,7 +59,7 @@ from .model import (
     time_average_variance,
 )
 from .processes import (
-    Family,
+    FAMILIES,
     Model,
     ProcessConfig,
     RngSeed,
@@ -103,7 +104,7 @@ __all__ = [
     "chebyshev_bound",
     "paley_zygmund_lower",
     # processes
-    "Family",
+    "FAMILIES",
     "Model",
     "ProcessConfig",
     "RngSeed",

@@ -153,7 +153,7 @@ class Verdict:
 
 def default_checks(family: object) -> frozenset[Check]:
     """Checks that are meaningful for a model (those it should pass): a
-    ``Model``, or a family or its name, resolved as ``ProcessConfig`` does."""
+    ``Model``, or a name in ``FAMILIES``, resolved as ``ProcessConfig`` does."""
     return frozenset(Check(name) for name in _model(family).checks)
 
 

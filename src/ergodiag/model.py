@@ -424,8 +424,9 @@ def classify_growth(n_grid: list[int], vn_values: list[float]) -> GrowthReport:
     top decade, and ``INDETERMINATE`` otherwise (including any zero ``V_n``
     in the fit window, where the log slope is undefined).
 
-    The grid must be strictly increasing, have at least 4 points and span
-    at least one decade; every ``V_n`` must be finite and non-negative.
+    The grid must be strictly increasing, have at least 4 points, span at
+    least one decade and square to floats (``n`` below about 1.34e154);
+    every ``V_n`` must be finite and non-negative.
 
     The slope's float is fixed by its recipe: one ``np.log`` call on the
     fit window's ``n`` then its ``V_n`` (``x`` and ``y``, ``k`` points
@@ -450,6 +451,9 @@ def classify_growth(n_grid: list[int], vn_values: list[float]) -> GrowthReport:
         raise ValueError("n_grid must be strictly increasing")
     if grid[-1] < 10 * grid[0]:
         raise ValueError("n_grid must span at least one decade")
+    # float(n * n) overflows from 2**1024 - 2**970; the last square is the largest.
+    if grid[-1] * grid[-1] >= 2**1024 - 2**970:
+        raise ValueError(f"n_grid entries must be below about 1.34e154, got {_echo(grid[-1])}")
     if any(not 0 <= v < math.inf for v in vals):
         raise ValueError(rule)
 

@@ -25,8 +25,10 @@ Families
 
 Models
 ------
-Each family is one registered :class:`Model`.  :class:`ProcessConfig` alone
-resolves a family to its model, or takes a caller's model.  A model holds
+Each family is one :class:`Model`, registered under its name in
+:data:`FAMILIES`, the one list of families (read-only, in the order above).
+:class:`ProcessConfig` alone resolves a family's name to its model, or takes
+a caller's model.  A model holds
 
 * ``name``, which ``ProcessConfig.to_dict`` writes as the family;
 * ``validate(params)``: the checked parameters ``p``, or a ``ValueError``
@@ -52,9 +54,10 @@ The base class supplies no parameters, a zero mean, the checks of a
 convergent family and the Gaussian ``sqrt(2) * Var(A_n)``, exact for AR1,
 COMMON_SHOCK and DRIFTING_MEAN; a non-Gaussian model that keeps it assumes it.
 A caller's model is checked when :class:`ProcessConfig` takes it: a name
-that is not a non-empty str, neither or both of ``gamma`` and ``variance``,
-a ``draw`` that is not callable or an unknown check name raises a
-``ValueError`` naming the model's class and the hook.
+that is not a non-empty str or is a key of :data:`FAMILIES` held by another
+model, neither or both of ``gamma`` and ``variance``, a ``draw`` that is not
+callable or an unknown check name raises a ``ValueError`` naming the model's
+class and the hook.
 
 Reproducibility
 ---------------
@@ -128,8 +131,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache, partial
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -138,7 +141,7 @@ from .estimators import SamplePath
 from .model import ProcessSpec, StationaryCov, _cut, _echo, _integer
 
 __all__ = [
-    "Family",
+    "FAMILIES",
     "Model",
     "ProcessConfig",
     "RngSeed",
@@ -486,15 +489,6 @@ def _reseeded(
         yield rng
 
 
-class Family(str, Enum):
-    """Process family identifiers, as spelled in configuration files."""
-
-    AR1 = "AR1"
-    SPARSE_SPIKES = "SPARSE_SPIKES"
-    COMMON_SHOCK = "COMMON_SHOCK"
-    DRIFTING_MEAN = "DRIFTING_MEAN"
-
-
 def _number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {_echo(value)}")
@@ -742,35 +736,35 @@ class _DriftingMean(Model):
         return draw
 
 
-_FAMILIES: dict[Family, Model] = {
-    Family(model.name): model
+FAMILIES: Mapping[str, Model] = MappingProxyType({
+    model.name: model
     for model in (_AR1(), _SparseSpikes(), _CommonShock(), _DriftingMean())
-}
+})
 
 
 def _model(family: object) -> Model:
     """The model ``family`` names, by the rule of :class:`ProcessConfig`."""
     if isinstance(family, Model):
         return _checked(family)
-    try:
-        return _FAMILIES[Family(family)]
-    except ValueError:
-        raise ValueError(
-            f"family must be one of {[f.value for f in Family]}, got {_echo(family)}"
-        ) from None
+    if isinstance(family, str) and family in FAMILIES:
+        return FAMILIES[family]
+    raise ValueError(f"family must be one of {list(FAMILIES)}, got {_echo(family)}")
 
 
 def _checked(model: Model) -> Model:
     """``model``, else a ``ValueError`` naming its class and the hook at
-    fault: ``name`` must be a non-empty str, exactly one of ``gamma`` and
-    ``variance`` must be set, ``draw`` must be callable and every name in
-    ``checks`` must be a check."""
+    fault: ``name`` must be a non-empty str that no other model in
+    :data:`FAMILIES` holds, exactly one of ``gamma`` and ``variance`` must be
+    set, ``draw`` must be callable and every name in ``checks`` must be a
+    check."""
     from .harness import Check  # harness imports this module
 
     who = f"model {type(model).__name__}"
     name = getattr(model, "name", None)
     if not isinstance(name, str) or not name:
         raise ValueError(f"{who}: name must be a non-empty str, got {_echo(name)}")
+    if FAMILIES.get(name, model) is not model:
+        raise ValueError(f"{who}: name {_echo(name)} is taken by a registered family")
     if (model.gamma is None) == (model.variance is None):
         got = "neither" if model.gamma is None else "both"
         raise ValueError(f"{who}: exactly one of gamma and variance must be set, got {got}")
@@ -786,16 +780,15 @@ def _checked(model: Model) -> Model:
 @dataclass(frozen=True)
 class ProcessConfig:
     """A process model plus its validated parameters: ``family`` is a
-    :class:`Model`, or a :class:`Family` or its name, resolved into ``model``."""
+    :class:`Model`, or a name in :data:`FAMILIES`, resolved into ``model``.
+    ``family`` is kept as given."""
 
-    family: Family | Model
+    family: str | Model
     params: dict = field(default_factory=dict)
     model: Model = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         model = _model(self.family)
-        if model is not self.family:
-            object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "model", model)
         if not isinstance(self.params, Mapping):
             raise ValueError(f"params must be a mapping, got {_echo(self.params)}")

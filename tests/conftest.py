@@ -3,29 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from ergodiag import Family, ProcessConfig, ProcessSpec, RngSeed, StationaryCov
+from ergodiag import ProcessConfig, ProcessSpec, RngSeed, StationaryCov
 from ergodiag.processes import lfilter, sample_blocks
 
 
 @pytest.fixture
 def ar1_config() -> ProcessConfig:
-    return ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0})
+    return ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0})
 
 
 @pytest.fixture
 def spike_config() -> ProcessConfig:
-    return ProcessConfig(Family.SPARSE_SPIKES)
+    return ProcessConfig("SPARSE_SPIKES")
 
 
 @pytest.fixture
 def shock_config() -> ProcessConfig:
-    return ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.0, "sigma_eps": 1.0})
+    return ProcessConfig("COMMON_SHOCK", {"sigma_z": 1.0, "sigma_eps": 1.0})
 
 
 @pytest.fixture
 def drift_config() -> ProcessConfig:
     return ProcessConfig(
-        Family.DRIFTING_MEAN,
+        "DRIFTING_MEAN",
         {"trend": {"kind": "LINEAR", "a": 1.0, "b": 0.5}, "noise_sd": 1.0},
     )
 
@@ -51,7 +51,7 @@ def reference_path(config: ProcessConfig, n: int, seed: RngSeed) -> np.ndarray:
     """
     rng = seed.generator()
     p = config.params
-    if config.family is Family.AR1:
+    if config.family == "AR1":
         phi, gamma0 = p["phi"], p["gamma0"]
         x1 = math.sqrt(gamma0) * rng.standard_normal()
         innov = math.sqrt(gamma0 * (1.0 - phi * phi)) * rng.standard_normal(n - 1)
@@ -59,11 +59,11 @@ def reference_path(config: ProcessConfig, n: int, seed: RngSeed) -> np.ndarray:
         lfilter(path, phi)
         return path[0]
     t = np.arange(1, n + 1, dtype=float)
-    if config.family is Family.SPARSE_SPIKES:
+    if config.family == "SPARSE_SPIKES":
         prob, magnitude = 1.0 / (t * t), t * np.sqrt(t)
         u = rng.random(n)
         return np.where(u < 0.5 * prob, magnitude, np.where(u < prob, -magnitude, 0.0))
-    if config.family is Family.COMMON_SHOCK:
+    if config.family == "COMMON_SHOCK":
         shock = p["sigma_z"] * rng.standard_normal()
         return shock + p["sigma_eps"] * rng.standard_normal(n)
     trend = p["trend"]
@@ -90,11 +90,11 @@ def sample_rows(config: ProcessConfig, n: int, replicates: int, base_seed: int) 
 # One configuration per family, including the edge parameters the block
 # transforms must handle: a negative AR1 coefficient and a noiseless shock.
 ENGINE_CONFIGS = {
-    "AR1": ProcessConfig(Family.AR1, {"phi": -0.7, "gamma0": 2.0}),
-    "SPARSE_SPIKES": ProcessConfig(Family.SPARSE_SPIKES),
-    "COMMON_SHOCK": ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.3, "sigma_eps": 0.0}),
+    "AR1": ProcessConfig("AR1", {"phi": -0.7, "gamma0": 2.0}),
+    "SPARSE_SPIKES": ProcessConfig("SPARSE_SPIKES"),
+    "COMMON_SHOCK": ProcessConfig("COMMON_SHOCK", {"sigma_z": 1.3, "sigma_eps": 0.0}),
     "DRIFTING_MEAN": ProcessConfig(
-        Family.DRIFTING_MEAN,
+        "DRIFTING_MEAN",
         {"trend": {"kind": "SINUSOID", "amplitude": 2.0, "period": 7.0}, "noise_sd": 0.5},
     ),
 }

@@ -14,7 +14,6 @@ import pytest
 from ergodiag import (
     Check,
     ExperimentConfig,
-    Family,
     ProcessConfig,
     RngSeed,
     build_spec,
@@ -36,11 +35,11 @@ from ergodiag import (
 from ergodiag import harness, processes
 from ergodiag.cli import main
 
-SPIKES = ProcessConfig(Family.SPARSE_SPIKES)
-AR1 = ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0})
-SHOCK = ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.0, "sigma_eps": 1.0})
+SPIKES = ProcessConfig("SPARSE_SPIKES")
+AR1 = ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0})
+SHOCK = ProcessConfig("COMMON_SHOCK", {"sigma_z": 1.0, "sigma_eps": 1.0})
 DRIFT = ProcessConfig(
-    Family.DRIFTING_MEAN, {"trend": {"kind": "LINEAR", "a": 0.0, "b": 0.01}, "noise_sd": 1.0}
+    "DRIFTING_MEAN", {"trend": {"kind": "LINEAR", "a": 0.0, "b": 0.01}, "noise_sd": 1.0}
 )
 
 # 20 sample lengths spanning 1..10^4

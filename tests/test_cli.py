@@ -11,13 +11,14 @@ import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import jsonschema
 import numpy as np
 import pytest
 from conftest import ENGINE_CONFIGS
 
-from ergodiag import Family, ProcessConfig, RngSeed, processes, sample_path
+from ergodiag import FAMILIES, ProcessConfig, RngSeed, processes, sample_path
 from ergodiag import _format, cli, harness
 from ergodiag.cli import main
 
@@ -76,7 +77,7 @@ class TestSimulate:
         assert first.read_bytes() == second.read_bytes()
 
     def test_values_round_trip_exactly(self, tmp_path):
-        config = ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0})
+        config = ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0})
         code, out = self.run_simulate(
             tmp_path, AR1_DOC, n="50", replicates="1", seed="7"
         )
@@ -88,9 +89,9 @@ class TestSimulate:
     # Every value of these paths lies outside the window 1e-4 <= |x| < 1e16
     # that the row writer prints with NumPy: below it, and above it.
     WINDOW_MISSES = {
-        "AR1_BELOW_WINDOW": ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1e-12}),
+        "AR1_BELOW_WINDOW": ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1e-12}),
         "DRIFTING_MEAN_ABOVE_WINDOW": ProcessConfig(
-            Family.DRIFTING_MEAN,
+            "DRIFTING_MEAN",
             {"trend": {"kind": "LINEAR", "a": 1e17, "b": 1.0}, "noise_sd": 1.0},
         ),
     }
@@ -419,7 +420,7 @@ class TestAnalyze:
         assert result["tau_floored"] is True
 
     def test_ar1_effective_sample_size_near_n_over_three(self, tmp_path, capsys):
-        config = ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0})
+        config = ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0})
         n = 100_000
         values = sample_path(config, n, RngSeed(2002, 0)).values
         input_path = write_path_csv(tmp_path, values, header="t,x", with_t=True)
@@ -472,7 +473,7 @@ class TestAnalyze:
         assert code == 0
         result = json.loads(captured.out)
         expected = sample_path(
-            ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0}), 200, RngSeed(5, 0)
+            ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0}), 200, RngSeed(5, 0)
         ).values
         assert result["mean"] == pytest.approx(expected.mean(), rel=1e-15)
 
@@ -897,8 +898,25 @@ class TestExperiment:
         checks = schema["$defs"]["checkName"]["enum"]
         family = schema["properties"]["process"]["properties"]["family"]
         assert checks == [c.value for c in harness.Check]
-        for f in Family:
-            jsonschema.validate(f.value, family)
+        for name in FAMILIES:
+            jsonschema.validate(name, family)
+
+    def test_a_model_registered_in_families_runs_from_the_command_line(
+        self, tmp_path, monkeypatch
+    ):
+        # Adding a family takes one Model in FAMILIES, nothing else.
+        class Fifth(type(FAMILIES["AR1"])):
+            name = "FIFTH_AR1"
+
+        monkeypatch.setattr(processes, "FAMILIES",
+                            MappingProxyType({**FAMILIES, Fifth.name: Fifth()}))
+        doc = {"process": {"family": "FIFTH_AR1", "params": {"phi": 0.5, "gamma0": 1.0}},
+               "experiment": {"base_seed": 1, "n_grid": [10, 100], "replicates": 200}}
+        code, out_dir = self.run_experiment_cmd(tmp_path, doc)
+        assert code in (0, 1)
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        jsonschema.validate(report, load_report_schema())
+        assert report["process"]["family"] == "FIFTH_AR1"
 
     def test_user_model_report_validates_and_an_empty_family_does_not(self):
         class MyAR1(type(ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1}).model)):

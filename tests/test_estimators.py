@@ -8,7 +8,6 @@ import pytest
 from ergodiag import (
     AutocovEstimate,
     DegenerateSeriesError,
-    Family,
     ProcessConfig,
     SamplePath,
     TauEstimate,
@@ -203,7 +202,7 @@ class TestEstimateTau:
         assert not result.saturated
 
     def test_ar1_path_recovers_tau_three(self):
-        config = ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0})
+        config = ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0})
         p = sample_path(config, 100_000, RngSeed(314, 0))
         acov = sample_autocovariance(p, max_lag=100)
         result = estimate_tau(acov)
@@ -286,7 +285,7 @@ class TestEnsembleMse:
     def test_spike_ensemble_matches_exact_variance(self):
         # exact Var(A_100) = 101/200 = 0.505; R = 1e5 keeps the MC error
         # (~sqrt(Var(A^2)/R) ~ 0.014) well inside the 5% band
-        config = ProcessConfig(Family.SPARSE_SPIKES)
+        config = ProcessConfig("SPARSE_SPIKES")
         (a,) = _ensemble_averages(config, (100,), 88, 100_000, None)
         assert ensemble_mse(a, 0.0) == pytest.approx(0.505, rel=0.05)
 
@@ -302,7 +301,7 @@ class TestEmpiricalTail:
         # A_n = Z + mean(noise) ~ N(0, 1 + 1/n); oracle tail from the
         # normal CDF via erf
         n, replicates = 100, 20_000
-        config = ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.0, "sigma_eps": 1.0})
+        config = ProcessConfig("COMMON_SHOCK", {"sigma_z": 1.0, "sigma_eps": 1.0})
         (a,) = _ensemble_averages(config, (n,), 5150, replicates, None)
         sd = math.sqrt(1.0 + 1.0 / n)
         oracle = 2.0 * 0.5 * (1.0 + math.erf(-0.5 / sd / math.sqrt(2.0)))

@@ -15,7 +15,6 @@ import pytest
 from conftest import ENGINE_CONFIGS
 from ergodiag import (
     ExperimentConfig,
-    Family,
     ProcessConfig,
     build_spec,
     covariance_sum,
@@ -25,24 +24,24 @@ from ergodiag import (
 
 CONFIGS = {
     **{f"engine-{name}": config for name, config in ENGINE_CONFIGS.items()},
-    "fixture-AR1": ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0}),
-    "fixture-SPARSE_SPIKES": ProcessConfig(Family.SPARSE_SPIKES),
+    "fixture-AR1": ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0}),
+    "fixture-SPARSE_SPIKES": ProcessConfig("SPARSE_SPIKES"),
     "fixture-COMMON_SHOCK": ProcessConfig(
-        Family.COMMON_SHOCK, {"sigma_z": 1.0, "sigma_eps": 1.0}
+        "COMMON_SHOCK", {"sigma_z": 1.0, "sigma_eps": 1.0}
     ),
     "fixture-DRIFTING_MEAN": ProcessConfig(
-        Family.DRIFTING_MEAN,
+        "DRIFTING_MEAN",
         {"trend": {"kind": "LINEAR", "a": 1.0, "b": 0.5}, "noise_sd": 1.0},
     ),
 }
-STATIONARY = {Family.AR1, Family.COMMON_SHOCK}
+STATIONARY = {"AR1", "COMMON_SHOCK"}
 
 T = np.arange(1, 65, dtype=np.int64)
 LAGS = np.arange(64, dtype=np.int64)
 
 
 def closed_mean(config: ProcessConfig, t: np.ndarray) -> np.ndarray:
-    if config.family is not Family.DRIFTING_MEAN:
+    if config.family != "DRIFTING_MEAN":
         return np.zeros(t.shape)
     trend, tf = config.params["trend"], t.astype(float)
     if trend["kind"] == "LINEAR":
@@ -52,7 +51,7 @@ def closed_mean(config: ProcessConfig, t: np.ndarray) -> np.ndarray:
 
 def closed_gamma(config: ProcessConfig, h: np.ndarray) -> np.ndarray:
     p = config.params
-    if config.family is Family.AR1:
+    if config.family == "AR1":
         return p["gamma0"] * p["phi"] ** h
     z2 = p["sigma_z"] ** 2
     return np.where(h == 0, z2 + p["sigma_eps"] ** 2, z2)
@@ -61,17 +60,17 @@ def closed_gamma(config: ProcessConfig, h: np.ndarray) -> np.ndarray:
 def closed_cov(config: ProcessConfig, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     if config.family in STATIONARY:
         return closed_gamma(config, np.abs(t - s))
-    if config.family is Family.SPARSE_SPIKES:
+    if config.family == "SPARSE_SPIKES":
         variance = t.astype(float)
     else:
         variance = config.params["noise_sd"] ** 2
     return np.where(t == s, variance, 0.0)
 
 
-def closed_squared_deviation_sd(family: Family, n: int, var_an: float) -> float:
+def closed_squared_deviation_sd(family: str, n: int, var_an: float) -> float:
     """Exact ``sd((A_n - m_n)^2)``: Gaussian families ``sqrt(2) Var(A_n)``;
     spikes sum ``Var(X_t^2) = t^4 - t^2`` and ``Var(2 X_t X_s) = 4 t s``."""
-    if family is not Family.SPARSE_SPIKES:
+    if family != "SPARSE_SPIKES":
         return math.sqrt(2.0) * var_an
     total = sum(Fraction(t**4 - t**2) for t in range(1, n + 1))
     total += 4 * sum(t * s for t in range(1, n + 1) for s in range(t + 1, n + 1))

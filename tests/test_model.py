@@ -10,7 +10,6 @@ from ergodiag import (
     NON_SUMMABLE,
     DegenerateSeriesError,
     ExperimentConfig,
-    Family,
     GrowthClass,
     Model,
     ProcessConfig,
@@ -36,13 +35,13 @@ from conftest import white_noise_spec
 
 
 VARIANCE_CONFIGS = {
-    "spikes": ProcessConfig(Family.SPARSE_SPIKES),
+    "spikes": ProcessConfig("SPARSE_SPIKES"),
     "drift_linear": ProcessConfig(
-        Family.DRIFTING_MEAN,
+        "DRIFTING_MEAN",
         {"trend": {"kind": "LINEAR", "a": 1.0, "b": 0.5}, "noise_sd": 0.3},
     ),
     "drift_sinusoid": ProcessConfig(
-        Family.DRIFTING_MEAN,
+        "DRIFTING_MEAN",
         {"trend": {"kind": "SINUSOID", "amplitude": 2.0, "period": 7.0}, "noise_sd": 1.7},
     ),
 }
@@ -201,7 +200,7 @@ class TestCovarianceSum:
     )
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 512])
     def test_double_sum_agrees_with_lag_decomposition_ar1(self, params, n):
-        spec = build_spec(ProcessConfig(Family.AR1, params))
+        spec = build_spec(ProcessConfig("AR1", params))
         double = covariance_sum(spec, n, method="double")
         lags = covariance_sum(spec, n)
         assert lags == pytest.approx(double, rel=1e-9)
@@ -209,7 +208,7 @@ class TestCovarianceSum:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 512])
     def test_double_sum_agrees_with_lag_decomposition_shock(self, n):
         spec = build_spec(
-            ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 2.0, "sigma_eps": 0.5})
+            ProcessConfig("COMMON_SHOCK", {"sigma_z": 2.0, "sigma_eps": 0.5})
         )
         double = covariance_sum(spec, n, method="double")
         lags = covariance_sum(spec, n)
@@ -232,7 +231,7 @@ class TestCovarianceSum:
     def test_lag_route_is_within_the_absolute_error_scale_ar1(self, phi, n):
         # the closed form gamma0 (n (1+phi)/(1-phi) - 2 phi (1 - phi^n)/(1-phi)^2),
         # in exact rational arithmetic and rounded once
-        spec = build_spec(ProcessConfig(Family.AR1, {"phi": phi, "gamma0": 1.3}))
+        spec = build_spec(ProcessConfig("AR1", {"phi": phi, "gamma0": 1.3}))
         p, g0 = Fraction(phi), Fraction(1.3)
         exact = float(g0 * (n * (1 + p) / (1 - p) - 2 * p * (1 - p**n) / (1 - p) ** 2))
         bound = lag_route_error_bound(spec.stationary.gamma, n)
@@ -289,7 +288,7 @@ class TestCovarianceSum:
 
     def test_diagonal_routes_at_one_million(self):
         n = 10**6
-        spikes = build_spec(ProcessConfig(Family.SPARSE_SPIKES))
+        spikes = build_spec(ProcessConfig("SPARSE_SPIKES"))
         # every partial sum is an integer below 2**53, so exact
         assert covariance_sum(spikes, n) == n * (n + 1) / 2
         config = VARIANCE_CONFIGS["drift_sinusoid"]
@@ -395,7 +394,7 @@ def test_lag_sum_equals_integer_weight_expression(params, n):
     # and the sum keeps every bit: the reference calls the same gamma, so
     # this holds whatever the CPU's pow returns.  SPARSE_SPIKES and
     # DRIFTING_MEAN are summed over their variances, not by lag.
-    family = Family.COMMON_SHOCK if "sigma_z" in params else Family.AR1
+    family = "COMMON_SHOCK" if "sigma_z" in params else "AR1"
     spec = build_spec(ProcessConfig(family, params))
     g = spec.stationary.gamma(np.arange(n, dtype=np.int64))
     h = np.arange(1, n, dtype=np.int64)
@@ -417,7 +416,7 @@ class TestAr1ZeroLagSums:
     # 250 at 0.05); V_n must keep every bit of the plain formula.
     @pytest.mark.parametrize("phi", [0.653, -0.653, 0.05, -0.05])
     def test_time_average_variance_is_bit_identical(self, phi):
-        spec = build_spec(ProcessConfig(Family.AR1, {"phi": phi, "gamma0": 1.3}))
+        spec = build_spec(ProcessConfig("AR1", {"phi": phi, "gamma0": 1.3}))
         plain = pow_ar1_spec(phi, 1.3)
         H = processes._ar1_zero_lag(phi)
         for n in (1, 2, H - 1, H, H + 1, 30_000, 100_000):
@@ -425,7 +424,7 @@ class TestAr1ZeroLagSums:
 
     @pytest.mark.parametrize("phi", [0.653, -0.653, 0.05, -0.05])
     def test_double_sum_is_bit_identical(self, phi):
-        spec = build_spec(ProcessConfig(Family.AR1, {"phi": phi, "gamma0": 1.3}))
+        spec = build_spec(ProcessConfig("AR1", {"phi": phi, "gamma0": 1.3}))
         plain = pow_ar1_spec(phi, 1.3)
         assert covariance_sum(spec, 300, method="double") == covariance_sum(
             plain, 300, method="double"
@@ -487,7 +486,7 @@ class TestCorrelationTime:
 
     @pytest.mark.parametrize("phi", [-0.7, 0.1, 0.5, 0.9, 0.99])
     def test_ar1_equals_lag_by_lag_loop(self, phi):
-        spec = build_spec(ProcessConfig(Family.AR1, {"phi": phi, "gamma0": 1.5}))
+        spec = build_spec(ProcessConfig("AR1", {"phi": phi, "gamma0": 1.5}))
         expected = reference_correlation_time(spec.stationary.gamma)
         assert correlation_time(spec.stationary) == expected
 
@@ -587,7 +586,7 @@ class TestCorrelationTime:
     ], ids=["ar1-0.5", "ar1--0.653", "ar1-0.999", "common-shock", "ar1-0.98-1500",
             "ar1-0.5-1500", "ar1-0.5-1"])
     def test_one_gamma_call_per_chunk(self, params, max_terms, tau, sizes):
-        family = Family.COMMON_SHOCK if "sigma_z" in params else Family.AR1
+        family = "COMMON_SHOCK" if "sigma_z" in params else "AR1"
         stationary = build_spec(ProcessConfig(family, params)).stationary
         calls = []
 
@@ -705,6 +704,23 @@ class TestClassifyGrowth:
         with pytest.raises(ValueError, match="^vn_values must be finite and non-negative"):
             classify_growth(GRID, [1, 10, 100, 10**400])
 
+    @pytest.mark.parametrize("grid", [
+        [1, 10, 100, 10**160], [10**200, 10**201, 10**202, 10**203],
+    ], ids=["last", "all"])
+    def test_rejects_grid_whose_square_is_past_the_float_range(self, grid):
+        # vn_over_n2 divides by float(n * n), which overflowed with a bare
+        # OverflowError.
+        with pytest.raises(ValueError, match=r"^n_grid entries must be below about 1\.34e154"):
+            classify_growth(grid, [1.0] * 4)
+
+    def test_largest_grid_entry_whose_square_is_a_float(self):
+        top = math.isqrt(2**1024 - 2**970 - 1)
+        grid = [top // 1000, top // 100, top // 10, top]
+        report = classify_growth(grid, [1.0] * 4)
+        assert report.vn_over_n2 == tuple(1.0 / float(n * n) for n in grid)
+        with pytest.raises(ValueError, match="^n_grid entries"):
+            classify_growth(grid[:3] + [top + 1], [1.0] * 4)
+
 
 def numpy_formula_slope(n_grid: list[int], vn_values: list[float]) -> float:
     """The top-decade least-squares slope by the plain NumPy formula:
@@ -757,7 +773,7 @@ def seeded_growth_cases(seed: int, count: int) -> list[tuple[list[int], list[flo
 EXACT_GRID = (1000, 3000, 10_000, 30_000)
 EXACT_BITS = {
     "AR1": (
-        ProcessConfig(Family.AR1, {"phi": -0.5, "gamma0": 1.7}),
+        ProcessConfig("AR1", {"phi": -0.5, "gamma0": 1.7}),
         ["0x0.0p+0"] * 4,
         ["0x1.297e1f1988de9p-11", "0x1.8c4e054bde4a0p-13",
          "0x1.db6af72a0c19cp-15", "0x1.3ceac40412143p-16"],
@@ -765,7 +781,7 @@ EXACT_BITS = {
         "0x1.5555555555800p-2",
     ),
     "SPARSE_SPIKES": (
-        ProcessConfig(Family.SPARSE_SPIKES),
+        ProcessConfig("SPARSE_SPIKES"),
         ["0x0.0p+0"] * 4,
         ["0x1.004189374bc6ap-1", "0x1.0015d867c3ecep-1",
          "0x1.00068db8bac71p-1", "0x1.00022f3d9397bp-1"],
@@ -773,7 +789,7 @@ EXACT_BITS = {
         None,
     ),
     "COMMON_SHOCK": (
-        ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.3, "sigma_eps": 0.7}),
+        ProcessConfig("COMMON_SHOCK", {"sigma_z": 1.3, "sigma_eps": 0.7}),
         ["0x0.0p+0"] * 4,
         ["0x1.b0c3f3e0370cfp+0", "0x1.b0ae8b5190a4bp+0",
          "0x1.b0a70d1fa3337p+0", "0x1.b0a4e9115f5c4p+0"],
@@ -782,7 +798,7 @@ EXACT_BITS = {
     ),
     "DRIFTING_MEAN": (
         ProcessConfig(
-            Family.DRIFTING_MEAN,
+            "DRIFTING_MEAN",
             {"trend": {"kind": "LINEAR", "a": -0.3, "b": 0.004}, "noise_sd": 1.3},
         ),
         ["0x1.b3b645a1cac08p+0", "0x1.6ced916872b02p+2",
@@ -843,7 +859,7 @@ def _first_block(n=3, base_seed=1, replicates=2, max_workers=1):
     return got
 
 
-AR1 = ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0})
+AR1 = ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0})
 AR1_SPEC = build_spec(AR1)
 U64 = 2**64 - 1
 TEN = SamplePath(np.arange(10.0) ** 1.5)

@@ -14,7 +14,7 @@ from scipy.signal import lfilter as scipy_lfilter
 from conftest import ENGINE_CONFIGS, reference_path, sample_rows
 from ergodiag import (
     ExperimentConfig,
-    Family,
+    FAMILIES,
     ProcessConfig,
     RngSeed,
     build_spec,
@@ -33,35 +33,35 @@ from ergodiag.processes import _stream_states, sample_blocks
 class TestProcessConfigValidation:
     def test_phi_out_of_range_names_field(self):
         with pytest.raises(ValueError, match="phi"):
-            ProcessConfig(Family.AR1, {"phi": 1.5, "gamma0": 1.0})
+            ProcessConfig("AR1", {"phi": 1.5, "gamma0": 1.0})
 
     def test_missing_gamma0_names_field(self):
         with pytest.raises(ValueError, match="gamma0"):
-            ProcessConfig(Family.AR1, {"phi": 0.5})
+            ProcessConfig("AR1", {"phi": 0.5})
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="rho"):
-            ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": 1.0, "rho": 2.0})
+            ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0, "rho": 2.0})
 
     def test_spike_family_takes_no_parameters(self):
-        ProcessConfig(Family.SPARSE_SPIKES, {})
+        ProcessConfig("SPARSE_SPIKES", {})
         with pytest.raises(ValueError, match="phi"):
-            ProcessConfig(Family.SPARSE_SPIKES, {"phi": 0.5})
+            ProcessConfig("SPARSE_SPIKES", {"phi": 0.5})
 
     def test_shock_sigmas_validated(self):
         with pytest.raises(ValueError, match="sigma_z"):
-            ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 0.0, "sigma_eps": 1.0})
+            ProcessConfig("COMMON_SHOCK", {"sigma_z": 0.0, "sigma_eps": 1.0})
         with pytest.raises(ValueError, match="sigma_eps"):
-            ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.0, "sigma_eps": -0.5})
+            ProcessConfig("COMMON_SHOCK", {"sigma_z": 1.0, "sigma_eps": -0.5})
 
     def test_trend_validated(self):
         with pytest.raises(ValueError, match="trend.kind"):
             ProcessConfig(
-                Family.DRIFTING_MEAN, {"trend": {"kind": "CUBIC"}, "noise_sd": 1.0}
+                "DRIFTING_MEAN", {"trend": {"kind": "CUBIC"}, "noise_sd": 1.0}
             )
         with pytest.raises(ValueError, match="trend.period"):
             ProcessConfig(
-                Family.DRIFTING_MEAN,
+                "DRIFTING_MEAN",
                 {
                     "trend": {"kind": "SINUSOID", "amplitude": 1.0, "period": 0.0},
                     "noise_sd": 1.0,
@@ -171,6 +171,23 @@ class TestUserModelHooks:
         with pytest.raises(ValueError, match=r"^model BadCheck: unknown check 'NOPE'"):
             default_checks(BadCheck())
 
+    def test_a_registered_name_is_the_registered_model_only(self):
+        # to_dict writes the name, so a report of this spec would name AR1,
+        # and a re-run from it would judge AR1's spec instead.
+        class DoubledAR1(type(FAMILIES["AR1"])):
+            def gamma(self, p, h):
+                return 2.0 * super().gamma(p, h)
+
+        p = {"phi": 0.5, "gamma0": 1.0}
+        message = r"^model {}: name 'AR1' is taken by a registered family$"
+        with pytest.raises(ValueError, match=message.format("DoubledAR1")):
+            ProcessConfig(DoubledAR1(), p)
+        with pytest.raises(ValueError, match=message.format("_AR1")):
+            ProcessConfig(type(FAMILIES["AR1"])(), p)
+        with pytest.raises(ValueError, match=message.format("DoubledAR1")):
+            default_checks(DoubledAR1())
+        assert ProcessConfig(FAMILIES["AR1"], p).model is FAMILIES["AR1"]
+
     @staticmethod
     def _rejects(model, message):
         with pytest.raises(ValueError, match=message):
@@ -180,12 +197,12 @@ class TestUserModelHooks:
 def parameter_field(field: str, value) -> float:
     """Build a config with ``value`` in ``field`` and return what it stored."""
     if field == "gamma0":
-        return ProcessConfig(Family.AR1, {"phi": 0.5, "gamma0": value}).params["gamma0"]
+        return ProcessConfig("AR1", {"phi": 0.5, "gamma0": value}).params["gamma0"]
     if field == "trend.b":
         trend = {"kind": "LINEAR", "a": 0.0, "b": value}
-        config = ProcessConfig(Family.DRIFTING_MEAN, {"trend": trend, "noise_sd": 1.0})
+        config = ProcessConfig("DRIFTING_MEAN", {"trend": trend, "noise_sd": 1.0})
         return config.params["trend"]["b"]
-    spikes = ProcessConfig(Family.SPARSE_SPIKES, {})
+    spikes = ProcessConfig("SPARSE_SPIKES", {})
     return ExperimentConfig(spikes, base_seed=1, epsilons=[value]).epsilons[0]
 
 
@@ -216,7 +233,7 @@ class TestOneParameterRule:
             parameter_field(field, value)
         assert str(info.value) == f"{FIELDS[field]} must be a number, got {value!r}"
 
-    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("family", list(FAMILIES))
     @pytest.mark.parametrize(
         "params", [["phi", "gamma0"], ("phi",), "phi", []], ids=["list", "tuple", "str", "empty"]
     )
@@ -227,9 +244,9 @@ class TestOneParameterRule:
 
     @pytest.mark.parametrize(
         ("family", "params", "unknown"),
-        [(Family.AR1, {1: 2}, "1"),
-         (Family.AR1, {"phi": 0.5, "gamma0": 1, 1: 2, "z": 0}, "1, z"),
-         (Family.DRIFTING_MEAN, {"trend": {"kind": "SINUSOID", "amplitude": 1, "period": 2,
+        [("AR1", {1: 2}, "1"),
+         ("AR1", {"phi": 0.5, "gamma0": 1, 1: 2, "z": 0}, "1, z"),
+         ("DRIFTING_MEAN", {"trend": {"kind": "SINUSOID", "amplitude": 1, "period": 2,
                                            (1, 2): 0, "z": 0}, "noise_sd": 1},
           "trend.(1, 2), trend.z")],
         ids=["only", "mixed", "trend"],
@@ -276,7 +293,7 @@ class TestBuildSpec:
 
     def test_sinusoid_trend(self):
         config = ProcessConfig(
-            Family.DRIFTING_MEAN,
+            "DRIFTING_MEAN",
             {
                 "trend": {"kind": "SINUSOID", "amplitude": 2.0, "period": 8.0},
                 "noise_sd": 0.5,
@@ -351,7 +368,7 @@ class TestSamplePath:
             assert first in (1.0, -1.0)
 
     def test_ar1_matches_naive_recursion(self):
-        config = ProcessConfig(Family.AR1, {"phi": 0.6, "gamma0": 2.0})
+        config = ProcessConfig("AR1", {"phi": 0.6, "gamma0": 2.0})
         seed = RngSeed(77, 3)
         sampled = sample_path(config, 200, seed).values
 
@@ -364,7 +381,7 @@ class TestSamplePath:
         np.testing.assert_allclose(sampled, expected, rtol=0, atol=1e-12)
 
     def test_common_shock_with_zero_noise_is_flat(self):
-        config = ProcessConfig(Family.COMMON_SHOCK, {"sigma_z": 1.0, "sigma_eps": 0.0})
+        config = ProcessConfig("COMMON_SHOCK", {"sigma_z": 1.0, "sigma_eps": 0.0})
         values = sample_path(config, 50, RngSeed(3, 0)).values
         assert np.all(values == values[0])
 
@@ -375,8 +392,8 @@ class TestSamplePath:
 
 PREFIX_CONFIGS = {
     **ENGINE_CONFIGS,
-    "AR1-phi+0.999": ProcessConfig(Family.AR1, {"phi": 0.999, "gamma0": 1.0}),
-    "AR1-phi-0.999": ProcessConfig(Family.AR1, {"phi": -0.999, "gamma0": 1.0}),
+    "AR1-phi+0.999": ProcessConfig("AR1", {"phi": 0.999, "gamma0": 1.0}),
+    "AR1-phi-0.999": ProcessConfig("AR1", {"phi": -0.999, "gamma0": 1.0}),
 }
 
 
@@ -575,7 +592,7 @@ class TestAr1ZeroLag:
         p = {"phi": phi, "gamma0": 1.7}
         H = processes._ar1_zero_lag(phi)
         h = lags_around_zero_lag(H)
-        ar1 = ProcessConfig(Family.AR1, p).model
+        ar1 = ProcessConfig("AR1", p).model
         assert np.array_equal(ar1.gamma(p, h), 1.7 * phi ** h)
         # a 2-d block of signed t - s whose lags straddle H
         t = np.arange(1, 301)[:, None] + max(H - 150, 0)
@@ -705,7 +722,7 @@ class TestSampleBlocks:
     def test_non_finite_values_raise(self):
         # one error naming the family and n, and no numpy overflow warning
         config = ProcessConfig(
-            Family.DRIFTING_MEAN,
+            "DRIFTING_MEAN",
             {"trend": {"kind": "LINEAR", "a": 0.0, "b": 1e308}, "noise_sd": 1.0},
         )
         message = "DRIFTING_MEAN paths of length n=3: values must be finite"
@@ -894,15 +911,15 @@ class TestVarianceIdentityEndToEnd:
     @pytest.mark.parametrize(
         "family, params",
         [
-            (Family.AR1, {"phi": 0.5, "gamma0": 1.0}),
-            (Family.SPARSE_SPIKES, {}),
-            (Family.COMMON_SHOCK, {"sigma_z": 1.0, "sigma_eps": 1.0}),
+            ("AR1", {"phi": 0.5, "gamma0": 1.0}),
+            ("SPARSE_SPIKES", {}),
+            ("COMMON_SHOCK", {"sigma_z": 1.0, "sigma_eps": 1.0}),
             (
-                Family.DRIFTING_MEAN,
+                "DRIFTING_MEAN",
                 {"trend": {"kind": "LINEAR", "a": 0.0, "b": 0.01}, "noise_sd": 1.0},
             ),
         ],
-        ids=lambda v: v.value if isinstance(v, Family) else "",
+        ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_empirical_variance_matches_exact(self, family, params):
         config = ProcessConfig(family, params)

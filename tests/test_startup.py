@@ -73,8 +73,8 @@ def test_ar1_sampler_experiment_and_simulate_load_no_scipy(tmp_path):
 import json, sys
 import numpy as np
 import ergodiag.cli
-from ergodiag.processes import Family, ProcessConfig, _block_sampler
-sample = _block_sampler(ProcessConfig(Family.AR1, {{"phi": 0.5, "gamma0": 1.0}}), 100)
+from ergodiag.processes import ProcessConfig, _block_sampler
+sample = _block_sampler(ProcessConfig("AR1", {{"phi": 0.5, "gamma0": 1.0}}), 100)
 sample([np.random.default_rng(0)], np.empty((1, 100)))
 stages = [{LOADED}]
 assert ergodiag.cli.main(["experiment", "--config", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
