@@ -16,110 +16,25 @@ paths, whether running averages settle on the average of the means:
 * :mod:`~ergodiag.harness`: the Monte Carlo verification harness
   (``run_experiment``) for any ``Model``, driven from the command line by
   :mod:`~ergodiag.cli` for the registered families.
+
+The package re-exports every name in the ``__all__`` of these five modules,
+in that order, after ``__version__``: a public name is declared once, in
+its module.  Importing the package loads neither :mod:`~ergodiag.cli` nor
+the CSV row writer and number reader it uses.
 """
 
-from .bounds import (
-    chebyshev_bound,
-    markov_bound,
-    paley_zygmund_lower,
-)
-from .estimators import (
-    AutocovEstimate,
-    SamplePath,
-    TauEstimate,
-    empirical_tail,
-    ensemble_mse,
-    estimate_tau,
-    sample_autocovariance,
-    time_average,
-)
-from .harness import (
-    Check,
-    ConvergenceReport,
-    ExperimentConfig,
-    PerNStats,
-    Verdict,
-    default_checks,
-    run_experiment,
-)
-from .model import (
-    NON_SUMMABLE,
-    DegenerateSeriesError,
-    EssResult,
-    GrowthClass,
-    GrowthReport,
-    NonSummable,
-    ProcessSpec,
-    StationaryCov,
-    classify_growth,
-    correlation_time,
-    covariance_sum,
-    effective_sample_size,
-    mean_average,
-    time_average_variance,
-)
-from .processes import (
-    FAMILIES,
-    Model,
-    ProcessConfig,
-    RngSeed,
-    build_spec,
-    derive_stream,
-    enumerate_squared_average_variance,
-    sample_path,
-    sparse_spike_squared_average_variance,
-    worker_count,
-)
+from . import bounds, estimators, harness, model, processes
+from .bounds import *
+from .estimators import *
+from .harness import *
+from .model import *
+from .processes import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "DegenerateSeriesError",
-    "NON_SUMMABLE",
-    "NonSummable",
-    "ProcessSpec",
-    "StationaryCov",
-    "GrowthClass",
-    "GrowthReport",
-    "EssResult",
-    "mean_average",
-    "covariance_sum",
-    "time_average_variance",
-    "correlation_time",
-    "effective_sample_size",
-    "classify_growth",
-    # estimators
-    "SamplePath",
-    "AutocovEstimate",
-    "TauEstimate",
-    "time_average",
-    "sample_autocovariance",
-    "estimate_tau",
-    "ensemble_mse",
-    "empirical_tail",
-    # bounds
-    "markov_bound",
-    "chebyshev_bound",
-    "paley_zygmund_lower",
-    # processes
-    "FAMILIES",
-    "Model",
-    "ProcessConfig",
-    "RngSeed",
-    "derive_stream",
-    "build_spec",
-    "sample_path",
-    "sparse_spike_squared_average_variance",
-    "enumerate_squared_average_variance",
-    "worker_count",
-    # harness
-    "Check",
-    "Verdict",
-    "ExperimentConfig",
-    "PerNStats",
-    "ConvergenceReport",
-    "run_experiment",
-    "default_checks",
-]
+__all__ = ["__version__"]
+__all__ += model.__all__
+__all__ += estimators.__all__
+__all__ += bounds.__all__
+__all__ += processes.__all__
+__all__ += harness.__all__

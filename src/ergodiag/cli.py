@@ -80,10 +80,10 @@ _ANALYZE_EPSILONS = (0.1, 0.05, 0.01)
 _WRITE_CHUNK = 16_384
 _MIN_ANALYZE_OBSERVATIONS = 10
 
-# The keys of each config section are the fields of its dataclass.
+# The keys of each config section are the init fields of its dataclass.
 _SECTION_KEYS = {
-    "process": {f.name for f in dataclasses.fields(ProcessConfig)},
-    "experiment": {f.name for f in dataclasses.fields(ExperimentConfig)} - {"process"},
+    "process": {f.name for f in dataclasses.fields(ProcessConfig) if f.init},
+    "experiment": {f.name for f in dataclasses.fields(ExperimentConfig) if f.init} - {"process"},
 }
 
 

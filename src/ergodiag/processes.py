@@ -781,11 +781,11 @@ def _checked(model: Model) -> Model:
 class ProcessConfig:
     """A process model plus its validated parameters: ``family`` is a
     :class:`Model`, or a name in :data:`FAMILIES`, resolved into ``model``.
-    ``family`` is kept as given."""
+    ``family`` is kept as given; equality compares ``model`` and ``params``."""
 
-    family: str | Model
+    family: str | Model = field(compare=False)
     params: dict = field(default_factory=dict)
-    model: Model = field(init=False, repr=False, compare=False)
+    model: Model = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         model = _model(self.family)

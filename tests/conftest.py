@@ -51,7 +51,7 @@ def reference_path(config: ProcessConfig, n: int, seed: RngSeed) -> np.ndarray:
     """
     rng = seed.generator()
     p = config.params
-    if config.family == "AR1":
+    if config.model.name == "AR1":
         phi, gamma0 = p["phi"], p["gamma0"]
         x1 = math.sqrt(gamma0) * rng.standard_normal()
         innov = math.sqrt(gamma0 * (1.0 - phi * phi)) * rng.standard_normal(n - 1)
@@ -59,11 +59,11 @@ def reference_path(config: ProcessConfig, n: int, seed: RngSeed) -> np.ndarray:
         lfilter(path, phi)
         return path[0]
     t = np.arange(1, n + 1, dtype=float)
-    if config.family == "SPARSE_SPIKES":
+    if config.model.name == "SPARSE_SPIKES":
         prob, magnitude = 1.0 / (t * t), t * np.sqrt(t)
         u = rng.random(n)
         return np.where(u < 0.5 * prob, magnitude, np.where(u < prob, -magnitude, 0.0))
-    if config.family == "COMMON_SHOCK":
+    if config.model.name == "COMMON_SHOCK":
         shock = p["sigma_z"] * rng.standard_normal()
         return shock + p["sigma_eps"] * rng.standard_normal(n)
     trend = p["trend"]

@@ -128,6 +128,16 @@ class TestSimulate:
         assert code == 2
         assert "simulate" in capsys.readouterr().err
 
+    def test_derived_model_key_exits_2_naming_it(self, tmp_path, capsys):
+        # ProcessConfig.model is resolved from family, not a config key.
+        doc = {"process": {**AR1_DOC["process"], "model": 1}}
+        code, out = self.run_simulate(tmp_path, doc)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown key(s) in config section 'process': model\n"
+        )
+        assert not out.exists()
+
     def test_analyze_section_exits_2_naming_it(self, tmp_path, capsys):
         # analyze takes no --config, so a config file has no analyze section
         doc = {**SPIKE_DOC, "analyze": {"max_lag": 10}}
@@ -853,6 +863,8 @@ class TestExperiment:
         [({**SPIKE_DOC, "seed": 1, "extra": {}}, "unknown key(s) in config file: extra, seed"),
          ({"process": {**SPIKE_DOC["process"], "seed": 1}},
           "unknown key(s) in config section 'process': seed"),
+         ({"process": {**AR1_DOC["process"], "model": 1}, "experiment": {"base_seed": 1}},
+          "unknown key(s) in config section 'process': model"),
          ({**SPIKE_DOC, "experiment": {"base_seed": 1, "seeds": [1], "grid": [10]}},
           "unknown key(s) in config section 'experiment': grid, seeds"),
          ({"process": {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1, "z": 0, "rho": 1}}},
@@ -860,7 +872,7 @@ class TestExperiment:
          ({"process": {"family": "DRIFTING_MEAN", "params": {
              "trend": {"kind": "LINEAR", "a": 0, "b": 0, "c": 0}, "noise_sd": 1}}},
           "unknown parameter(s): trend.c")],
-        ids=["config-file", "process", "experiment", "params", "trend"],
+        ids=["config-file", "process", "process-model", "experiment", "params", "trend"],
     )
     def test_unknown_keys_are_named_in_one_line(self, tmp_path, capsys, doc, line):
         code, out_dir = self.run_experiment_cmd(tmp_path, doc)

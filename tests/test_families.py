@@ -41,7 +41,7 @@ LAGS = np.arange(64, dtype=np.int64)
 
 
 def closed_mean(config: ProcessConfig, t: np.ndarray) -> np.ndarray:
-    if config.family != "DRIFTING_MEAN":
+    if config.model.name != "DRIFTING_MEAN":
         return np.zeros(t.shape)
     trend, tf = config.params["trend"], t.astype(float)
     if trend["kind"] == "LINEAR":
@@ -51,16 +51,16 @@ def closed_mean(config: ProcessConfig, t: np.ndarray) -> np.ndarray:
 
 def closed_gamma(config: ProcessConfig, h: np.ndarray) -> np.ndarray:
     p = config.params
-    if config.family == "AR1":
+    if config.model.name == "AR1":
         return p["gamma0"] * p["phi"] ** h
     z2 = p["sigma_z"] ** 2
     return np.where(h == 0, z2 + p["sigma_eps"] ** 2, z2)
 
 
 def closed_cov(config: ProcessConfig, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    if config.family in STATIONARY:
+    if config.model.name in STATIONARY:
         return closed_gamma(config, np.abs(t - s))
-    if config.family == "SPARSE_SPIKES":
+    if config.model.name == "SPARSE_SPIKES":
         variance = t.astype(float)
     else:
         variance = config.params["noise_sd"] ** 2
@@ -92,7 +92,7 @@ class TestExactMoments:
     def test_stationary_gamma_and_var_fn(self, name):
         config = CONFIGS[name]
         spec = build_spec(config)
-        if config.family in STATIONARY:
+        if config.model.name in STATIONARY:
             assert spec.var_fn is None
             assert np.array_equal(spec.stationary.gamma(LAGS), closed_gamma(config, LAGS))
         else:
@@ -105,7 +105,7 @@ class TestExactMoments:
         spec = build_spec(config)
         auto = covariance_sum(spec, n)
         double = covariance_sum(spec, n, method="double")
-        if config.family in STATIONARY:
+        if config.model.name in STATIONARY:
             # The lag decomposition sums in another order than the double sum.
             h = np.arange(1, n, dtype=np.int64)
             g0 = float(closed_gamma(config, np.zeros(1, dtype=np.int64))[0])
@@ -132,7 +132,7 @@ def test_pz_lower_uses_exact_squared_deviation_variance(name):
     )
     for stats in report.per_n:
         var = stats.exact_var_an
-        sd = closed_squared_deviation_sd(config.family, stats.n, var)
+        sd = closed_squared_deviation_sd(config.model.name, stats.n, var)
         # The MSE of R = 2 replicates has the exact SE sd / sqrt(2), and
         # Paley-Zygmund takes the square of sd.
         assert stats.mc_standard_error == sd / math.sqrt(2)

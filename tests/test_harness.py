@@ -313,6 +313,29 @@ class TestFamilyAsModel:
 
         assert report_json(by_model) == report_json(by_name)
 
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_configs_compare_on_the_model(self, name):
+        params = test_golden.PROCESSES[name].get("params", {})
+        by_name = ProcessConfig(name, params)
+        by_model = ProcessConfig(FAMILIES[name], params)
+        assert by_model == by_name
+        assert ExperimentConfig(process=by_model, base_seed=1) == ExperimentConfig(
+            process=by_name, base_seed=1
+        )
+
+        renamed = f"{name}_RENAMED"
+
+        class Renamed(type(FAMILIES[name])):
+            name = renamed
+
+        assert ProcessConfig(Renamed(), params) != by_name
+
+    def test_configs_with_other_params_differ(self):
+        params = {"phi": 0.5, "gamma0": 1.0}
+        assert ProcessConfig(FAMILIES["AR1"], params) != ProcessConfig(
+            "AR1", {**params, "phi": 0.25}
+        )
+
 
 class TestVarianceIdentityCheck:
     def test_passes_for_ar1(self, ar1_config):

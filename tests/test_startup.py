@@ -62,12 +62,13 @@ print(json.dumps(stages))
 
 
 def test_ar1_sampler_experiment_and_simulate_load_no_scipy(tmp_path):
+    # n = 1000 is the engine's threaded length, where it asks for the worker
+    # count; 1000 replicates are one work unit, sampled on the calling thread.
     process = {"family": "AR1", "params": {"phi": 0.5, "gamma0": 1.0}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "process": process,
-        "experiment": {"base_seed": 3, "n_grid": [10, 100], "replicates": 200,
-                       "epsilons": [0.5]},
+        "experiment": {"base_seed": 1, "n_grid": [10, 100, 1000], "replicates": 1000},
     }))
     code = f"""
 import json, sys
