@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import warnings
@@ -176,6 +177,22 @@ class TestSampleAutocovariance:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=r"values in \[.*e\+(200|300|308)\]"):
                 sample_autocovariance(SamplePath(np.asarray(values)), max_lag=10)
+
+
+class TestAutocovBits:
+    """The FFT autocovariances of a benchmark-sized path, bit for bit: CI runs
+    this class again under AVX2 and baseline SIMD dispatch."""
+
+    def test_ar1_path_keeps_its_bits(self):
+        config = ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0})
+        gamma = sample_autocovariance(sample_path(config, 200_000, RngSeed(3700, 0)), 1000).gamma_hat
+        assert [float(gamma[h]).hex() for h in (0, 1, 10, 1000)] == [
+            "0x1.005d40c365116p+0", "0x1.00c2b521c236ap-1",
+            "0x1.aae10f7820963p-8", "-0x1.552a3786d1864p-9",
+        ]
+        assert hashlib.sha256(gamma.astype("<f8").tobytes()).hexdigest() == (
+            "41166276ba227ec81dd35c4758473d2fab8a9c7370fed295d5fc3f6cd743c291"
+        )
 
 
 def reference_tau(acov: AutocovEstimate, window_c: float) -> TauEstimate:
