@@ -16,7 +16,9 @@ left-to-right sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
 the direct lag sums to within a few ulps of ``gamma_hat(0)``, not bit for
 bit.  The padded length is the smallest ``2**a * 3**b * 5**c`` at or above
 ``n + max_lag``, the length ``scipy.fft.next_fast_len(..., real=True)``
-gives; it is computed here, so this module imports no scipy.
+gives; it is computed here, so this module imports no scipy.  The FFT's
+working set is the path plus two arrays of its length at any one time, plus
+NumPy's own FFT buffers.
 """
 
 from __future__ import annotations
@@ -126,9 +128,11 @@ def sample_autocovariance(path: SamplePath, max_lag: int) -> AutocovEstimate:
     spectrum ``|F|^2`` of the centred path, zero-padded to at least
     ``n + max_lag`` points so that no lag wraps around.  The cost is
     O(n log n) for any ``max_lag``, and each value is within a few ulps of
-    ``gamma_hat(0)`` of the direct sum.  Raises ``OverflowError``, naming the
-    range of the values, when the mean or an autocovariance leaves the float
-    range.
+    ``gamma_hat(0)`` of the direct sum.  Besides the path, at most two arrays
+    of its length are held at once (the centred copy and the spectrum, then
+    the spectrum and the inverse transform), plus NumPy's FFT buffers.
+    Raises ``OverflowError``, naming the range of the values, when the mean
+    or an autocovariance leaves the float range.
     """
     n = len(path)
     max_lag = _integer(max_lag, "max_lag", 0, n - 1)
@@ -140,8 +144,15 @@ def sample_autocovariance(path: SamplePath, max_lag: int) -> AutocovEstimate:
         # n^2: only a gamma_hat that is itself out of range overflows.
         _, exponent = math.frexp(float(np.max(np.abs(d))))
         spectrum = np.fft.rfft(np.ldexp(d, -exponent, out=d), n=size)
-        power = spectrum.real**2 + spectrum.imag**2
-        gamma = np.ldexp(np.fft.irfft(power, n=size)[: max_lag + 1] / n, 2 * exponent)
+        del d
+        # |F|^2 = re*re + im*im in the spectrum's real part, its imaginary
+        # part zeroed: irfft takes the complex array as it is, with no
+        # separate power array and no cast of one back to complex.
+        re, im = spectrum.real, spectrum.imag
+        np.multiply(re, re, out=re)
+        re += np.multiply(im, im, out=im)
+        im.fill(0.0)
+        gamma = np.ldexp(np.fft.irfft(spectrum, n=size)[: max_lag + 1] / n, 2 * exponent)
     if not (math.isfinite(xbar) and np.all(np.isfinite(gamma))):
         low, high = float(path.values.min()), float(path.values.max())
         raise OverflowError(
