@@ -146,8 +146,8 @@ def sample_autocovariance(path: SamplePath, max_lag: int) -> AutocovEstimate:
         spectrum = np.fft.rfft(np.ldexp(d, -exponent, out=d), n=size)
         del d
         # |F|^2 = re*re + im*im in the spectrum's real part, its imaginary
-        # part zeroed: irfft takes the complex array as it is, with no
-        # separate power array and no cast of one back to complex.
+        # part zeroed, so irfft reads the spectrum itself: no third array of
+        # the path's length, and no cast of a real one to complex.
         re, im = spectrum.real, spectrum.imag
         np.multiply(re, re, out=re)
         re += np.multiply(im, im, out=im)

@@ -187,7 +187,8 @@ class TestAutocovBits:
 
     def test_ar1_path_keeps_its_bits(self):
         config = ProcessConfig("AR1", {"phi": 0.5, "gamma0": 1.0})
-        gamma = sample_autocovariance(sample_path(config, 200_000, RngSeed(3700, 0)), 1000).gamma_hat
+        p = sample_path(config, 200_000, RngSeed(3700, 0))
+        gamma = sample_autocovariance(p, 1000).gamma_hat
         assert [float(gamma[h]).hex() for h in (0, 1, 10, 1000)] == [
             "0x1.005d40c365116p+0", "0x1.00c2b521c236ap-1",
             "0x1.aae10f7820963p-8", "-0x1.552a3786d1864p-9",
@@ -231,7 +232,7 @@ class TestAutocovMemory:
         csv.write_text("x\n" + "".join(f"{v!r}\n" for v in values.tolist()))
         argv = ["analyze", "--input", str(csv), "--max-lag", "1000"]
         kept, peak = self.traced(lambda: main(argv))
-        assert capsys.readouterr().out.count("\n") > 1000
+        assert capsys.readouterr().out.count('"gamma_hat"') == 2  # both runs printed a result
         assert peak <= 3.5 * 8 * self.N, peak / (8 * self.N)
         assert kept < 8 * self.N
 
