@@ -130,6 +130,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from types import MappingProxyType
@@ -902,37 +903,52 @@ def sample_blocks(
     rows = max(1, _BLOCK_ELEMENTS // n)
 
     # Work unit k holds replicates [1024 k, 1024 (k + 1)), clipped to the range.
-    # The threads take them in turn from one iterator, in O(1) memory.
+    # The workers take them in turn from one iterator, in O(1) memory.
     units = range(0, replicates, _WORK_UNIT)
     pending = iter(units)
     lock = threading.Lock()
+    # Set by the first work() that raises: every worker stops before its
+    # next block, and failures[0] is raised once all have stopped.
+    stop = threading.Event()
+    failures: list[BaseException] = []
 
-    def work() -> None:
+    def work(buffer: np.ndarray) -> None:
         # Runs work units until none is left.  The block and the transform's
         # work arrays are reused for every block of them, and freed when
         # sample_blocks returns.
         rng = np.random.Generator(np.random.PCG64(0))  # re-seeded for every row
-        buffer = np.empty((min(rows, _WORK_UNIT, replicates), n), dtype=float)
         scratch = _Scratch()
-        while True:
-            with lock:
-                lo = next(pending, None)
-            if lo is None:
-                return
-            states = _stream_states(base_seed, lo, min(lo + _WORK_UNIT, replicates) - lo)
-            for offset in range(0, len(states), rows):
-                chunk = states[offset : offset + rows]
-                block = buffer[: len(chunk)]
-                sample(_reseeded(rng, chunk), block, scratch)
-                consume(lo + offset, block)
+        try:
+            while True:
+                with lock:
+                    lo = None if stop.is_set() else next(pending, None)
+                if lo is None:
+                    return
+                states = _stream_states(base_seed, lo, min(lo + _WORK_UNIT, replicates) - lo)
+                for offset in range(0, len(states), rows):
+                    if stop.is_set():
+                        return
+                    chunk = states[offset : offset + rows]
+                    block = buffer[: len(chunk)]
+                    sample(_reseeded(rng, chunk), block, scratch)
+                    consume(lo + offset, block)
+        except BaseException as failure:
+            failures.append(failure)
+            stop.set()
 
+    # The calling thread is a worker, with workers - 1 helpers.  It allocates
+    # every worker's block, so no helper makes one on its own malloc arena.
     workers = min(max_workers, len(units))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(work) for _ in range(workers)]:
-                done.result()
-    else:
-        work()
+    buffers = [
+        np.empty((min(rows, _WORK_UNIT, replicates), n), dtype=float) for _ in range(workers)
+    ]
+    # Leaving the block waits for the helpers, which stop once work() fails.
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        for buffer in buffers[1:]:
+            pool.submit(work, buffer)
+        work(buffers[0])
+    if failures:
+        raise failures[0]
 
 
 def sparse_spike_squared_average_variance(n: int) -> float:

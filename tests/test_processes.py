@@ -651,19 +651,20 @@ class TestSampleBlocks:
         assert firsts == sorted(firsts) and firsts[0] == 0
 
     @pytest.mark.parametrize(
-        "n, replicates, max_workers, pool",
-        [(THREADED, 1024, None, None), (THREADED, 1025, None, 2),
-         (THREADED, 2049, None, 3), (THREADED, 5000, None, 4),
-         (THREADED - 1, 2049, None, None), (THREADED - 1, 2049, 2, 2),
-         (3, 1, None, None), (3, 2500, 2, 2),
-         (3, 2500, 8, 3), (3, 2500, 1, None), (3, 1024, 4, None)],
+        "n, replicates, max_workers, helpers",
+        [(THREADED, 1024, None, None), (THREADED, 1025, None, 1),
+         (THREADED, 2049, None, 2), (THREADED, 5000, None, 3),
+         (THREADED - 1, 2049, None, None), (THREADED - 1, 2049, 2, 1),
+         (3, 1, None, None), (3, 2500, 2, 1),
+         (3, 2500, 8, 2), (3, 2500, 1, None), (3, 1024, 4, None)],
     )
     def test_threads_are_capped_by_work_units(
-        self, ar1_config, monkeypatch, n, replicates, max_workers, pool
+        self, ar1_config, monkeypatch, n, replicates, max_workers, helpers
     ):
-        # With four usable CPUs, a call of one work unit runs inline and a
-        # larger one gets one thread per unit, up to max_workers; by default
-        # up to the CPUs from n = THREADED up, else one.
+        # With four usable CPUs, a call of one work unit runs on the calling
+        # thread alone, with no executor, and a larger one gets one worker
+        # per unit, up to max_workers: the calling thread plus a pool of the
+        # rest.  By default up to the CPUs from n = THREADED up, else one.
         built = []
 
         class Spy(processes.ThreadPoolExecutor):
@@ -680,7 +681,7 @@ class TestSampleBlocks:
             max_workers=max_workers,
         )
         assert sorted(covered) == list(range(replicates))
-        assert built == ([] if pool is None else [pool])
+        assert built == ([] if helpers is None else [helpers])
 
     def test_each_work_unit_is_taken_once_by_many_threads(self, ar1_config):
         # Eight threads, more than the cores, take 65 work units from one
@@ -700,6 +701,61 @@ class TestSampleBlocks:
             sys.setswitchinterval(interval)
         assert not run.is_alive()
         assert sorted(covered) == list(range(65 * 1024 - 7))
+
+    @staticmethod
+    def buffers_by_thread(config, workers: int) -> dict[int, set[int]]:
+        """The addresses of the blocks each thread consumed, by thread, in a
+        ten-step ensemble of two work units per worker.  Each thread's first
+        block waits until every worker holds one, so every worker takes a
+        unit however the threads are scheduled."""
+        meet = threading.Barrier(workers)
+        seen = {}
+
+        def consume(first, block):
+            thread = threading.get_ident()
+            if thread not in seen:
+                seen[thread] = set()
+                meet.wait(timeout=60)
+            seen[thread].add(block.__array_interface__["data"][0])
+
+        sample_blocks(config, 10, 5, 2 * workers * 1024, consume, max_workers=workers)
+        return seen
+
+    def test_the_calling_thread_consumes_blocks_too(self, ar1_config):
+        seen = self.buffers_by_thread(ar1_config, 2)
+        assert threading.get_ident() in seen and len(seen) == 2
+
+    def test_each_worker_reuses_one_block_buffer(self, ar1_config):
+        seen = self.buffers_by_thread(ar1_config, 3)
+        assert len(seen) == 3 and all(len(buffers) == 1 for buffers in seen.values())
+        assert len(set().union(*seen.values())) == 3
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_a_failure_stops_every_worker(self, ar1_config, failing):
+        # 20 work units of 1000-step paths, 131 rows a block, on three
+        # workers.  The first block the failing side consumes raises; from
+        # then on each other thread consumes at most the block it was
+        # drawing, the first failure is raised, and no thread is left.
+        class Boom(Exception):
+            pass
+
+        caller = threading.get_ident()
+        failed = threading.Event()
+        late = []
+
+        def consume(first, block):
+            on_caller = threading.get_ident() == caller
+            if not failed.is_set() and on_caller == (failing == "caller"):
+                failed.set()
+                raise Boom(first)
+            if failed.is_set():
+                late.append(threading.get_ident())
+
+        before = set(threading.enumerate())
+        with pytest.raises(Boom):
+            sample_blocks(ar1_config, 1000, 5, 20 * 1024, consume, max_workers=3)
+        assert set(threading.enumerate()) == before
+        assert all(late.count(thread) <= 1 for thread in set(late))
 
     def test_spike_tables_are_read_only(self):
         # the cache hands the same arrays to every caller and thread
