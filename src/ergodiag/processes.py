@@ -88,8 +88,9 @@ on ``uint32`` arrays, and PCG64's ``set_seed`` (two 128-bit LCG steps) in
 Python integers.  Each resulting state is loaded into one reused generator
 through ``bit_generator.state``, which leaves it exactly as
 ``RngSeed(base_seed, r).generator()`` would be, so every row is bit for bit
-the path :func:`sample_path` returns for that replicate, whichever thread
-draws it (:func:`sample_blocks` picks the worker count).  NEP 19 fixes both
+the path :func:`sample_path` returns for that replicate, whichever worker
+draws it: the calling thread or one of its helper threads
+(:func:`sample_blocks` picks the worker count).  NEP 19 fixes both
 the ``SeedSequence`` and the PCG64 streams, and the tests compare the
 derived states against ``np.random.PCG64`` itself.
 
@@ -172,9 +173,11 @@ _WORK_UNIT = 1024
 # the AR1 scan's arrays reused from block to block, took 3.72 s on two
 # threads against 3.81 s with 65 536-value blocks and per-block arrays (AR1
 # 1.20 s against 1.48 s), and 6.26 s against 6.71 s on one thread.  Each
-# engine thread allocates its block and work arrays once per call: two
-# rounds of the four fault in about 3400 pages on two threads and 2000 on
-# one, against 6000 and 5000 with per-block arrays.  Measured earlier with
+# worker keeps its block and work arrays for the whole call, and the calling
+# thread allocates every worker's block, so a helper makes only its work
+# arrays.  With each thread allocating its own block, two rounds of the four
+# faulted in about 3400 pages on two threads and 2000 on one, against 6000
+# and 5000 with per-block arrays.  Measured earlier with
 # per-block arrays, 8192-value blocks took 1.06-1.13x the time of 65 536 on
 # one thread and 1.14-1.55x on two, and 262 144-value blocks, the size of
 # the L2, 0.99-1.15x and 0.97-1.07x.
@@ -188,8 +191,13 @@ _BLOCK_ELEMENTS = 131072
 # n = 10 000.  With 131 072-value blocks (10 000 replicates, medians of 7
 # alternating repeats) they took 0.72-0.81x at n = 1000 and 0.60-0.70x at
 # n = 3000, except SPARSE_SPIKES: 1.11x and 1.13x, against 1.58x and 1.47x
-# with 65 536-value blocks on the same day.  One threshold serves every
-# family until the stages of each are timed apart.
+# with 65 536-value blocks on the same day.  With the calling thread as one
+# of two workers (10 000 replicates; medians of 11, 21 and 21 alternating
+# repeats), SPARSE_SPIKES took 1.37-1.64x the one-worker time at n = 1000,
+# against 1.24-1.57x with two pool threads on the same day, and 1.32x at
+# n = 3000; AR1, COMMON_SHOCK and DRIFTING_MEAN took 0.79-0.94x at n = 1000
+# and 0.67-0.70x at n = 3000.  One threshold serves every family until the
+# stages of each are timed apart.
 _THREADED_LENGTH = 1000
 
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
@@ -883,14 +891,18 @@ def sample_blocks(
     values (one row when ``n`` is longer) and is reused once ``consume``
     returns, so ``consume`` must copy or reduce it.  Replicates are split
     into work units of 1024 indices, which ``min(max_workers, work units)``
-    threads take in turn; each thread keeps one generator, one block and
-    the transform's work arrays for all its units, and frees them before
-    this function returns.  By default ``max_workers`` is
+    workers take in turn: the calling thread and, when there are more
+    workers, a pool of ``workers - 1`` helper threads.  The calling thread
+    allocates every worker's block; each worker keeps its block, one
+    generator and the transform's work arrays for all its units, and all
+    are freed before this function returns.  By default ``max_workers`` is
     :func:`worker_count` for ``n >= 1000`` and 1 for shorter rows, where two
-    threads ran slower than one (see ``_THREADED_LENGTH``).  With more than
-    one thread ``consume`` runs on them, for disjoint replicate ranges; with
-    one, the units run inline and blocks arrive in replicate order.  No
-    result depends on the block size, the work unit or the worker count.
+    threads ran slower than one (see ``_THREADED_LENGTH``).  ``consume``
+    runs on every worker, for disjoint replicate ranges; with one worker,
+    blocks arrive in replicate order.  Once ``consume`` or the sampling
+    raises on any worker, every worker stops before its next block, and the
+    first exception is raised when all have stopped.  No result depends on
+    the block size, the work unit or the worker count.
     """
     n = _integer(n, "n", 1)
     base_seed = _integer(base_seed, "base_seed", 0, _MASK64)
@@ -913,15 +925,15 @@ def sample_blocks(
     failures: list[BaseException] = []
 
     def work(buffer: np.ndarray) -> None:
-        # Runs work units until none is left.  The block and the transform's
-        # work arrays are reused for every block of them, and freed when
-        # sample_blocks returns.
-        rng = np.random.Generator(np.random.PCG64(0))  # re-seeded for every row
-        scratch = _Scratch()
+        # Runs work units until none is left or a worker has failed.  The
+        # block and the transform's work arrays are reused for every block
+        # of them, and freed when sample_blocks returns.
         try:
+            rng = np.random.Generator(np.random.PCG64(0))  # re-seeded for every row
+            scratch = _Scratch()
             while True:
                 with lock:
-                    lo = None if stop.is_set() else next(pending, None)
+                    lo = next(pending, None)
                 if lo is None:
                     return
                 states = _stream_states(base_seed, lo, min(lo + _WORK_UNIT, replicates) - lo)
@@ -932,7 +944,7 @@ def sample_blocks(
                     block = buffer[: len(chunk)]
                     sample(_reseeded(rng, chunk), block, scratch)
                     consume(lo + offset, block)
-        except BaseException as failure:
+        except BaseException as failure:  # raised below, also an interrupt
             failures.append(failure)
             stop.set()
 
